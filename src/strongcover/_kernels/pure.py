@@ -20,7 +20,10 @@ def first_tk_violation(n, k, color_adj):
     The scan walks increasing k-tuples depth first, keeping for every color
     still alive the bitmask of vertices adjacent (in that color) to all
     chosen vertices.  Once no color is alive every extension violates, so
-    the lexicographically first completion can be emitted immediately.
+    the lexicographically first completion can be emitted immediately.  At
+    the last level a vertex completes a violation exactly when it lies in
+    no alive color's common mask, so the lowest such vertex from ``start``
+    on is read off one OR of those masks.
     """
     t = len(color_adj)
     full = (1 << n) - 1
@@ -30,6 +33,14 @@ def first_tk_violation(n, k, color_adj):
 
     def descend(start, chosen, alive, common):
         depth = len(chosen)
+        if depth == k - 1:
+            reach = 0
+            for cm in common:
+                reach |= cm
+            free = full & ~reach >> start << start
+            if free:
+                return tuple(chosen) + ((free & -free).bit_length() - 1,)
+            return None
         for v in range(start, n - (k - depth - 1)):
             new_alive = []
             new_common = []

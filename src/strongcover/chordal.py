@@ -43,24 +43,36 @@ def mcs_order(g: Graph) -> list[int]:
     """Maximum cardinality search visit order.
 
     Repeatedly visits the unvisited vertex with the most visited neighbors,
-    ties broken by smallest index.  For a chordal graph the reverse of this
-    order is a perfect elimination ordering.
+    ties broken by smallest index.  Unvisited vertices sit in one bitmask
+    bucket per weight (Tarjan and Yannakakis 1984), so the next vertex is
+    the lowest bit of the highest nonempty bucket.  A visit moves its
+    unvisited neighbors up one bucket with one mask operation per bucket
+    at or below its own weight; the weights of visited vertices sum to m,
+    so a search costs O(n + m) mask operations.  For a chordal graph the
+    reverse of this order is a perfect elimination ordering.
     """
     n = g.n
-    weight = [0] * n
+    buckets = [(1 << n) - 1] + [0] * n
+    top = 0
     visited = 0
     order = []
     for _ in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not visited >> v & 1 and weight[v] > best_w:
-                best = v
-                best_w = weight[v]
-        order.append(best)
-        visited |= 1 << best
-        for u in bits(g.adj[best] & ~visited):
-            weight[u] += 1
+        while not buckets[top]:
+            top -= 1
+        bucket = buckets[top]
+        low = bucket & -bucket
+        buckets[top] = bucket ^ low
+        order.append(low.bit_length() - 1)
+        visited |= low
+        nbrs = g.adj[order[-1]] & ~visited
+        if nbrs:
+            for w in range(top, -1, -1):
+                moving = buckets[w] & nbrs
+                if moving:
+                    buckets[w] ^= moving
+                    buckets[w + 1] |= moving
+            if buckets[top + 1]:
+                top += 1
     return order
 
 
@@ -76,6 +88,8 @@ def _check_peo(g: Graph, peo: list[int]) -> tuple[int, int, int] | None:
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << peo[i])
+    if _is_peo(g.adj, peo, suffix):
+        return None
     for i, v in enumerate(peo):
         ln = g.adj[v] & suffix[i + 1]
         for a in bits(ln):
@@ -85,6 +99,27 @@ def _check_peo(g: Graph, peo: list[int]) -> tuple[int, int, int] | None:
                 a2, b2 = min(a, b), max(a, b)
                 return (v, a2, b2)
     return None
+
+
+def _is_peo(adj: list[int], peo: list[int], suffix: list[int]) -> bool:
+    """Zero fill-in test (Tarjan and Yannakakis 1984) in O(n) mask steps.
+
+    The order is perfect iff every vertex's later neighbors, its parent
+    (earliest later neighbor) aside, are neighbors of the parent.  A forward
+    sweep keeps the earlier vertices still waiting for a parent; the ones
+    adjacent to the current vertex u have u as parent.
+    """
+    waiting = 0
+    for j, u in enumerate(peo):
+        children = waiting & adj[u]
+        if children:
+            waiting ^= children
+            allowed = adj[u] | 1 << u
+            for v in bits(children):
+                if adj[v] & suffix[j] & ~allowed:
+                    return False
+        waiting |= 1 << u
+    return True
 
 
 def _hole_from_triple(g: Graph, v: int, a: int, b: int) -> list[int] | None:

@@ -370,101 +370,109 @@ def _add_bound_checks(
         )
 
 
-def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
+def _run_suite(args, report, inequality, make, check) -> None:
+    """One row per sample: ``make(i, seed)`` gives (name, coloring) and
+    ``check(coloring)`` the row's findings, ``pass`` included.  A failed
+    precondition, guarantee or size limit marks its row failed with the
+    error and the suite goes on."""
     rows = []
     for i in range(args.samples):
+        seed = args.seed + i
+        row = {"name": f"{args.suite}-seed{seed}", "seed": seed}
+        try:
+            row["name"], col = make(i, seed)
+            row["n"] = col.n
+            row.update(check(col))
+        except (PreconditionError, GuaranteeError, SizeLimitError) as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["pass"] = False
+        rows.append(row)
+    _finish_suite(report, rows, inequality)
+
+
+def _alternating(n: int, t: int, k: int):
+    """``make`` for suites alternating interval and subtree instances."""
+
+    def make(i, seed):
         kind = "interval" if i % 2 == 0 else "subtree"
-        inst = corpus.seeded_tk_instance(kind, args.n, args.t, args.k, args.seed + i)
-        cover, trace = greedy_strong_cover(inst.coloring)
-        rep = verify_cover(inst.coloring, cover)
-        chain = counting_chain_check(inst.coloring, trace, args.k)
+        inst = corpus.seeded_tk_instance(kind, n, t, k, seed)
+        return inst.name, inst.coloring
+
+    return make
+
+
+def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
+    def check(col):
+        cover, trace = greedy_strong_cover(col)
+        rep = verify_cover(col, cover)
+        chain = counting_chain_check(col, trace, args.k)
         ok = (
             rep.valid
-            and _greedy_lower_bound_ok(rep.covered, inst.coloring.n, args.k)
+            and _greedy_lower_bound_ok(rep.covered, col.n, args.k)
             and chain.ok
         )
-        rows.append(
-            {
-                "name": inst.name,
-                "seed": args.seed + i,
-                "n": inst.coloring.n,
-                "covered": rep.covered,
-                "chain": [chain.lower, chain.m, chain.upper],
-                "pass": ok,
-            }
-        )
-    _finish_suite(report, rows, "greedy covers at least (k-1)n/(k+1) vertices")
+        return {
+            "covered": rep.covered,
+            "chain": [chain.lower, chain.m, chain.upper],
+            "pass": ok,
+        }
+
+    _run_suite(
+        args, report, "greedy covers at least (k-1)n/(k+1) vertices",
+        _alternating(args.n, args.t, args.k), check,
+    )
 
 
 def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
-    rows = []
-    for i in range(args.samples):
-        kind = "interval" if i % 2 == 0 else "subtree"
-        inst = corpus.seeded_tk_instance(kind, args.n, 3, 3, args.seed + i)
-        cover = strong_cover_33(inst.coloring)
-        rep = verify_cover(inst.coloring, cover)
-        ok = rep.valid and rep.covered == inst.coloring.n and cover.size() <= 3
-        rows.append(
-            {
-                "name": inst.name,
-                "seed": args.seed + i,
-                "n": inst.coloring.n,
-                "cliques": cover.size(),
-                "pass": ok,
-            }
-        )
-    _finish_suite(report, rows, "three monochromatic cliques cover everything")
+    def check(col):
+        cover = strong_cover_33(col)
+        rep = verify_cover(col, cover)
+        ok = rep.valid and rep.covered == col.n and cover.size() <= 3
+        return {"cliques": cover.size(), "pass": ok}
+
+    _run_suite(
+        args, report, "three monochromatic cliques cover everything",
+        _alternating(args.n, 3, 3), check,
+    )
 
 
 def _verify_tt(args: argparse.Namespace, report: RunReport) -> None:
     limit = 2 if args.t % 2 == 0 else 3
-    rows = []
-    for i in range(args.samples):
-        kind = "interval" if i % 2 == 0 else "subtree"
-        inst = corpus.seeded_tk_instance(kind, args.n, args.t, args.t, args.seed + i)
-        cover = strong_cover_tt(inst.coloring)
-        rep = verify_cover(inst.coloring, cover)
-        ok = rep.valid and rep.covered == inst.coloring.n and cover.size() <= limit
-        rows.append(
-            {
-                "name": inst.name,
-                "seed": args.seed + i,
-                "n": inst.coloring.n,
-                "cliques": cover.size(),
-                "pass": ok,
-            }
-        )
-    _finish_suite(report, rows, f"at most {limit} cliques cover everything")
+
+    def check(col):
+        cover = strong_cover_tt(col)
+        rep = verify_cover(col, cover)
+        ok = rep.valid and rep.covered == col.n and cover.size() <= limit
+        return {"cliques": cover.size(), "pass": ok}
+
+    _run_suite(
+        args, report, f"at most {limit} cliques cover everything",
+        _alternating(args.n, args.t, args.t), check,
+    )
 
 
 def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
-    rows = []
     star = constructions.construct_k5star()
-    for i in range(args.samples):
-        seed = args.seed + i
+
+    def make(i, seed):
         if i % 2 == 0:
             rng = Random(seed)
             sizes = [1 + rng.randrange(3) for _ in range(5)]
             col = constructions.blow_up(star, constructions.BlowupSpec(sizes))
-            name = "k5star-blowup-" + "".join(map(str, sizes))
-        else:
-            inst = corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
-            col, name = inst.coloring, inst.name
+            return "k5star-blowup-" + "".join(map(str, sizes)), col
+        inst = corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
+        return inst.name, inst.coloring
+
+    def check(col):
         cover = strong_cover_c4free_22(col)
         rep = verify_cover(col, cover)
         bound = ceil(4 * col.n / 5)
         ok = rep.valid and rep.covered >= bound
-        rows.append(
-            {
-                "name": name,
-                "seed": seed,
-                "n": col.n,
-                "covered": rep.covered,
-                "bound": bound,
-                "pass": ok,
-            }
-        )
-    _finish_suite(report, rows, "cover reaches at least ceil(4n/5) vertices")
+        return {"covered": rep.covered, "bound": bound, "pass": ok}
+
+    _run_suite(
+        args, report, "cover reaches at least ceil(4n/5) vertices", make, check
+    )
 
 
 def _verify_constructions(args: argparse.Namespace, report: RunReport) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import (
     MultiColoring,
@@ -24,6 +23,7 @@ from .core import (
     is_tk_coloring,
 )
 from .errors import InputError
+from .graphs import bits
 
 
 def hamilton_decomposition_bipartite(m: int) -> list[list[int]]:
@@ -201,17 +201,16 @@ def blow_up(col: MultiColoring, spec: BlowupSpec) -> MultiColoring:
     offsets = [0]
     for s in spec.sizes:
         offsets.append(offsets[-1] + s)
-    new_n = offsets[-1]
-    out = MultiColoring(new_n, col.t)
-    allc = frozenset(range(1, col.t + 1))
-    for v in range(col.n):
-        block = range(offsets[v], offsets[v + 1])
-        for a, b in combinations(block, 2):
-            out.edge_colors[(a, b)] = allc
-    for (u, v), cs in col.edge_colors.items():
-        for a in range(offsets[u], offsets[u + 1]):
-            for b in range(offsets[v], offsets[v + 1]):
-                out.edge_colors[(min(a, b), max(a, b))] = cs
+    blocks = [(1 << offsets[v + 1]) - (1 << offsets[v]) for v in range(col.n)]
+    out = MultiColoring(offsets[-1], col.t)
+    for row, new in zip(col.rows, out.rows):
+        for v in range(col.n):
+            outside = 0
+            for u in bits(row[v]):
+                outside |= blocks[u]
+            inside = outside | blocks[v]
+            for a in range(offsets[v], offsets[v + 1]):
+                new[a] = inside ^ 1 << a
     return out
 
 

@@ -12,13 +12,14 @@ point piercing all track-i objects of the clique.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, is_clique_mask
 
 Edge = tuple[int, int]
 
@@ -29,28 +30,145 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass
-class MultiColoring:
-    """Multicolored K_n: ``edge_colors`` maps (u, v) with u < v to color sets.
+_COLOR_SETS: dict[int, frozenset[int]] = {}
 
-    Edges absent from the map carry no color.  Colors are 1-based, 1..t.
+
+def _color_set(mask: int) -> frozenset[int]:
+    """Frozenset of the 1-based colors whose bits (color c at bit c-1) are
+    set, interned so equal color sets share one object."""
+    cs = _COLOR_SETS.get(mask)
+    if cs is None:
+        if len(_COLOR_SETS) >= 1 << 16:
+            _COLOR_SETS.clear()
+        cs = _COLOR_SETS[mask] = frozenset(c + 1 for c in bits(mask))
+    return cs
+
+
+class EdgeColors(MutableMapping):
+    """Live ``(u, v) -> frozenset of colors`` view over a coloring's rows.
+
+    Keys are the edges u < v carrying at least one color, in lexicographic
+    order.  Assigning a set replaces the edge's colors (an empty set
+    removes it); deleting clears them.
     """
 
-    n: int
-    t: int
-    edge_colors: dict[Edge, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ("_col",)
+
+    def __init__(self, col: "MultiColoring"):
+        self._col = col
+
+    def __getitem__(self, edge: Edge) -> frozenset[int]:
+        u, v = edge
+        if not (0 <= u < v < self._col.n):
+            raise KeyError(edge)
+        cs = self._col.colors_of(u, v)
+        if not cs:
+            raise KeyError(edge)
+        return cs
+
+    def __setitem__(self, edge: Edge, colors: Iterable[int]) -> None:
+        u, v = edge
+        col = self._col
+        col._check_edge(u, v)
+        want = col._color_mask(colors)
+        bu, bv = 1 << u, 1 << v
+        for c, row in enumerate(col.rows):
+            if want >> c & 1:
+                row[u] |= bv
+                row[v] |= bu
+            else:
+                row[u] &= ~bv
+                row[v] &= ~bu
+
+    def __delitem__(self, edge: Edge) -> None:
+        if edge not in self:
+            raise KeyError(edge)
+        self[edge] = ()
+
+    def __iter__(self) -> Iterator[Edge]:
+        col = self._col
+        for u in range(col.n):
+            for v in bits(col._later_neighbors(u)):
+                yield u, v
+
+    def __len__(self) -> int:
+        col = self._col
+        return sum(col._later_neighbors(u).bit_count() for u in range(col.n))
+
+
+class MultiColoring:
+    """Multicolored K_n stored as per-color adjacency rows.
+
+    ``rows[c - 1][v]`` is the bitmask of vertices joined to v by an edge
+    carrying color c; colors are 1-based, 1..t.  The rows are the only
+    state: ``edge_colors`` is a live mapping view over them, and color
+    graphs, adjacency lists and documents are all read off them.
+    """
+
+    __slots__ = ("n", "t", "rows")
+
+    def __init__(
+        self, n: int, t: int, edge_colors: Mapping[Edge, Iterable[int]] | None = None
+    ):
+        if n < 0:
+            raise InputError(f"n must be nonnegative, got {n}")
+        if t < 1:
+            raise InputError(f"t must be positive, got {t}")
+        self.n = n
+        self.t = t
+        self.rows: list[list[int]] = [[0] * n for _ in range(t)]
+        if edge_colors:
+            view = self.edge_colors
+            for edge, cs in edge_colors.items():
+                view[edge] = cs
+
+    @property
+    def edge_colors(self) -> EdgeColors:
+        return EdgeColors(self)
+
+    def _check_edge(self, u: int, v: int) -> None:
+        if u == v:
+            raise InputError(f"self-loop at {u}")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InputError(f"bad edge ({u},{v}) for n={self.n}")
+
+    def _color_mask(self, colors: Iterable[int]) -> int:
+        m = 0
+        for c in colors:
+            if not (1 <= c <= self.t):
+                raise InputError(f"color {c} out of range 1..{self.t}")
+            m |= 1 << (c - 1)
+        return m
+
+    def _row(self, color: int) -> list[int]:
+        if not (1 <= color <= self.t):
+            raise InputError(f"color {color} out of range 1..{self.t}")
+        return self.rows[color - 1]
+
+    def vertex_mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of a vertex set, each vertex checked against 0..n-1."""
+        m = 0
+        for v in vertices:
+            if not (0 <= v < self.n):
+                raise InputError(f"vertex {v} out of range for n={self.n}")
+            m |= 1 << v
+        return m
 
     def validate(self) -> None:
+        """Check the rows' shape in O(t n): t rows of n masks, no bit at or
+        beyond n, no self-loop.  Writes keep both endpoints' rows in step,
+        so symmetry holds by construction."""
         if self.n < 0:
             raise InputError(f"n must be nonnegative, got {self.n}")
-        if self.t < 1:
-            raise InputError(f"t must be positive, got {self.t}")
-        for (u, v), cs in self.edge_colors.items():
-            if not (0 <= u < v < self.n):
-                raise InputError(f"bad edge ({u},{v}) for n={self.n}")
-            for c in cs:
-                if not (1 <= c <= self.t):
-                    raise InputError(f"color {c} out of range 1..{self.t}")
+        if self.t < 1 or len(self.rows) != self.t:
+            raise InputError(f"t must be positive and match the rows, got {self.t}")
+        full = (1 << self.n) - 1
+        for row in self.rows:
+            if len(row) != self.n:
+                raise InputError(f"color row has {len(row)} entries for n={self.n}")
+            for v, r in enumerate(row):
+                if r & ~full or r >> v & 1:
+                    raise InputError(f"vertex {v} has a bad adjacency row")
 
     @classmethod
     def from_edges(
@@ -59,68 +177,76 @@ class MultiColoring:
         col = cls(n, t)
         for u, v, cs in edges:
             col.add_colors(u, v, cs)
-        col.validate()
         return col
 
     @classmethod
     def complete(cls, n: int, t: int) -> "MultiColoring":
         """Every edge carries every color."""
-        allc = frozenset(range(1, t + 1))
-        ec = {(u, v): allc for u in range(n) for v in range(u + 1, n)}
-        return cls(n, t, ec)
+        col = cls(n, t)
+        full = (1 << n) - 1
+        col.rows = [[full ^ (1 << v) for v in range(n)] for _ in range(t)]
+        return col
 
     def add_colors(self, u: int, v: int, colors: Iterable[int]) -> None:
-        key = edge_key(u, v)
-        cs = frozenset(colors)
-        if not cs:
-            return
-        self.edge_colors[key] = self.edge_colors.get(key, frozenset()) | cs
+        self._check_edge(u, v)
+        add = self._color_mask(colors)
+        bu, bv = 1 << u, 1 << v
+        for c in bits(add):
+            row = self.rows[c]
+            row[u] |= bv
+            row[v] |= bu
 
     def colors_of(self, u: int, v: int) -> frozenset[int]:
-        return self.edge_colors.get(edge_key(u, v), frozenset())
+        self._check_edge(u, v)
+        m = 0
+        bit = 1
+        for row in self.rows:
+            if row[u] >> v & 1:
+                m |= bit
+            bit <<= 1
+        return _color_set(m)
+
+    def _later_neighbors(self, u: int) -> int:
+        """Vertices v > u joined to u in at least one color."""
+        union = 0
+        for row in self.rows:
+            union |= row[u]
+        return union >> u + 1 << u + 1
 
     def color_graph(self, i: int) -> Graph:
         """Graph of edges carrying color i."""
-        if not (1 <= i <= self.t):
-            raise InputError(f"color {i} out of range 1..{self.t}")
         g = Graph(self.n)
-        for (u, v), cs in self.edge_colors.items():
-            if i in cs:
-                g.add_edge(u, v)
+        g.adj = list(self._row(i))
         return g
 
     def color_adjacency(self) -> list[list[int]]:
-        """Adjacency bitmask rows for every color graph at once."""
-        rows = [[0] * self.n for _ in range(self.t)]
-        for (u, v), cs in self.edge_colors.items():
-            for c in cs:
-                rows[c - 1][u] |= 1 << v
-                rows[c - 1][v] |= 1 << u
-        return rows
+        """Adjacency bitmask rows for every color graph at once (a copy)."""
+        return [list(row) for row in self.rows]
+
+    def is_clique_mask(self, mask: int, color: int) -> bool:
+        """True if the vertices of ``mask`` are pairwise joined in ``color``."""
+        return is_clique_mask(self._row(color), mask)
 
     def is_monochromatic_clique(self, vertices: Iterable[int], color: int) -> bool:
         """True if all pairs inside ``vertices`` carry ``color``."""
-        vs = sorted(set(vertices))
-        for a, b in combinations(vs, 2):
-            if color not in self.colors_of(a, b):
-                return False
-        return True
+        return self.is_clique_mask(self.vertex_mask(vertices), color)
 
     def restrict(self, vertices: Iterable[int]) -> tuple["MultiColoring", list[int]]:
         """Coloring induced on a vertex subset, relabeled 0..m-1 in order.
 
         Returns the restriction and the list mapping new labels to old.
         """
-        old = sorted(set(vertices))
-        if old and not (0 <= old[0] and old[-1] < self.n):
-            raise InputError("restriction vertices out of range")
+        keep = self.vertex_mask(vertices)
+        old = list(bits(keep))
         index = {v: i for i, v in enumerate(old)}
-        ec = {}
-        for a, b in combinations(old, 2):
-            cs = self.colors_of(a, b)
-            if cs:
-                ec[(index[a], index[b])] = cs
-        return MultiColoring(len(old), self.t, ec), old
+        sub = MultiColoring(len(old), self.t)
+        for row, new in zip(self.rows, sub.rows):
+            for i, v in enumerate(old):
+                r = 0
+                for w in bits(row[v] & keep):
+                    r |= 1 << index[w]
+                new[i] = r
+        return sub, old
 
     def select_colors(self, colors: Sequence[int]) -> "MultiColoring":
         """Coloring keeping only the listed colors, relabeled to 1..len(colors).
@@ -134,19 +260,12 @@ class MultiColoring:
             if c in seen:
                 raise InputError(f"duplicate color {c}")
             seen.add(c)
-        remap = {c: j + 1 for j, c in enumerate(colors)}
-        ec = {}
-        for e, cs in self.edge_colors.items():
-            kept = frozenset(remap[c] for c in cs if c in remap)
-            if kept:
-                ec[e] = kept
-        return MultiColoring(self.n, len(colors), ec)
+        sel = MultiColoring(self.n, len(colors))
+        sel.rows = [list(self.rows[c - 1]) for c in colors]
+        return sel
 
     def to_dict(self) -> dict:
-        edges = [
-            [u, v, sorted(cs)]
-            for (u, v), cs in sorted(self.edge_colors.items())
-        ]
+        edges = [[u, v, sorted(cs)] for (u, v), cs in self.edge_colors.items()]
         return {"n": self.n, "t": self.t, "edges": edges}
 
     @classmethod
@@ -158,6 +277,7 @@ class MultiColoring:
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad coloring document: {exc}") from exc
         col = cls(n, t)
+        rows = col.rows
         seen = set()
         for item in raw:
             u, v, cs = int(item[0]), int(item[1]), [int(c) for c in item[2]]
@@ -166,9 +286,29 @@ class MultiColoring:
             if (u, v) in seen:
                 raise InputError(f"edge ({u},{v}) listed twice")
             seen.add((u, v))
-            col.add_colors(u, v, cs)
-        col.validate()
+            if u < 0 or v >= n:
+                raise InputError(f"bad edge ({u},{v}) for n={n}")
+            bu, bv = 1 << u, 1 << v
+            for c in cs:
+                if not 1 <= c <= t:
+                    raise InputError(f"color {c} out of range 1..{t}")
+                row = rows[c - 1]
+                row[u] |= bv
+                row[v] |= bu
         return col
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, MultiColoring)
+            and self.n == other.n
+            and self.t == other.t
+            and self.rows == other.rows
+        )
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"MultiColoring(n={self.n}, t={self.t}, edges={len(self.edge_colors)})"
 
 
 @dataclass
@@ -335,34 +475,54 @@ def intervals_intersect(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
-    """Edge (u, v) gets color i when track-i intervals of u and v intersect."""
+    """Edge (u, v) gets color i when track-i intervals of u and v intersect.
+
+    A sweep per track: u meets exactly the members whose left end is at
+    most u's right end (a prefix of the members sorted by left end) and
+    whose right end is at least u's left end (a suffix of the members
+    sorted by right end), so each row is one prefix mask AND one suffix
+    mask.
+    """
     fam.validate()
     n = fam.n
     col = MultiColoring(n, fam.t)
-    for u in range(n):
-        tu = fam.members[u]
-        for v in range(u + 1, n):
-            tv = fam.members[v]
-            cs = frozenset(
-                i + 1 for i in range(fam.t) if intervals_intersect(tu[i], tv[i])
-            )
-            if cs:
-                col.edge_colors[(u, v)] = cs
+    for i, row in enumerate(col.rows):
+        track = [tracks[i] for tracks in fam.members]
+        by_lo = sorted(range(n), key=lambda v: track[v][0])
+        by_hi = sorted(range(n), key=lambda v: track[v][1])
+        los = [track[v][0] for v in by_lo]
+        his = [track[v][1] for v in by_hi]
+        prefix = [0] * (n + 1)  # prefix[j]: the j members with least left ends
+        for j, v in enumerate(by_lo):
+            prefix[j + 1] = prefix[j] | 1 << v
+        suffix = [0] * (n + 1)  # suffix[j]: by_hi[j:], the latest right ends
+        for j in range(n - 1, -1, -1):
+            suffix[j] = suffix[j + 1] | 1 << by_hi[j]
+        for v, (lo, hi) in enumerate(track):
+            meets = prefix[bisect_right(los, hi)] & suffix[bisect_left(his, lo)]
+            row[v] = meets ^ 1 << v
     return col
 
 
 def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
-    """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex."""
+    """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex.
+
+    Per track, each host vertex gets the mask of members whose subtree
+    holds it; a member's row is the OR of those masks over its subtree.
+    """
     fam.validate()
-    n = fam.n
-    col = MultiColoring(n, fam.t)
-    for u in range(n):
-        tu = fam.members[u]
-        for v in range(u + 1, n):
-            tv = fam.members[v]
-            cs = frozenset(i + 1 for i in range(fam.t) if tu[i] & tv[i])
-            if cs:
-                col.edge_colors[(u, v)] = cs
+    col = MultiColoring(fam.n, fam.t)
+    h = fam.host_size
+    for i, row in enumerate(col.rows):
+        holders = [0] * h
+        for v, tracks in enumerate(fam.members):
+            for x in tracks[i]:
+                holders[x] |= 1 << v
+        for v, tracks in enumerate(fam.members):
+            meets = 0
+            for x in tracks[i]:
+                meets |= holders[x]
+            row[v] = meets ^ 1 << v
     return col
 
 
@@ -377,7 +537,7 @@ def is_tk_coloring(
     col.validate()
     if not (2 <= k <= col.n):
         raise InputError(f"need 2 <= k <= n, got k={k}, n={col.n}")
-    witness = kernels.first_tk_violation(col.n, k, col.color_adjacency())
+    witness = kernels.first_tk_violation(col.n, k, col.rows)
     return (witness is None, witness)
 
 
@@ -406,35 +566,54 @@ def is_kwise_intersecting(fam: TIntervalFamily, k: int) -> bool:
     return True
 
 
+def count_layers(masks: Iterable[int], top: int) -> list[int]:
+    """``layers[j]``: bits set in at least j of ``masks``, for j = 0..top.
+
+    ``layers[0]`` is -1 (every bit).  With one mask per color of a vertex's
+    rows, ``layers[j]`` holds the neighbors joined to it by j or more colors.
+    """
+    layers = [-1] + [0] * top
+    for m in masks:
+        for j in range(top, 0, -1):
+            layers[j] |= layers[j - 1] & m
+    return layers
+
+
 def kfold_min_colors(col: MultiColoring) -> int:
     """Minimum number of colors carried by any edge."""
     col.validate()
-    if col.n < 2:
-        raise InputError(f"need at least two vertices, got n={col.n}")
+    n = col.n
+    if n < 2:
+        raise InputError(f"need at least two vertices, got n={n}")
+    full = (1 << n) - 1
     best = col.t
-    for u in range(col.n):
-        for v in range(u + 1, col.n):
-            best = min(best, len(col.colors_of(u, v)))
-            if best == 0:
-                return 0
+    for u in range(n - 1):
+        later = full >> u + 1 << u + 1
+        layers = count_layers([row[u] for row in col.rows], best)
+        while later & ~layers[best]:
+            best -= 1
+        if best == 0:
+            return 0
     return best
 
 
 def verify_cover(col: MultiColoring, cov: StrongCover) -> CoverReport:
     """Check that each assigned set is a clique in its color; count coverage."""
     col.validate()
-    seen: set[int] = set()
+    seen = 0
     valid = True
     for c, s in cov.assignments.items():
         if not (1 <= c <= col.t):
             raise InputError(f"cover color {c} out of range 1..{col.t}")
+        m = 0
         for v in s:
             if not (0 <= v < col.n):
                 raise InputError(f"cover vertex {v} out of range for n={col.n}")
-        if not col.is_monochromatic_clique(s, c):
+            m |= 1 << v
+        if not col.is_clique_mask(m, c):
             valid = False
-        seen.update(s)
-    return CoverReport(valid=valid, covered=len(seen))
+        seen |= m
+    return CoverReport(valid=valid, covered=seen.bit_count())
 
 
 def piercing_points(
@@ -443,14 +622,20 @@ def piercing_points(
     """One piercing point per assigned color of a valid cover.
 
     For each clique of color i the point is the maximum left endpoint of the
-    members' track-i intervals; pairwise intersection on a line guarantees it
-    lies in every interval of the clique.  Returns (track, point) pairs
-    sorted by track; empty assignments are skipped.
+    members' track-i intervals.  The cover is checked on the intervals
+    themselves: by the Helly property of intervals on a line, a set is a
+    clique of color i exactly when that maximum left end is at most the
+    minimum right end, so the check and the point are one computation.
+    Returns (track, point) pairs sorted by track; empty assignments are
+    skipped.
     """
-    col = coloring_from_intervals(fam)
-    report = verify_cover(col, cov)
-    if not report.valid:
-        raise InputError("cover is not valid for the coloring of this family")
+    fam.validate()
+    for c, s in cov.assignments.items():
+        if not (1 <= c <= fam.t):
+            raise InputError(f"cover color {c} out of range 1..{fam.t}")
+        for v in s:
+            if not (0 <= v < fam.n):
+                raise InputError(f"cover vertex {v} out of range for n={fam.n}")
     out = []
     for c in sorted(cov.assignments):
         s = cov.assignments[c]
@@ -459,8 +644,6 @@ def piercing_points(
         lo = max(fam.members[v][c - 1][0] for v in s)
         hi = min(fam.members[v][c - 1][1] for v in s)
         if lo > hi:
-            raise InputError(
-                f"color {c} clique has no common point on its track"
-            )
+            raise InputError("cover is not valid for the coloring of this family")
         out.append((c, lo))
     return out

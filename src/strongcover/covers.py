@@ -18,11 +18,15 @@ from .chordal import (
     clique_cutset,
     is_chordal,
     induced_c4_free,
-    max_clique_chordal,
     maximal_cliques_chordal,
-    mcs_order,
 )
-from .core import MultiColoring, StrongCover, is_tk_coloring, verify_cover
+from .core import (
+    MultiColoring,
+    StrongCover,
+    count_layers,
+    is_tk_coloring,
+    verify_cover,
+)
 from .errors import GuaranteeError, InputError, PreconditionError, SizeLimitError
 from .graphs import Graph, bits, mask_of
 
@@ -51,9 +55,12 @@ class GreedyTrace:
         }
 
 
-def _chordal_color_graphs(col: MultiColoring) -> list[Graph]:
-    """Color graphs of col, each verified chordal (hole reported otherwise)."""
-    graphs = []
+def _chordal_certificates(col: MultiColoring) -> list[tuple[Graph, list[int]]]:
+    """Each color graph with one PEO, in color order 1..t.
+
+    Raises PreconditionError with the hole of the first non-chordal color.
+    """
+    out = []
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
         cert = is_chordal(g)
@@ -61,13 +68,38 @@ def _chordal_color_graphs(col: MultiColoring) -> list[Graph]:
             raise PreconditionError(
                 f"color {i} graph is not chordal", witness=(i, cert.hole)
             )
-        graphs.append(g)
-    return graphs
+        out.append((g, cert.peo))
+    return out
 
 
-def _max_clique_any(g: Graph) -> frozenset[int]:
-    """Maximum clique of a known-chordal graph, lex-least among maximums."""
-    return max_clique_chordal(g, mcs_order(g)[::-1])
+def _max_clique_within(adj: list[int], peo: list[int], alive: int) -> int:
+    """Lexicographically least maximum clique of the subgraph induced on
+    ``alive``, given a PEO of the whole chordal graph.
+
+    The PEO restricted to ``alive`` is a PEO of the induced subgraph, and
+    each of its maximal cliques is {v} | later alive neighbors of v for its
+    first vertex v, so the largest such candidates are exactly the maximum
+    cliques.  Among equal sizes the lexicographically smaller vertex set is
+    the one holding the lowest bit where the two differ.
+    """
+    best = 0
+    best_size = 0
+    later = 0
+    for v in reversed(peo):
+        bit = 1 << v
+        if not alive & bit:
+            continue
+        cand = adj[v] & later | bit
+        later |= bit
+        size = cand.bit_count()
+        if size < best_size:
+            continue
+        if size == best_size:
+            diff = cand ^ best
+            if not diff & -diff & cand:
+                continue
+        best, best_size = cand, size
+    return best
 
 
 def greedy_strong_cover(
@@ -77,7 +109,9 @@ def greedy_strong_cover(
     clique of that color's graph restricted to the still-uncovered vertices.
 
     Every color graph must be chordal.  On a (t,k)-coloring the total
-    covered is at least (k-1) n / (k+1) whatever the order.
+    covered is at least (k-1) n / (k+1) whatever the order.  Each color's
+    PEO is computed once, as its chordality certificate, and reused by
+    every step.
     """
     col.validate()
     t = col.t
@@ -85,31 +119,31 @@ def greedy_strong_cover(
         order = tuple(range(1, t + 1))
     if sorted(order) != list(range(1, t + 1)):
         raise InputError(f"order {order} is not a permutation of 1..{t}")
-    _chordal_color_graphs(col)
+    certs = _chordal_certificates(col)
 
-    remaining = list(range(col.n))
+    remaining = (1 << col.n) - 1
     steps: list[GreedyStep] = []
     assignments: dict[int, frozenset[int]] = {}
     for color in order:
         if not remaining:
             break
-        g = col.color_graph(color)
-        sub, old = g.subgraph(remaining)
-        local = _max_clique_any(sub)
-        w = frozenset(old[v] for v in local)
-        assignments[color] = w
-        remaining = [v for v in remaining if v not in w]
-        steps.append(GreedyStep(color=color, clique=w, remaining=len(remaining)))
-    trace = GreedyTrace(steps=steps, uncovered=frozenset(remaining))
+        g, peo = certs[color - 1]
+        w = _max_clique_within(g.adj, peo, remaining)
+        remaining &= ~w
+        clique = frozenset(bits(w))
+        assignments[color] = clique
+        steps.append(
+            GreedyStep(color=color, clique=clique, remaining=remaining.bit_count())
+        )
+    trace = GreedyTrace(steps=steps, uncovered=frozenset(bits(remaining)))
     return StrongCover(assignments), trace
 
 
 def multiplicity_sum(col: MultiColoring, vertices: frozenset[int]) -> int:
     """Sum of per-edge color counts over edges inside the vertex set."""
-    vs = sorted(vertices)
-    return sum(
-        len(col.colors_of(u, v)) for u, v in itertools.combinations(vs, 2)
-    )
+    s = col.vertex_mask(vertices)
+    ends = sum((row[v] & s).bit_count() for row in col.rows for v in bits(s))
+    return ends // 2
 
 
 def check_residual_multiplicity(
@@ -119,10 +153,14 @@ def check_residual_multiplicity(
 
     Returns (True, None) or (False, first offending edge).
     """
-    vs = sorted(vertices)
-    for u, v in itertools.combinations(vs, 2):
-        if len(col.colors_of(u, v)) < k - 1:
-            return False, (u, v)
+    s = col.vertex_mask(vertices)
+    need = max(k - 1, 0)
+    for u in bits(s):
+        later = s >> u + 1 << u + 1
+        layers = count_layers([row[u] for row in col.rows], need)
+        short = later & ~layers[need]
+        if short:
+            return False, (u, (short & -short).bit_length() - 1)
     return True, None
 
 
@@ -223,7 +261,8 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
     """Minimum number of cliques in a strong cover of all vertices.
 
     Returns None when no strong cover covers every vertex.  Exhaustive over
-    per-color maximal cliques with memoized pruning.
+    per-color maximal cliques with memoized pruning; a branch stops once
+    the largest clique of every remaining color cannot cover what is left.
     """
     col.validate()
     if col.n > max_n:
@@ -233,10 +272,15 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
     full = (1 << col.n) - 1
     if full == 0:
         return 0
+    n = col.n
     t = col.t
     per_color = [
         _color_clique_masks(col, i, col.color_graph(i)) for i in range(1, t + 1)
     ]
+    suffix_best = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        biggest = max((m.bit_count() for m in per_color[i]), default=0)
+        suffix_best[i] = suffix_best[i + 1] + biggest
     best: int | None = None
     seen: dict[tuple[int, int], int] = {}
 
@@ -247,7 +291,7 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
         if covered == full:
             best = used
             return
-        if idx == len(per_color):
+        if covered.bit_count() + suffix_best[idx] < n:
             return
         key = (idx, covered)
         prior = seen.get(key)
@@ -305,9 +349,15 @@ def two_clique_cover_exact(
 def _mono_edge_colors(col: MultiColoring) -> set[int]:
     """Colors that appear alone on at least one edge."""
     out = set()
-    for cs in col.edge_colors.values():
-        if len(cs) == 1:
-            out.add(next(iter(cs)))
+    for v in range(col.n):
+        mine = [row[v] for row in col.rows]
+        for c, r in enumerate(mine):
+            others = 0
+            for d, q in enumerate(mine):
+                if d != c:
+                    others |= q
+            if r & ~others:
+                out.add(c + 1)
     return out
 
 
@@ -331,7 +381,7 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (3,3)-coloring; witness {witness}", witness=witness
         )
-    _chordal_color_graphs(col)
+    certs = _chordal_certificates(col)
 
     mono = _mono_edge_colors(col)
     for j in (1, 2, 3):
@@ -345,9 +395,9 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
             return cover
 
     all_vertices = frozenset(range(col.n))
-    if col.is_monochromatic_clique(all_vertices, 1):
+    if col.is_clique_mask((1 << col.n) - 1, 1):
         return StrongCover({1: all_vertices})
-    g1 = col.color_graph(1)
+    g1, peo1 = certs[0]
     if not g1.is_connected():
         # cannot happen for a valid (3,3)-coloring with a color-1-only edge;
         # recheck the two-color branches before giving up
@@ -356,8 +406,7 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
             if cover is not None:
                 return cover
         raise PreconditionError("color 1 graph disconnected; invalid input")
-    cert = is_chordal(g1)
-    dec = clique_cutset(g1, cert.peo)
+    dec = clique_cutset(g1, peo1)
     rest = dec.a | dec.b
     sub_cover = two_clique_cover_exact(col, (2, 3), vertices=rest)
     if sub_cover is None:
@@ -392,11 +441,12 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (t,t)-coloring; witness {witness}", witness=witness
         )
-    _chordal_color_graphs(col)
+    _chordal_certificates(col)
 
-    pairs = itertools.combinations(range(1, t + 1), 2)
-    for i, j in pairs:
-        if all(cs & {i, j} for cs in _all_edge_colors(col)):
+    full = (1 << col.n) - 1
+    for i, j in itertools.combinations(range(1, t + 1), 2):
+        ri, rj = col.rows[i - 1], col.rows[j - 1]
+        if all(ri[v] | rj[v] | 1 << v == full for v in range(col.n)):
             cover = two_clique_cover_exact(col, (i, j))
             if cover is None:
                 raise GuaranteeError(
@@ -423,47 +473,71 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
     )
 
 
-def _all_edge_colors(col: MultiColoring):
-    """Color sets of all n(n-1)/2 edges, including uncolored ones."""
-    for u in range(col.n):
-        for v in range(u + 1, col.n):
-            yield col.colors_of(u, v)
+def _later(mask: int, v: int) -> int:
+    """Bits of ``mask`` above position v."""
+    return mask >> v + 1 << v + 1
 
 
 def find_k5star(
     col: MultiColoring, red: int, blue: int
 ) -> tuple[int, ...] | None:
     """First 5-subset whose induced edges split into a red 5-cycle and a
-    blue 5-cycle (each edge carrying exactly one of the two colors)."""
+    blue 5-cycle (each edge carrying exactly one of the two colors).
+
+    Walks increasing vertex tuples keeping the mask of later vertices
+    joined to every chosen one by exactly one of the two colors, so the
+    first tuple found is the lexicographically first.  The fifth vertex is
+    one mask formula: it must be red-joined to the two chosen vertices of
+    red degree one and blue-joined to the two of red degree two.
+    """
     col.validate()
     if red == blue or not (1 <= red <= col.t and 1 <= blue <= col.t):
         raise InputError(f"bad color pair ({red}, {blue})")
-    for subset in itertools.combinations(range(col.n), 5):
-        degs = {v: 0 for v in subset}
-        ok = True
-        for a, b in itertools.combinations(subset, 2):
-            cs = col.colors_of(a, b) & {red, blue}
-            if len(cs) != 1:
-                ok = False
-                break
-            if red in cs:
-                degs[a] += 1
-                degs[b] += 1
-        if ok and all(d == 2 for d in degs.values()):
-            return subset
+    reds = col.rows[red - 1]
+    one = [r ^ b for r, b in zip(reds, col.rows[blue - 1])]
+    for a in range(col.n):
+        ca = _later(one[a], a)
+        for b in bits(ca):
+            cb = ca & _later(one[b], b)
+            for c in bits(cb):
+                cc = cb & _later(one[c], c)
+                for d in bits(cc):
+                    last = cc & _later(one[d], d)
+                    if last:
+                        last = _fifth_vertices(reds, (a, b, c, d), last)
+                    if last:
+                        return (a, b, c, d, (last & -last).bit_length() - 1)
     return None
 
 
+def _fifth_vertices(reds: list[int], quad: tuple[int, ...], cands: int) -> int:
+    """Vertices of ``cands`` closing ``quad`` into a red 5-cycle.
+
+    The red cycle through the fifth vertex leaves two chosen vertices of
+    red degree one (its red neighbors) and two of red degree two.
+    """
+    s = 1 << quad[0] | 1 << quad[1] | 1 << quad[2] | 1 << quad[3]
+    ends = 0
+    for v in quad:
+        deg = (reds[v] & s).bit_count()
+        if deg == 1:
+            cands &= reds[v]
+            ends += 1
+        elif deg == 2:
+            cands &= ~reds[v]
+        else:
+            return 0
+    return cands if ends == 2 else 0
+
+
 def _is_k5star(col: MultiColoring, subset: tuple[int, ...], red: int, blue: int) -> bool:
-    degs = {v: 0 for v in subset}
-    for a, b in itertools.combinations(subset, 2):
-        cs = col.colors_of(a, b) & {red, blue}
-        if len(cs) != 1:
+    reds, blues = col.rows[red - 1], col.rows[blue - 1]
+    s = col.vertex_mask(subset)
+    for v in subset:
+        r, b = reds[v] & s, blues[v] & s
+        if r & b or r | b != s ^ 1 << v or r.bit_count() != 2:
             return False
-        if red in cs:
-            degs[a] += 1
-            degs[b] += 1
-    return all(d == 2 for d in degs.values())
+    return True
 
 
 def grow_blowup(
@@ -486,61 +560,44 @@ def grow_blowup(
     if not _is_k5star(col, tuple(sorted(seed)), red, blue):
         raise InputError("seed does not induce a red/blue double 5-cycle")
 
-    seed_set = set(seed)
-    v0 = min(seed_set)
-    red_nbrs = sorted(
-        u for u in seed_set
-        if u != v0 and col.colors_of(v0, u) & {red, blue} == {red}
-    )
-    cycle = [v0, red_nbrs[0]]
+    reds, blues = col.rows[red - 1], col.rows[blue - 1]
+    both = [r & b for r, b in zip(reds, blues)]
+    red_only = [r & ~b for r, b in zip(reds, blues)]
+    blue_only = [b & ~r for r, b in zip(reds, blues)]
+    seed_mask = col.vertex_mask(seed)
+    cycle = [min(seed)]
+    absorbed = 1 << cycle[0]
     while len(cycle) < 5:
-        cur = cycle[-1]
-        nxt = [
-            u for u in seed_set
-            if u not in cycle and col.colors_of(cur, u) & {red, blue} == {red}
-        ]
-        cycle.append(nxt[0])
-    classes = [set([v]) for v in cycle]
+        nxt = red_only[cycle[-1]] & seed_mask & ~absorbed
+        nxt &= -nxt
+        cycle.append(nxt.bit_length() - 1)
+        absorbed |= nxt
+    classes = [1 << v for v in cycle]
 
     def replica_class(w: int) -> int | None:
         for i in range(5):
-            good = True
-            for d in range(5):
-                want_both = d == 0
-                want_red = d in (1, 4)
-                for u in classes[(i + d) % 5]:
-                    cs = col.colors_of(w, u) & {red, blue}
-                    if want_both:
-                        if cs != {red, blue}:
-                            good = False
-                            break
-                    elif want_red:
-                        if cs != {red}:
-                            good = False
-                            break
-                    else:
-                        if cs != {blue}:
-                            good = False
-                            break
-                if not good:
-                    break
-            if good:
+            near = classes[(i + 1) % 5] | classes[(i + 4) % 5]
+            far = classes[(i + 2) % 5] | classes[(i + 3) % 5]
+            if not (
+                classes[i] & ~both[w]
+                or near & ~red_only[w]
+                or far & ~blue_only[w]
+            ):
                 return i
         return None
 
-    absorbed = set(cycle)
     changed = True
     while changed:
         changed = False
         for w in range(col.n):
-            if w in absorbed:
+            if absorbed >> w & 1:
                 continue
             i = replica_class(w)
             if i is not None:
-                classes[i].add(w)
-                absorbed.add(w)
+                classes[i] |= 1 << w
+                absorbed |= 1 << w
                 changed = True
-    return [frozenset(c) for c in classes]
+    return [frozenset(bits(c)) for c in classes]
 
 
 def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
@@ -560,12 +617,15 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     n = col.n
     if n == 0:
         return StrongCover({})
+    reds, blues = col.rows
+    full = (1 << n) - 1
     for u in range(n):
-        for v in range(u + 1, n):
-            if not col.colors_of(u, v):
-                raise PreconditionError(
-                    f"edge ({u},{v}) carries no color", witness=(u, v)
-                )
+        bare = _later(full & ~(reds[u] | blues[u]), u)
+        if bare:
+            v = (bare & -bare).bit_length() - 1
+            raise PreconditionError(
+                f"edge ({u},{v}) carries no color", witness=(u, v)
+            )
     for i in (1, 2):
         ok, witness = induced_c4_free(col.color_graph(i))
         if not ok:
@@ -584,34 +644,28 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
         return cover
 
     classes = grow_blowup(col, seed, red=1, blue=2)
-    inside = set().union(*classes)
-    part_r: set[int] = set()
-    part_b: set[int] = set()
-    for w in range(n):
-        if w in inside:
-            continue
-        common = {1, 2}
-        for u in inside:
-            common &= col.colors_of(w, u)
-            if not common:
-                break
-        if not common:
+    inside = 0
+    for cl in classes:
+        inside |= mask_of(cl)
+    part_r = part_b = 0
+    for w in bits(full & ~inside):
+        if not inside & ~reds[w]:
+            part_r |= 1 << w
+        elif not inside & ~blues[w]:
+            part_b |= 1 << w
+        else:
             raise GuaranteeError(
                 "outside vertex shares no color with the blow-up", instance=col
             )
-        if 1 in common:
-            part_r.add(w)
-        else:
-            part_b.add(w)
     for part, c in ((part_r, 1), (part_b, 2)):
-        if not col.is_monochromatic_clique(part, c):
+        if not col.is_clique_mask(part, c):
             raise GuaranteeError(
                 "outside part is not a clique in its color", instance=col
             )
     sizes = [len(c) for c in classes]
     i = sizes.index(min(sizes))
-    red_set = classes[(i + 2) % 5] | classes[(i + 3) % 5] | frozenset(part_r)
-    blue_set = classes[(i + 1) % 5] | classes[(i + 4) % 5] | frozenset(part_b)
+    red_set = classes[(i + 2) % 5] | classes[(i + 3) % 5] | frozenset(bits(part_r))
+    blue_set = classes[(i + 1) % 5] | classes[(i + 4) % 5] | frozenset(bits(part_b))
     cover = StrongCover({1: red_set, 2: blue_set})
     report = verify_cover(col, cover)
     if not report.valid:

@@ -27,6 +27,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def is_clique_mask(adj: list[int], mask: int) -> bool:
+    """True if the vertices of ``mask`` are pairwise adjacent in ``adj``."""
+    for v in bits(mask):
+        if mask & ~adj[v] & ~(1 << v):
+            return False
+    return True
+
+
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of v."""
 
@@ -69,10 +77,7 @@ class Graph:
 
     def is_clique(self, mask: int) -> bool:
         """True if the vertices of ``mask`` are pairwise adjacent."""
-        for v in bits(mask):
-            if mask & ~self.adj[v] & ~(1 << v):
-                return False
-        return True
+        return is_clique_mask(self.adj, mask)
 
     def component_mask(self, start: int) -> int:
         """Bitmask of the connected component containing ``start``."""

@@ -196,3 +196,67 @@ def two_clique_cover_exists(col, c1, c2, vertices=None):
             if _is_color_clique(col, part, c1) and _is_color_clique(col, rest, c2):
                 return True
     return False
+
+
+def family_color_adjacency(members, t, meet):
+    """Bitmask rows per track from a pairwise test ``meet(a, b)`` of each
+    pair of members' track objects."""
+    n = len(members)
+    rows = [[0] * n for _ in range(t)]
+    for u, v in combinations(range(n), 2):
+        for i in range(t):
+            if meet(members[u][i], members[v][i]):
+                rows[i][u] |= 1 << v
+                rows[i][v] |= 1 << u
+    return rows
+
+
+def lex_least_max_clique_within(adj, vertices):
+    """Lexicographically least maximum clique inside a vertex set: scan
+    subsets by falling size, each size in lexicographic order."""
+    vs = sorted(vertices)
+    for r in range(len(vs), 0, -1):
+        for sub in combinations(vs, r):
+            if is_clique(adj, sub):
+                return sub
+    return ()
+
+
+def mcs_order(n, adj):
+    """Maximum cardinality search by its definition: next is the unvisited
+    vertex with the most visited neighbors, the smallest index on ties."""
+    visited = []
+    while len(visited) < n:
+        rest = [v for v in range(n) if v not in visited]
+        weight = {v: sum(adj[v] >> u & 1 for u in visited) for v in rest}
+        top = max(weight.values())
+        visited.append(min(v for v in rest if weight[v] == top))
+    return visited
+
+
+def is_peo(adj, order):
+    """True if every vertex's later neighbors are pairwise adjacent."""
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1:] if adj[v] >> u & 1]
+        if not is_clique(adj, later):
+            return False
+    return True
+
+
+def first_k5star(col, red, blue):
+    """First 5-subset whose edges each carry exactly one of red and blue,
+    the red ones forming a 5-cycle (so the blue ones do too)."""
+    for vs in combinations(range(col.n), 5):
+        degree = dict.fromkeys(vs, 0)
+        ok = True
+        for u, v in combinations(vs, 2):
+            cs = col.colors_of(u, v)
+            if (red in cs) == (blue in cs):
+                ok = False
+                break
+            if red in cs:
+                degree[u] += 1
+                degree[v] += 1
+        if ok and all(d == 2 for d in degree.values()):
+            return vs
+    return None

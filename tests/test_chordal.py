@@ -232,3 +232,24 @@ class TestEdgeBound:
     def test_rejects_non_chordal(self):
         with pytest.raises(InputError):
             chordal_edge_bound_check(cycle(5))
+
+
+class TestBucketedSearch:
+    def test_mcs_matches_definition(self):
+        for seed in range(60):
+            g = random_chordal(seed) if seed % 2 else random_graph(seed)
+            assert mcs_order(g) == oracles.mcs_order(g.n, g.adj)
+
+    def test_peo_check_matches_definition(self):
+        from strongcover.chordal import _check_peo
+
+        rng = random.Random(12)
+        for seed in range(80):
+            g = random_chordal(seed) if seed % 2 else random_graph(seed)
+            orders = [mcs_order(g)[::-1], list(range(g.n))]
+            for _ in range(3):
+                order = list(range(g.n))
+                rng.shuffle(order)
+                orders.append(order)
+            for order in orders:
+                assert (_check_peo(g, order) is None) == oracles.is_peo(g.adj, order)

@@ -245,3 +245,60 @@ class TestVerify:
             "k4-two-paths",
             "chordal-edge-bound",
         ]
+
+
+class TestVerifyFailures:
+    @pytest.mark.parametrize(
+        "suite, target, error",
+        [
+            ("t33", "strong_cover_33", "GuaranteeError"),
+            ("tt", "strong_cover_tt", "PreconditionError"),
+            ("c4free22", "strong_cover_c4free_22", "SizeLimitError"),
+            ("lower", "greedy_strong_cover", "PreconditionError"),
+        ],
+    )
+    def test_errors_land_on_instance_rows(
+        self, capsys, monkeypatch, suite, target, error
+    ):
+        import strongcover.cli as cli
+        from strongcover import errors
+
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise getattr(errors, error)("injected failure")
+            return real(*args, **kwargs)
+
+        real = getattr(cli, target)
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run(
+            capsys, ["verify", suite, "--n", "7", "--t", "2", "--samples", "3"]
+        )
+        assert code == 1
+        assert "Traceback" not in err and err == ""
+        doc = json.loads(out)
+        rows = doc["results"]["instances"]
+        assert len(rows) == 3
+        bad = rows[1]
+        assert bad["pass"] is False
+        assert bad["error"] == f"{error}: injected failure"
+        assert bad["name"] and bad["seed"] == 1 and bad["n"] >= 1
+        assert all(r["pass"] for r in (rows[0], rows[2]))
+        assert doc["checks"][-1]["failures"] == [bad["name"]]
+        assert doc["pass"] is False
+
+    def test_instance_generation_failure_is_a_row(self, capsys, monkeypatch):
+        import strongcover.cli as cli
+        from strongcover.errors import GuaranteeError
+
+        def fail(*args, **kwargs):
+            raise GuaranteeError("no family")
+
+        monkeypatch.setattr(cli.corpus, "seeded_tk_instance", fail)
+        code, out, err = run(capsys, ["verify", "lower", "--samples", "2"])
+        assert code == 1 and err == ""
+        rows = json.loads(out)["results"]["instances"]
+        assert [r["name"] for r in rows] == ["lower-seed0", "lower-seed1"]
+        assert all(r["error"] == "GuaranteeError: no family" for r in rows)

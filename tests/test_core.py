@@ -294,3 +294,148 @@ def test_generators_are_seed_deterministic(seed):
     sa, _ = random_subtree_family(5, 2, seed, host_size=6)
     sb, _ = random_subtree_family(5, 2, seed, host_size=6)
     assert sa.members == sb.members and sa.host_edges == sb.host_edges
+
+
+def _intervals_meet(a, b):
+    return max(a[0], b[0]) <= min(a[1], b[1])
+
+
+class TestSweepBuilds:
+    """The sorted-sweep and holder-mask builds against pairwise tests."""
+
+    SPECIAL = [
+        [],  # n = 0
+        [[(3, 3)]],  # n = 1
+        [[(0, 2)], [(2, 5)]],  # n = 2, shared endpoint
+        [[(0, 1)], [(2, 3)]],  # n = 2, disjoint
+        [[(4, 4)], [(4, 4)], [(4, 4)], [(5, 5)]],  # equal points
+        [[(0, 10)], [(2, 3)], [(3, 3)], [(4, 9)], [(10, 12)]],  # nesting
+        [[(-7, -2)], [(-2, 0)], [(-9, -8)], [(-100, 100)]],  # negative
+    ]
+
+    def test_interval_special_cases(self):
+        for members in self.SPECIAL:
+            fam = TIntervalFamily(1, members)
+            rows = coloring_from_intervals(fam).rows
+            assert rows == oracles.family_color_adjacency(members, 1, _intervals_meet)
+
+    def test_interval_random_families(self):
+        import random
+
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(0, 14)
+            t = rng.randint(1, 4)
+            lo, hi = rng.choice(((0, 6), (-20, 20), (-3, 0)))
+            members = []
+            for _ in range(n):
+                tracks = []
+                for _ in range(t):
+                    a = rng.randint(lo, hi)
+                    tracks.append((a, a + rng.choice((0, 0, 1, 2, 5))))
+                members.append(tracks)
+            col = coloring_from_intervals(TIntervalFamily(t, members))
+            expected = oracles.family_color_adjacency(members, t, _intervals_meet)
+            assert col.rows == expected
+            assert oracles.color_adjacency(col) == expected
+
+    def test_subtree_families(self):
+        for seed in range(60):
+            n = seed % 3 if seed < 9 else 2 + seed % 11
+            fam, _ = random_subtree_family(
+                max(n, 1), 1 + seed % 3, seed, host_size=2 + seed % 6
+            )
+            if n == 0:
+                fam.members = []
+            col = coloring_from_subtrees(fam)
+            expected = oracles.family_color_adjacency(
+                fam.members, fam.t, lambda a, b: bool(a & b)
+            )
+            assert col.rows == expected
+            assert oracles.color_adjacency(col) == expected
+
+
+class TestEdgeColorsView:
+    def test_round_trip(self):
+        col = MultiColoring(5, 3)
+        view = col.edge_colors
+        view[(0, 3)] = frozenset({1, 3})
+        view[(4, 2)] = [2]
+        assert col.colors_of(3, 0) == frozenset({1, 3})
+        assert col.colors_of(2, 4) == frozenset({2})
+        assert dict(view) == {(0, 3): frozenset({1, 3}), (2, 4): frozenset({2})}
+        assert len(view) == 2 and (0, 3) in view and (3, 0) not in view
+        rows = col.color_adjacency()
+        assert rows[0][0] == 1 << 3 and rows[0][3] == 1
+        assert rows[1][2] == 1 << 4 and rows[1][4] == 1 << 2
+        assert rows[2][0] == 1 << 3
+        assert col.to_dict() == {
+            "n": 5, "t": 3, "edges": [[0, 3, [1, 3]], [2, 4, [2]]]
+        }
+        view[(0, 3)] = {2}
+        assert col.colors_of(0, 3) == frozenset({2})
+        assert col.color_adjacency()[0][0] == 0
+        del view[(2, 4)]
+        assert col.colors_of(2, 4) == frozenset()
+        with pytest.raises(KeyError):
+            del view[(2, 4)]
+        view[(0, 3)] = ()
+        assert len(view) == 0 and col.to_dict()["edges"] == []
+        assert view.get((0, 9)) is None
+
+    def test_writes_are_checked(self):
+        col = MultiColoring(3, 2)
+        with pytest.raises(InputError):
+            col.edge_colors[(0, 3)] = {1}
+        with pytest.raises(InputError):
+            col.edge_colors[(0, 1)] = {3}
+        with pytest.raises(InputError):
+            col.edge_colors[(1, 1)] = {1}
+        with pytest.raises(InputError):
+            MultiColoring(3, 2, {(0, 1): frozenset({0})})
+        assert col == MultiColoring(3, 2)
+
+    def test_copy_between_colorings(self):
+        star = construct_k5star()
+        col = MultiColoring(5, 2, star.edge_colors)
+        assert col == star and col.edge_colors == star.edge_colors
+        assert MultiColoring.from_dict(star.to_dict()) == star
+
+
+class TestMaskPredicates:
+    def test_kfold_matches_pairwise_count(self):
+        import random
+
+        rng = random.Random(5)
+        for _ in range(80):
+            n = rng.randint(2, 9)
+            t = rng.randint(1, 4)
+            col = MultiColoring(n, t)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    col.add_colors(
+                        u, v, [c for c in range(1, t + 1) if rng.random() < 0.7]
+                    )
+            expected = min(
+                len(col.colors_of(u, v)) for u in range(n) for v in range(u + 1, n)
+            )
+            assert kfold_min_colors(col) == expected
+
+    def test_monochromatic_clique_checks_range(self):
+        col = construct_k5star()
+        assert col.is_monochromatic_clique([0, 1], 1)
+        assert not col.is_monochromatic_clique([0, 2], 1)
+        with pytest.raises(InputError):
+            col.is_monochromatic_clique([0, 1], 3)
+        with pytest.raises(InputError):
+            col.is_monochromatic_clique([0, 7], 1)
+
+    def test_piercing_checks_cover_on_intervals(self):
+        fam = TIntervalFamily(2, [[(0, 4), (0, 0)], [(2, 6), (1, 1)], [(4, 9), (2, 2)]])
+        assert piercing_points(fam, StrongCover({1: frozenset({0, 1, 2})})) == [(1, 4)]
+        with pytest.raises(InputError, match="not valid"):
+            piercing_points(fam, StrongCover({2: frozenset({0, 1})}))
+        with pytest.raises(InputError, match="cover color 3"):
+            piercing_points(fam, StrongCover({3: frozenset({0})}))
+        with pytest.raises(InputError, match="cover vertex 5"):
+            piercing_points(fam, StrongCover({1: frozenset({5})}))

@@ -417,3 +417,98 @@ class TestSubstitution:
                     assert col.colors_of(a, b) == frozenset({1, 2})
         # external edges copy vertex 1's colors
         assert col.colors_of(0, 1) == col.colors_of(0, 2) == col.colors_of(0, 3)
+
+
+class TestGreedyAgainstStepOracle:
+    def test_each_step_is_lex_least_maximum_clique(self):
+        for inst in chordal_tk_corpus():
+            col = inst.coloring
+            rows = oracles.color_adjacency(col)
+            cover, trace = greedy_strong_cover(col)
+            remaining = set(range(col.n))
+            for step in trace.steps:
+                want = oracles.lex_least_max_clique_within(
+                    rows[step.color - 1], remaining
+                )
+                assert tuple(sorted(step.clique)) == want, inst.name
+                remaining -= step.clique
+                assert step.remaining == len(remaining)
+                if not remaining:
+                    break
+            assert trace.uncovered == frozenset(remaining), inst.name
+            assert len(trace.steps) == col.t or not remaining
+
+
+class TestMaskCounting:
+    def test_multiplicity_and_residual_match_pairwise_counts(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            t = rng.randint(1, 4)
+            col = MultiColoring(n, t)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    col.add_colors(
+                        u, v, [c for c in range(1, t + 1) if rng.random() < 0.6]
+                    )
+            vs = frozenset(v for v in range(n) if rng.random() < 0.7)
+            pairs = [(u, v) for u in sorted(vs) for v in sorted(vs) if u < v]
+            counts = {e: len(col.colors_of(*e)) for e in pairs}
+            assert multiplicity_sum(col, vs) == sum(counts.values())
+            for k in range(0, t + 3):
+                short = [e for e in pairs if counts[e] < k - 1]
+                expected = (False, short[0]) if short else (True, None)
+                assert check_residual_multiplicity(col, vs, k) == expected
+
+
+class TestThetaPrune:
+    def test_complete_multipartite_3x7_two_colors_has_no_cover(self):
+        # K_{3,...,3} with seven parts: every clique takes one vertex per
+        # part, so two cliques reach at most 14 of the 21 vertices
+        n = 21
+        col = MultiColoring(n, 2)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if u // 3 != v // 3:
+                    col.add_colors(u, v, [1, 2])
+        assert theta(col) is None
+
+    def test_matches_oracle_on_corpora(self):
+        items = [x for x in chordal_tk_corpus() if x.coloring.n <= 10]
+        items += [x for x in chordal_33_corpus() if x.coloring.n <= 9][::4]
+        items += [x for x in c4free_22_corpus() if x.coloring.n <= 10][::8]
+        assert len(items) > 60
+        for inst in items:
+            assert theta(inst.coloring) == oracles.theta(inst.coloring), inst.name
+
+
+class TestK5StarMasks:
+    def test_first_seed_matches_subset_oracle(self):
+        rng = random.Random(23)
+        found = 0
+        for _ in range(120):
+            n = rng.randint(5, 9)
+            col = MultiColoring(n, 3)
+            for u in range(n):
+                for v in range(u + 1, n):
+                    r = rng.random()
+                    cs = [1] if r < 0.4 else [2] if r < 0.8 else [1, 2] if r < 0.9 else [3]
+                    col.add_colors(u, v, cs)
+            if rng.random() < 0.5:  # plant a double 5-cycle
+                five = rng.sample(range(n), 5)
+                for i in range(5):
+                    for j, c in ((1, 1), (2, 2)):
+                        col.edge_colors[tuple(sorted((five[i], five[(i + j) % 5])))] = {c}
+            for red, blue in ((1, 2), (2, 1), (1, 3)):
+                seed = find_k5star(col, red, blue)
+                assert seed == oracles.first_k5star(col, red, blue)
+                found += seed is not None
+        assert found > 10
+
+    def test_blowups_give_their_classes_back(self):
+        for sizes in ([1, 1, 1, 1, 1], [2, 1, 3, 1, 2], [3, 3, 3, 3, 3]):
+            col = blow_up(construct_k5star(), BlowupSpec(sizes))
+            seed = find_k5star(col, 1, 2)
+            assert seed == oracles.first_k5star(col, 1, 2)
+            classes = grow_blowup(col, seed)
+            assert sorted(map(len, classes)) == sorted(sizes)

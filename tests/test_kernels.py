@@ -134,3 +134,17 @@ def test_maximal_cliques_deterministic_order(impl):
     assert impl.maximal_cliques(0, []) == []
     # isolated vertices are singleton maximal cliques
     assert impl.maximal_cliques(2, [0, 0]) == [0b01, 0b10]
+
+
+def test_pure_first_tk_violation_matches_oracle_for_every_k():
+    from strongcover.core import MultiColoring
+
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(2, 9)
+        t = rng.randint(1, 4)
+        col = MultiColoring(n, t)
+        col.rows = [random_adj(rng, n, rng.choice((0.4, 0.7, 0.95))) for _ in range(t)]
+        for k in range(2, n + 1):
+            got = pure.first_tk_violation(n, k, col.color_adjacency())
+            assert got == oracles.first_tk_violation(col, k), (n, t, k)
