@@ -15,11 +15,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, is_clique_mask
+from .graphs import Graph, bits, is_clique_mask, mask_of
 
 Edge = tuple[int, int]
 
@@ -398,8 +397,11 @@ class TSubtreeFamily:
             for s in tracks:
                 if not s:
                     raise InputError(f"member {idx}: empty subtree")
-                sub, _ = host.subgraph(s)
-                if not sub.is_connected():
+                start = min(s)
+                if start < 0:
+                    raise InputError(f"member {idx}: negative subtree vertex {start}")
+                mask = mask_of(s)
+                if host.component_mask(start, mask) != mask:
                     raise InputError(f"member {idx}: subtree vertices not connected")
 
     def to_dict(self) -> dict:
@@ -544,26 +546,11 @@ def is_tk_coloring(
 def is_kwise_intersecting(fam: TIntervalFamily, k: int) -> bool:
     """True if every k members share a point on some track.
 
-    Computed directly on interval arithmetic; agrees with
-    ``is_tk_coloring(coloring_from_intervals(fam), k)`` by the Helly
-    property of intervals on a line.
+    By the Helly property of intervals on a line, k members share a point
+    on a track exactly when they pairwise meet there, so this is the (t,k)
+    check on the derived coloring.
     """
-    fam.validate()
-    n = fam.n
-    if not (2 <= k <= n):
-        raise InputError(f"need 2 <= k <= n, got k={k}, n={n}")
-    tracks = range(fam.t)
-    for subset in combinations(range(n), k):
-        ok = False
-        for i in tracks:
-            lo = max(fam.members[v][i][0] for v in subset)
-            hi = min(fam.members[v][i][1] for v in subset)
-            if lo <= hi:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return is_tk_coloring(coloring_from_intervals(fam), k)[0]
 
 
 def count_layers(masks: Iterable[int], top: int) -> list[int]:

@@ -29,7 +29,6 @@ from strongcover.constructions import (
 )
 from strongcover.core import (
     coloring_from_intervals,
-    is_kwise_intersecting,
     is_tk_coloring,
     verify_cover,
 )
@@ -327,7 +326,7 @@ def test_criterion_10_helly_agreement():
         col = coloring_from_intervals(fam)
         for k in range(2, fam.n + 1):
             comparisons += 1
-            if is_kwise_intersecting(fam, k) != is_tk_coloring(col, k)[0]:
+            if oracles.kwise_intersecting(fam, k) != is_tk_coloring(col, k)[0]:
                 failures.append((idx, k))
     ok = len(families) == 500 and not failures
     report(10, ok, failures[:5] or f"{comparisons} comparisons over 500 families")

@@ -126,6 +126,13 @@ class TestCheck:
         code, _out, err = run(capsys, ["check", path, "--tk", "2"])
         assert code == 2 and "unrecognized" in err
 
+    def test_negative_subtree_vertex_is_exit_2(self, capsys, tmp_path):
+        doc = {"host_edges": [[0, 1]], "t": 1, "members": [[[0, -1]]]}
+        path = self.write(tmp_path, doc)
+        code, _out, err = run(capsys, ["check", path, "--tk", "2"])
+        assert code == 2 and "negative subtree vertex -1" in err
+        assert "Traceback" not in err
+
 
 class TestCover:
     def onefourth_path(self, capsys, tmp_path):

@@ -125,6 +125,8 @@ class TestFamilies:
         with pytest.raises(InputError):
             TSubtreeFamily(edges, 1, [[frozenset()]]).validate()
         with pytest.raises(InputError):
+            TSubtreeFamily(edges, 1, [[frozenset({0, -1})]]).validate()
+        with pytest.raises(InputError):
             TSubtreeFamily([(0, 1), (2, 3)], 1, [[frozenset({0})]]).validate()
 
     def test_subtree_dict_roundtrip(self):

@@ -1,21 +1,13 @@
-"""Scan kernels: pure backend against brute-force oracles, and the compiled
-backend against the pure one on identical inputs."""
+"""Scan kernels against brute-force oracles."""
 
-import os
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from strongcover._kernels import BACKEND, pure
-
-try:
-    from strongcover import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [pure] if _speedups is None else [pure, _speedups]
+from strongcover import BACKEND
+from strongcover._kernels import find_induced_c4, first_tk_violation, maximal_cliques
+from strongcover.core import MultiColoring, is_tk_coloring
 
 
 def random_adj(rng, n, p):
@@ -41,12 +33,11 @@ def adjacency(draw, max_n=8):
     return n, adj
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(data=adjacency())
-def test_maximal_cliques_match_oracle(impl, data):
+def test_maximal_cliques_match_oracle(data):
     n, adj = data
-    got = sorted(tuple(oracles_bits(m)) for m in impl.maximal_cliques(n, adj))
+    got = sorted(tuple(oracles_bits(m)) for m in maximal_cliques(n, adj))
     assert got == oracles.maximal_cliques(n, adj)
 
 
@@ -61,16 +52,57 @@ def oracles_bits(mask):
     return out
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(data=adjacency())
-def test_find_induced_c4_matches_oracle(impl, data):
+def test_find_induced_c4_matches_oracle(data):
     n, adj = data
-    assert impl.find_induced_c4(n, adj) == oracles.first_induced_c4(n, adj)
+    assert find_induced_c4(n, adj) == oracles.first_induced_c4(n, adj)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_first_tk_violation_against_subset_scan(impl):
+def test_find_induced_c4_matches_oracle_on_denser_graphs():
+    """Up to 16 vertices, where graphs hold many witnesses and the first
+    one must still be the lexicographically least."""
+    rng = random.Random(4)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(4, 16)
+        adj = random_adj(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        expected = oracles.first_induced_c4(n, adj)
+        assert find_induced_c4(n, adj) == expected, (n, adj)
+        found += expected is not None
+    assert found > 100
+
+
+def interval_adj(rng, n):
+    ends = []
+    for _ in range(n):
+        lo = rng.randint(0, 3 * n)
+        ends.append((lo, lo + rng.randint(0, n)))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if max(ends[u][0], ends[v][0]) <= min(ends[u][1], ends[v][1]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def test_find_induced_c4_on_large_interval_graphs():
+    """Interval graphs are chordal, so the full scan finds nothing; a C4
+    appended as a separate component is then the first witness."""
+    rng = random.Random(11)
+    for n in (64, 65, 96):
+        adj = interval_adj(rng, n)
+        assert find_induced_c4(n, adj) is None
+        adj += [0] * 4
+        for i in range(4):
+            u, v = n + i, n + (i + 1) % 4
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert find_induced_c4(n + 4, adj) == (n, n + 1, n + 2, n + 3)
+
+
+def test_first_tk_violation_against_subset_scan():
     rng = random.Random(99)
     for _ in range(150):
         n = rng.randint(2, 9)
@@ -89,56 +121,37 @@ def test_first_tk_violation_against_subset_scan(impl):
             if not mono:
                 expected = vs
                 break
-        assert impl.first_tk_violation(n, k, color_adj) == expected
+        assert first_tk_violation(n, k, color_adj) == expected
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_first_tk_violation_edges(impl):
+def test_first_tk_violation_edges():
     # k larger than n: nothing to violate
-    assert impl.first_tk_violation(3, 5, [[0, 0, 0]]) is None
+    assert first_tk_violation(3, 5, [[0, 0, 0]]) is None
     # no colors at all: the very first subset violates
-    assert impl.first_tk_violation(4, 2, []) == (0, 1)
+    assert first_tk_violation(4, 2, []) == (0, 1)
     # complete single color: no violation
     full = [0b1110, 0b1101, 0b1011, 0b0111]
-    assert impl.first_tk_violation(4, 3, [full]) is None
+    assert first_tk_violation(4, 3, [full]) is None
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled backend unavailable")
-def test_backends_agree_on_large_random_inputs():
-    """Cross the 64-bit word boundary to exercise multi-word bitsets."""
-    rng = random.Random(7)
-    for n in (63, 64, 65, 80):
-        adj = random_adj(rng, n, 0.3)
-        assert pure.maximal_cliques(n, adj) == _speedups.maximal_cliques(n, adj)
-        assert pure.find_induced_c4(n, adj) == _speedups.find_induced_c4(n, adj)
-        colors = [adj, random_adj(rng, n, 0.5)]
-        for k in (2, 3, 4):
-            assert pure.first_tk_violation(n, k, colors) == _speedups.first_tk_violation(
-                n, k, colors
-            )
+def test_first_tk_violation_depth_is_not_bounded_by_recursion():
+    assert is_tk_coloring(MultiColoring.complete(1100, 1), 1100) == (True, None)
 
 
 def test_backend_name_is_reported():
-    assert BACKEND in ("pure", "compiled")
-    if os.environ.get("STRONGCOVER_PURE"):
-        assert BACKEND == "pure"
-    elif _speedups is not None:
-        assert BACKEND == "compiled"
+    assert BACKEND == "pure"
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_maximal_cliques_deterministic_order(impl):
+def test_maximal_cliques_deterministic_order():
     # path 0-1-2-3: cliques are the three edges, discovered in ascending order
     adj = [0b0010, 0b0101, 0b1010, 0b0100]
-    assert impl.maximal_cliques(4, adj) == [0b0011, 0b0110, 0b1100]
-    assert impl.maximal_cliques(0, []) == []
+    assert maximal_cliques(4, adj) == [0b0011, 0b0110, 0b1100]
+    assert maximal_cliques(0, []) == []
     # isolated vertices are singleton maximal cliques
-    assert impl.maximal_cliques(2, [0, 0]) == [0b01, 0b10]
+    assert maximal_cliques(2, [0, 0]) == [0b01, 0b10]
 
 
 def test_pure_first_tk_violation_matches_oracle_for_every_k():
-    from strongcover.core import MultiColoring
-
     rng = random.Random(2024)
     for _ in range(120):
         n = rng.randint(2, 9)
@@ -146,5 +159,5 @@ def test_pure_first_tk_violation_matches_oracle_for_every_k():
         col = MultiColoring(n, t)
         col.rows = [random_adj(rng, n, rng.choice((0.4, 0.7, 0.95))) for _ in range(t)]
         for k in range(2, n + 1):
-            got = pure.first_tk_violation(n, k, col.color_adjacency())
+            got = first_tk_violation(n, k, col.color_adjacency())
             assert got == oracles.first_tk_violation(col, k), (n, t, k)
