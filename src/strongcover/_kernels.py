@@ -104,14 +104,16 @@ def find_induced_c4(n, adj):
     return None
 
 
-def maximal_cliques(n, adj):
-    """All maximal cliques as bitmasks (pivoted Bron-Kerbosch).
+def maximal_cliques(n, adj, within=-1):
+    """All maximal cliques as bitmasks (pivoted Bron-Kerbosch) of the
+    subgraph induced on the mask ``within`` (default: all n vertices).
 
     Pivot is the vertex of P|X with the most candidates in P, ties to the
     smallest index; candidates are expanded in increasing order, so the
     output order is deterministic.
     """
-    if n == 0:
+    p = (1 << n) - 1 & within
+    if not p:
         return []
     out = []
 
@@ -140,5 +142,5 @@ def maximal_cliques(n, adj):
             p &= ~low
             x |= low
 
-    expand(0, (1 << n) - 1, 0)
+    expand(0, p, 0)
     return out

@@ -205,22 +205,42 @@ def is_chordal(g: Graph) -> ChordalCertificate:
     return ChordalCertificate(hole=hole)
 
 
-def _require_peo(g: Graph, peo: list[int]) -> list[int]:
+def _require_peo(g: Graph, peo: list[int]) -> None:
     triple = _check_peo(g, peo)
     if triple is not None:
         raise InputError(
             f"ordering is not a perfect elimination ordering: triple {triple}"
         )
-    return peo
 
 
-def _peo_candidates(g: Graph, peo: list[int]) -> list[int]:
-    """Candidate clique masks {v} | later-neighbors(v), one per vertex."""
-    n = g.n
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << peo[i])
-    return [(g.adj[v] & suffix[i + 1]) | (1 << v) for i, v in enumerate(peo)]
+def _max_clique_within(adj: list[int], peo: list[int], alive: int) -> int:
+    """Lexicographically least maximum clique of the subgraph induced on
+    ``alive``, given a PEO of the whole chordal graph.
+
+    The PEO restricted to ``alive`` is a PEO of the induced subgraph, and
+    each of its maximal cliques is {v} | later alive neighbors of v for its
+    first vertex v, so the largest such candidates are exactly the maximum
+    cliques.  Among equal sizes the lexicographically smaller vertex set is
+    the one holding the lowest bit where the two differ.
+    """
+    best = 0
+    best_size = 0
+    later = 0
+    for v in reversed(peo):
+        bit = 1 << v
+        if not alive & bit:
+            continue
+        cand = adj[v] & later | bit
+        later |= bit
+        size = cand.bit_count()
+        if size < best_size:
+            continue
+        if size == best_size:
+            diff = cand ^ best
+            if not diff & -diff & cand:
+                continue
+        best, best_size = cand, size
+    return best
 
 
 def max_clique_chordal(g: Graph, peo: list[int]) -> frozenset[int]:
@@ -229,32 +249,24 @@ def max_clique_chordal(g: Graph, peo: list[int]) -> frozenset[int]:
     Among maximum cliques returns the lexicographically least vertex set.
     """
     _require_peo(g, peo)
-    if g.n == 0:
-        return frozenset()
-    best: tuple[int, tuple[int, ...]] | None = None
-    for cand in _peo_candidates(g, peo):
-        key = (-cand.bit_count(), tuple(bits(cand)))
-        if best is None or key < best:
-            best = key
-    return frozenset(best[1])
+    return frozenset(bits(_max_clique_within(g.adj, peo, g.full_mask())))
 
 
 def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     """All maximal cliques of a chordal graph, sorted by vertex tuple.
 
     Every maximal clique of a chordal graph is {v} | later-neighbors(v) for
-    the earliest of its vertices, so filtering the n candidates suffices.
+    the earliest of its vertices, so filtering these n candidates suffices.
     """
     _require_peo(g, peo)
-    cands = sorted(set(_peo_candidates(g, peo)))
-    maximal = [
-        c
-        for c in cands
-        if not any(other != c and c & other == c for other in cands)
-    ]
-    out = [frozenset(bits(c)) for c in maximal]
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return out
+    cands = set()
+    later = 0
+    for v in reversed(peo):
+        cands.add(g.adj[v] & later | 1 << v)
+        later |= 1 << v
+    maximal = [c for c in cands if not any(c != o and c & o == c for o in cands)]
+    maximal.sort(key=lambda c: tuple(bits(c)))
+    return [frozenset(bits(c)) for c in maximal]
 
 
 def greedy_color_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
@@ -291,7 +303,6 @@ def clique_cutset(
     """
     if not g.is_connected():
         raise InputError("graph is disconnected")
-    _require_peo(g, peo)
     cliques = maximal_cliques_chordal(g, peo)
     if len(cliques) <= 1:
         return None
@@ -381,7 +392,7 @@ def chordal_edge_bound_check(g: Graph) -> EdgeBoundReport:
     cert = is_chordal(g)
     if not cert.is_chordal:
         raise InputError(f"graph is not chordal; hole {cert.hole}")
-    omega = len(max_clique_chordal(g, cert.peo)) if g.n else 0
+    omega = _max_clique_within(g.adj, cert.peo, g.full_mask()).bit_count()
     m = g.edge_count()
     b_quad = (omega - 1) * g.n - omega * (omega - 1) // 2
     b_lin = omega * (g.n - 1)

@@ -43,7 +43,6 @@ from .covers import (
     theta,
 )
 from .errors import GuaranteeError, InputError, PreconditionError, SizeLimitError
-from .graphs import bits
 
 
 @dataclass
@@ -507,8 +506,8 @@ def _verify_constructions(args: argparse.Namespace, report: RunReport) -> None:
     paths = constructions.construct_k4_two_paths()
     th = theta(paths)
     omegas = [
-        max(len(c) for c in _maximal_cliques_of(paths.color_graph(i)))
-        for i in (1, 2)
+        max(m.bit_count() for m in maximal_cliques(paths.n, row))
+        for row in paths.rows
     ]
     report.add_check(
         "k4-two-paths", "theta == 2 and per-color omega == 2",
@@ -527,10 +526,6 @@ def _verify_constructions(args: argparse.Namespace, report: RunReport) -> None:
 
 def _triangle_free(g) -> bool:
     return all(not (g.adj[u] & g.adj[v]) for u, v in g.edges())
-
-
-def _maximal_cliques_of(g):
-    return [frozenset(bits(m)) for m in maximal_cliques(g.n, g.adj)]
 
 
 def _hamilton_paths_ok(t: int) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import _kernels as kernels
 from .errors import InputError
@@ -27,6 +28,30 @@ def edge_key(u: int, v: int) -> Edge:
     if u == v:
         raise InputError(f"self-loop at {u}")
     return (u, v) if u < v else (v, u)
+
+
+_SEQ = (list, tuple)
+
+
+def _list(value, what: str, size: int = 0):
+    """``value`` if it is a list (or tuple), of exactly ``size`` items when
+    ``size`` is given, else an InputError naming ``what``."""
+    if not isinstance(value, _SEQ) or size and len(value) != size:
+        raise InputError(f"{what} must be a list" + (f" of {size}" if size else ""))
+    return value
+
+
+def _fields(data: Mapping, doc: str, **kinds: type) -> list:
+    """The named fields of a parsed document, in order, each a list or a
+    plain int as ``kinds`` says: a bool or a float is refused, not coerced."""
+    try:
+        values = [data[key] for key in kinds]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad {doc} document: {exc}") from exc
+    for (key, kind), value in zip(kinds.items(), values):
+        if not (isinstance(value, _SEQ) if kind is list else type(value) is int):
+            raise InputError(f"bad {doc} document: {key} must be {kind.__name__}")
+    return values
 
 
 _COLOR_SETS: dict[int, frozenset[int]] = {}
@@ -269,17 +294,16 @@ class MultiColoring:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MultiColoring":
-        try:
-            n = int(data["n"])
-            t = int(data["t"])
-            raw = data["edges"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad coloring document: {exc}") from exc
+        """Parse ``{"n": n, "t": t, "edges": [[u, v, [colors]], ...]}``; every
+        number must be a plain int."""
+        n, t, raw = _fields(data, "coloring", n=int, t=int, edges=list)
         col = cls(n, t)
         rows = col.rows
         seen = set()
         for item in raw:
-            u, v, cs = int(item[0]), int(item[1]), [int(c) for c in item[2]]
+            u, v, cs = _list(item, "an edge [u, v, colors]", 3)
+            if type(u) is not int or type(v) is not int or not isinstance(cs, _SEQ):
+                raise InputError(f"an edge must be [int, int, list], got {item!r}")
             if not u < v:
                 raise InputError(f"edge ({u},{v}) must satisfy u < v")
             if (u, v) in seen:
@@ -289,8 +313,8 @@ class MultiColoring:
                 raise InputError(f"bad edge ({u},{v}) for n={n}")
             bu, bv = 1 << u, 1 << v
             for c in cs:
-                if not 1 <= c <= t:
-                    raise InputError(f"color {c} out of range 1..{t}")
+                if type(c) is not int or not 1 <= c <= t:
+                    raise InputError(f"color {c!r} out of range 1..{t}")
                 row = rows[c - 1]
                 row[u] |= bv
                 row[v] |= bu
@@ -330,7 +354,7 @@ class TIntervalFamily:
                     f"member {idx} has {len(tracks)} interval(s), expected {self.t}"
                 )
             for lo, hi in tracks:
-                if not (isinstance(lo, int) and isinstance(hi, int)):
+                if type(lo) is not int or type(hi) is not int:
                     raise InputError(f"member {idx}: endpoints must be integers")
                 if lo > hi:
                     raise InputError(f"member {idx}: empty interval [{lo},{hi}]")
@@ -343,14 +367,14 @@ class TIntervalFamily:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TIntervalFamily":
-        try:
-            t = int(data["t"])
-            members = [
-                [(int(iv[0]), int(iv[1])) for iv in tracks]
-                for tracks in data["members"]
-            ]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"bad interval family document: {exc}") from exc
+        """Parse ``{"t": t, "members": [[[lo, hi], ...], ...]}``; ``validate``
+        requires plain int endpoints."""
+        t, raw = _fields(data, "interval family", t=int, members=list)
+        members = []
+        for idx, tracks in enumerate(raw):
+            what = f"member {idx}: an interval [lo, hi]"
+            tracks = _list(tracks, f"member {idx}")
+            members.append([tuple(_list(iv, what, 2)) for iv in tracks])
         fam = cls(t, members)
         fam.validate()
         return fam
@@ -413,15 +437,24 @@ class TSubtreeFamily:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TSubtreeFamily":
-        try:
-            host_edges = [edge_key(int(e[0]), int(e[1])) for e in data["host_edges"]]
-            t = int(data["t"])
-            members = [
-                [frozenset(int(v) for v in s) for s in tracks]
-                for tracks in data["members"]
-            ]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"bad subtree family document: {exc}") from exc
+        """Parse ``{"host_edges": [[u, v], ...], "t": t, "members": [[[vertex,
+        ...], ...], ...]}``; every number must be a plain int."""
+        raw_edges, t, raw = _fields(
+            data, "subtree family", host_edges=list, t=int, members=list
+        )
+        host_edges = []
+        for e in raw_edges:
+            u, v = _list(e, "a host edge [u, v]", 2)
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"host edge ends must be integers, got {u!r}, {v!r}")
+            host_edges.append(edge_key(u, v))
+        members = []
+        for idx, tracks in enumerate(raw):
+            what = f"member {idx}: a subtree"
+            sets = [_list(s, what) for s in _list(tracks, f"member {idx}")]
+            if not set(map(type, chain.from_iterable(sets))) <= {int}:
+                raise InputError(f"member {idx}: subtree vertices must be integers")
+            members.append([frozenset(s) for s in sets])
         fam = cls(host_edges, t, members)
         fam.validate()
         return fam

@@ -14,12 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import _kernels as kernels
-from .chordal import (
-    clique_cutset,
-    is_chordal,
-    induced_c4_free,
-    maximal_cliques_chordal,
-)
+from .chordal import _max_clique_within, clique_cutset, induced_c4_free, is_chordal
 from .core import (
     MultiColoring,
     StrongCover,
@@ -70,36 +65,6 @@ def _chordal_certificates(col: MultiColoring) -> list[tuple[Graph, list[int]]]:
             )
         out.append((g, cert.peo))
     return out
-
-
-def _max_clique_within(adj: list[int], peo: list[int], alive: int) -> int:
-    """Lexicographically least maximum clique of the subgraph induced on
-    ``alive``, given a PEO of the whole chordal graph.
-
-    The PEO restricted to ``alive`` is a PEO of the induced subgraph, and
-    each of its maximal cliques is {v} | later alive neighbors of v for its
-    first vertex v, so the largest such candidates are exactly the maximum
-    cliques.  Among equal sizes the lexicographically smaller vertex set is
-    the one holding the lowest bit where the two differ.
-    """
-    best = 0
-    best_size = 0
-    later = 0
-    for v in reversed(peo):
-        bit = 1 << v
-        if not alive & bit:
-            continue
-        cand = adj[v] & later | bit
-        later |= bit
-        size = cand.bit_count()
-        if size < best_size:
-            continue
-        if size == best_size:
-            diff = cand ^ best
-            if not diff & -diff & cand:
-                continue
-        best, best_size = cand, size
-    return best
 
 
 def greedy_strong_cover(
@@ -195,16 +160,29 @@ def counting_chain_check(
     )
 
 
-def _color_clique_masks(col: MultiColoring, color: int, g: Graph) -> list[int]:
-    """Maximal clique masks of one color graph, sorted by vertex tuple."""
-    cert = is_chordal(g)
-    if cert.is_chordal:
-        cliques = maximal_cliques_chordal(g, cert.peo)
-        masks = [mask_of(c) for c in cliques]
-    else:
-        masks = kernels.maximal_cliques(g.n, g.adj)
+def _maximal_cliques(adj: list[int], within: int = -1) -> list[int]:
+    """Maximal clique masks of the graph induced on ``within`` (all vertices
+    by default), sorted by vertex tuple."""
+    masks = kernels.maximal_cliques(len(adj), adj, within)
     masks.sort(key=lambda m: tuple(bits(m)))
     return masks
+
+
+def _search_space(col: MultiColoring, max_n: int) -> tuple[list[list[int]], list[int]]:
+    """Per-color maximal clique masks for the exhaustive searches, and
+    ``suffix_best[i]``, the sum of the largest clique sizes of the colors
+    after the first i: a bound on what those colors can still cover."""
+    col.validate()
+    if col.n > max_n:
+        raise SizeLimitError(
+            f"n={col.n} exceeds the exhaustive search bound {max_n}"
+        )
+    per_color = [_maximal_cliques(row) for row in col.rows]
+    suffix_best = [0] * (col.t + 1)
+    for i in range(col.t - 1, -1, -1):
+        biggest = max((m.bit_count() for m in per_color[i]), default=0)
+        suffix_best[i] = suffix_best[i + 1] + biggest
+    return per_color, suffix_best
 
 
 def exact_max_strong_cover(
@@ -216,21 +194,9 @@ def exact_max_strong_cover(
     depth first in lexicographic order with an upper-bound prune, so the
     returned cover is the lexicographically least among maximum ones.
     """
-    col.validate()
-    if col.n > max_n:
-        raise SizeLimitError(
-            f"n={col.n} exceeds the exhaustive search bound {max_n}"
-        )
+    cliques, suffix_best = _search_space(col, max_n)
+    per_color = [[0] + masks for masks in cliques]
     t = col.t
-    per_color: list[list[int]] = []
-    for i in range(1, t + 1):
-        masks = _color_clique_masks(col, i, col.color_graph(i))
-        per_color.append([0] + masks)
-    suffix_best = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        biggest = max((m.bit_count() for m in per_color[i]), default=0)
-        suffix_best[i] = suffix_best[i + 1] + biggest
-
     best_count = -1
     best_choice: list[int] = []
     choice: list[int] = [0] * t
@@ -264,23 +230,11 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
     per-color maximal cliques with memoized pruning; a branch stops once
     the largest clique of every remaining color cannot cover what is left.
     """
-    col.validate()
-    if col.n > max_n:
-        raise SizeLimitError(
-            f"n={col.n} exceeds the exhaustive search bound {max_n}"
-        )
-    full = (1 << col.n) - 1
+    per_color, suffix_best = _search_space(col, max_n)
+    n = col.n
+    full = (1 << n) - 1
     if full == 0:
         return 0
-    n = col.n
-    t = col.t
-    per_color = [
-        _color_clique_masks(col, i, col.color_graph(i)) for i in range(1, t + 1)
-    ]
-    suffix_best = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        biggest = max((m.bit_count() for m in per_color[i]), default=0)
-        suffix_best[i] = suffix_best[i + 1] + biggest
     best: int | None = None
     seen: dict[tuple[int, int], int] = {}
 
@@ -332,17 +286,15 @@ def two_clique_cover_exact(
         )
     if not vertices:
         return StrongCover({})
-    if col.is_monochromatic_clique(vertices, ci):
+    within = col.vertex_mask(vertices)
+    if col.is_clique_mask(within, ci):
         return StrongCover({ci: frozenset(vertices)})
-    if col.is_monochromatic_clique(vertices, cj):
+    if col.is_clique_mask(within, cj):
         return StrongCover({cj: frozenset(vertices)})
-    gi = col.color_graph(ci)
-    sub, old = gi.subgraph(vertices)
-    for m in _color_clique_masks(col, ci, sub):
-        clique = frozenset(old[v] for v in bits(m))
-        rest = vertices - clique
-        if col.is_monochromatic_clique(rest, cj):
-            return StrongCover({ci: clique, cj: frozenset(rest)})
+    for m in _maximal_cliques(col.rows[ci - 1], within):
+        rest = within & ~m
+        if col.is_clique_mask(rest, cj):
+            return StrongCover({ci: frozenset(bits(m)), cj: frozenset(bits(rest))})
     return None
 
 
@@ -351,13 +303,8 @@ def _mono_edge_colors(col: MultiColoring) -> set[int]:
     out = set()
     for v in range(col.n):
         mine = [row[v] for row in col.rows]
-        for c, r in enumerate(mine):
-            others = 0
-            for d, q in enumerate(mine):
-                if d != c:
-                    others |= q
-            if r & ~others:
-                out.add(c + 1)
+        shared = count_layers(mine, 2)[2]
+        out.update(c + 1 for c, r in enumerate(mine) if r & ~shared)
     return out
 
 
@@ -381,8 +328,14 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (3,3)-coloring; witness {witness}", witness=witness
         )
-    certs = _chordal_certificates(col)
+    return _cover_33(col, _chordal_certificates(col))
 
+
+def _cover_33(
+    col: MultiColoring, certs: list[tuple[Graph, list[int]]]
+) -> StrongCover:
+    """The cover of ``strong_cover_33`` on a checked chordal (3,3)-coloring,
+    given each color graph with its PEO."""
     mono = _mono_edge_colors(col)
     for j in (1, 2, 3):
         if j not in mono:
@@ -428,7 +381,8 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
 
     Some color pair must cover every edge when t is even; the pair scan
     runs first for odd t too, then a color triple whose restriction is a
-    (3,3)-coloring is delegated to the three-color algorithm.
+    (3,3)-coloring is delegated to the three-color algorithm with the
+    triple's chordality certificates, which are computed once up front.
     """
     col.validate()
     t = col.t
@@ -441,7 +395,7 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (t,t)-coloring; witness {witness}", witness=witness
         )
-    _chordal_certificates(col)
+    certs = _chordal_certificates(col)
 
     full = (1 << col.n) - 1
     for i, j in itertools.combinations(range(1, t + 1), 2):
@@ -463,7 +417,7 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
         ok, _ = is_tk_coloring(sub, 3)
         if not ok:
             continue
-        sub_cover = strong_cover_33(sub)
+        sub_cover = _cover_33(sub, [certs[c - 1] for c in triple])
         assignments = {
             triple[c - 1]: s for c, s in sub_cover.assignments.items()
         }

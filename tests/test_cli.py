@@ -133,6 +133,38 @@ class TestCheck:
         assert code == 2 and "negative subtree vertex -1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "t": 1, "edges": [[0]]}',
+            '{"n": 2, "t": 1, "edges": [[0, 1, ["x"]]]}',
+            '{"n": "abc", "t": 1, "edges": []}',
+            '{"n": 2, "t": 1, "edges": [[0, 1, 5]]}',
+            '{"n": 2, "t": 1, "edges": "ab"}',
+            '{"t": 1, "members": [[["a", 1]]]}',
+            '{"host_edges": [[0, 1]], "t": 1, "members": [[["x"]]]}',
+            '{"t": 1, "members": [[[0.5, 1]], [[0, 2]]]}',
+            '{"n": 2.7, "t": 1, "edges": [[0, 1, [1]]]}',
+            '{"n": 2, "t": 1, "edges": [[0, 1, [true]]]}',
+            '{"n": 2, "t": true, "edges": [[0, 1, [1]]]}',
+            '{"n": 2, "t": 1, "edges": [[0, 1, [1], 2]]}',
+            '{"n": 2, "t": 1, "edges": {"a": 1}}',
+            '{"t": 1, "members": [[[0, 1, 2]], [[0, 2]]]}',
+            '{"t": 1, "members": 5}',
+            '{"host_edges": [[0, 1.0]], "t": 1, "members": [[[0]], [[1]]]}',
+            '{"host_edges": "x", "t": 1, "members": []}',
+            '{"host_edges": [[0, 1]], "t": 1, "members": [[5]]}',
+        ],
+    )
+    def test_malformed_document_is_exit_2(self, capsys, monkeypatch, text):
+        # a crash inside main() would raise here instead of returning
+        code, out, err = run(
+            capsys, ["check", "-", "--tk", "2"], stdin_text=text,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and err.startswith("error:") and out == ""
+        assert "Traceback" not in err
+
 
 class TestCover:
     def onefourth_path(self, capsys, tmp_path):

@@ -14,6 +14,7 @@ from strongcover.constructions import (
     construct_onefourth,
     random_interval_family,
 )
+from strongcover.chordal import is_chordal
 from strongcover.core import (
     MultiColoring,
     coloring_from_intervals,
@@ -26,6 +27,7 @@ from strongcover.corpus import (
     chordal_tk_corpus,
     chordal_tt_corpus,
 )
+from strongcover import covers
 from strongcover.covers import (
     check_residual_multiplicity,
     counting_chain_check,
@@ -250,6 +252,36 @@ class TestTwoCliqueCover:
         assert cover is not None
         assert cover.vertices() == frozenset({0, 1, 2})
 
+    def test_restricted_vertices_agree_with_oracle_existence(self):
+        # K5* blow-ups have non-chordal color graphs, interval colorings
+        # chordal ones
+        rng = random.Random(41)
+        cols = []
+        for _ in range(8):
+            sizes = [1 + rng.randrange(3) for _ in range(5)]
+            cols.append(blow_up(construct_k5star(), BlowupSpec(sizes)))
+        for _ in range(8):
+            fam, _ = random_interval_family(
+                rng.randint(5, 12), 2, rng.randint(0, 9999), anchor=0.5
+            )
+            cols.append(coloring_from_intervals(fam))
+        found = missing = 0
+        for col in cols:
+            for _ in range(6):
+                vs = frozenset(v for v in range(col.n) if rng.random() < 0.6)
+                vs = frozenset(rng.sample(sorted(vs), min(len(vs), 10)))
+                cover = two_clique_cover_exact(col, (1, 2), vertices=vs)
+                assert (cover is not None) == oracles.two_clique_cover_exists(
+                    col, 1, 2, vs
+                )
+                if cover is None:
+                    missing += 1
+                    continue
+                found += 1
+                rep = verify_cover(col, cover)
+                assert rep.valid and cover.vertices() == vs
+        assert found > 10 and missing > 5
+
 
 class TestStrongCover33:
     def test_corpus(self):
@@ -284,7 +316,53 @@ class TestStrongCover33:
             strong_cover_33(col)
 
 
+class TestNoCertificateInSearches:
+    def test_exhaustive_covers_run_without_chordality_certificates(
+        self, monkeypatch
+    ):
+        def refuse(g):
+            raise AssertionError("is_chordal called")
+
+        monkeypatch.setattr(covers, "is_chordal", refuse)
+        star = construct_k5star()
+        col = coloring_from_intervals(construct_onefourth(3))
+        assert exact_max_strong_cover(star).covered() == 4
+        assert exact_max_strong_cover(col).covered() == 6
+        assert theta(star) is None
+        assert theta(construct_k4_two_paths()) == 2
+        assert two_clique_cover_exact(star, vertices=frozenset({0, 1, 2})) is not None
+        assert two_clique_cover_exact(col, (1, 2)) is None
+
+
+def _tt3_without_covering_pair() -> MultiColoring:
+    """A chordal (3,3)-coloring in which every color carries an edge alone,
+    so no color pair covers every edge and ``strong_cover_tt`` reaches its
+    triple branch (and ``strong_cover_33`` its clique cutset branch)."""
+    return MultiColoring.from_dict({"n": 6, "t": 3, "edges": [
+        [0, 1, [1]], [0, 2, [1, 2]], [0, 3, [1, 2]], [0, 4, [1, 3]],
+        [0, 5, [1, 2, 3]], [1, 2, [1, 2]], [1, 3, [1, 2]], [1, 4, [1, 3]],
+        [1, 5, [1, 2, 3]], [2, 3, [2]], [2, 4, [1, 2, 3]], [2, 5, [2, 3]],
+        [3, 4, [1, 2, 3]], [3, 5, [2, 3]], [4, 5, [3]],
+    ]})
+
+
 class TestStrongCoverTT:
+    def test_triple_branch_takes_one_certificate_per_color(self, monkeypatch):
+        col = _tt3_without_covering_pair()
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return is_chordal(g)
+
+        monkeypatch.setattr(covers, "is_chordal", counted)
+        cover = strong_cover_tt(col)
+        assert len(calls) == col.t
+        rep = verify_cover(col, cover)
+        assert rep.valid and rep.covered == col.n and cover.size() <= 3
+        assert cover.to_dict() == strong_cover_33(col).to_dict()
+        assert oracles.theta(col) <= 3
+
     def test_corpus(self):
         for inst in chordal_tt_corpus():
             col = inst.coloring

@@ -52,6 +52,31 @@ def oracles_bits(mask):
     return out
 
 
+def test_maximal_cliques_within_match_oracle_on_induced_subgraph():
+    """``within`` restricts the enumeration to the induced subgraph and
+    keeps the original labels."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(0, 14)
+        adj = random_adj(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        full = (1 << n) - 1
+        for within in (0, full, rng.getrandbits(n) if n else 0):
+            keep = oracles_bits(within)
+            sub = [0] * len(keep)
+            for i, v in enumerate(keep):
+                for j, w in enumerate(keep):
+                    if adj[v] >> w & 1:
+                        sub[i] |= 1 << j
+            expected = [
+                tuple(keep[i] for i in c)
+                for c in oracles.maximal_cliques(len(keep), sub)
+            ]
+            got = maximal_cliques(n, adj, within)
+            got = sorted(tuple(oracles_bits(m)) for m in got)
+            assert got == expected, (n, adj, within)
+        assert maximal_cliques(n, adj, full) == maximal_cliques(n, adj)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(data=adjacency())
 def test_find_induced_c4_matches_oracle(data):
