@@ -11,7 +11,6 @@ as negative certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import _kernels as kernels
 from .errors import InputError
@@ -151,32 +150,6 @@ def _hole_from_triple(g: Graph, v: int, a: int, b: int) -> list[int] | None:
     return [v] + path
 
 
-def _hole_by_scan(g: Graph) -> list[int] | None:
-    """Exhaustive hole search: any induced 2-regular connected subset."""
-    n = g.n
-    for size in range(4, n + 1):
-        for subset in combinations(range(n), size):
-            smask = mask_of(subset)
-            degs = [(g.adj[x] & smask).bit_count() for x in subset]
-            if any(d != 2 for d in degs):
-                continue
-            # walk the cycle to confirm a single component
-            start = subset[0]
-            cyc = [start]
-            prev = -1
-            cur = start
-            while True:
-                nbrs = [y for y in bits(g.adj[cur] & smask) if y != prev]
-                nxt = nbrs[0]
-                if nxt == start:
-                    break
-                cyc.append(nxt)
-                prev, cur = cur, nxt
-            if len(cyc) == size:
-                return cyc
-    return None
-
-
 def _verify_hole(g: Graph, hole: list[int]) -> bool:
     m = len(hole)
     if m < 4 or len(set(hole)) != m:
@@ -198,8 +171,6 @@ def is_chordal(g: Graph) -> ChordalCertificate:
     if triple is None:
         return ChordalCertificate(peo=peo)
     hole = _hole_from_triple(g, *triple)
-    if hole is None or not _verify_hole(g, hole):
-        hole = _hole_by_scan(g)
     if hole is None or not _verify_hole(g, hole):
         raise AssertionError("ordering check failed but no hole found")
     return ChordalCertificate(hole=hole)

@@ -104,7 +104,11 @@ def _load_instance(path: str) -> tuple[MultiColoring, TIntervalFamily | None]:
     Families are converted to their derived coloring; the interval family is
     kept around so covers can be translated back into piercing points.
     """
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     data = json.loads(text)
     if not isinstance(data, dict):
         raise InputError("instance document must be a JSON object")
@@ -297,28 +301,15 @@ def _run_cover(
             report.results["theta"] = theta(col, max_n=args.max_exact)
         return cover
     if algorithm == "t33":
-        _require_tk(col, 3, 3)
         with _Timed(report, "t33"):
             return strong_cover_33(col)
     if algorithm == "tt":
-        _require_tk(col, col.t, col.t)
         with _Timed(report, "tt"):
             return strong_cover_tt(col)
     if algorithm == "c4free22":
-        _require_tk(col, 2, 2)
         with _Timed(report, "c4free22"):
             return strong_cover_c4free_22(col)
     raise InputError(f"unknown algorithm {algorithm!r}")  # pragma: no cover
-
-
-def _require_tk(col: MultiColoring, t: int, k: int) -> None:
-    if col.t != t:
-        raise PreconditionError(f"algorithm expects t={t}, instance has t={col.t}")
-    ok, witness = is_tk_coloring(col, k)
-    if not ok:
-        raise PreconditionError(
-            f"instance is not a ({t},{k})-coloring", witness=witness
-        )
 
 
 def _add_bound_checks(

@@ -234,15 +234,13 @@ def random_interval_family(
     t: int,
     seed: int,
     *,
-    low: int = 0,
-    high: int | None = None,
-    max_len: int | None = None,
     anchor: float = 0.0,
     k: int | None = None,
     retries: int = 40,
 ) -> tuple[TIntervalFamily, bool]:
     """Seeded random interval family, optionally rejection-sampled.
 
+    Endpoints start in [0, 3n] and intervals are up to max(2, n) long.
     ``anchor`` is the fraction of members per track forced to contain a
     common track anchor point, which raises the chance of k-wise
     intersection.  When ``k`` is given the draw repeats up to ``retries``
@@ -254,17 +252,15 @@ def random_interval_family(
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if not (0.0 <= anchor <= 1.0):
         raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
-    if high is None:
-        high = max(low + 1, low + 3 * n)
-    if max_len is None:
-        max_len = max(2, (high - low) // 3)
+    high = 3 * n
+    max_len = max(2, n)
     rng = random.Random(seed)
     attempts = retries if k is not None else 1
     fam = None
     for _ in range(max(1, attempts)):
         members = [[(0, 0)] * t for _ in range(n)]
         for i in range(t):
-            anchor_pt = rng.randint(low, high)
+            anchor_pt = rng.randint(0, high)
             n_anchored = round(anchor * n)
             anchored = set(rng.sample(range(n), n_anchored))
             for v in range(n):
@@ -272,7 +268,7 @@ def random_interval_family(
                     lo = anchor_pt - rng.randint(0, max_len)
                     hi = anchor_pt + rng.randint(0, max_len)
                 else:
-                    lo = rng.randint(low, high)
+                    lo = rng.randint(0, high)
                     hi = lo + rng.randint(0, max_len)
                 members[v][i] = (lo, hi)
         fam = TIntervalFamily(t, members)

@@ -409,9 +409,12 @@ class TSubtreeFamily:
     def validate(self) -> None:
         if self.t < 1:
             raise InputError(f"t must be positive, got {self.t}")
+        # the edge count comes first: it bounds the host by the document
         h = self.host_size
+        if h > 0 and len(self.host_edges) != h - 1:
+            raise InputError("host is not a tree")
         host = self.host_graph()
-        if h > 0 and (len(self.host_edges) != h - 1 or not host.is_connected()):
+        if not host.is_connected():
             raise InputError("host is not a tree")
         for idx, tracks in enumerate(self.members):
             if len(tracks) != self.t:
@@ -488,14 +491,21 @@ class StrongCover:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "StrongCover":
-        try:
-            pairs = [(int(c), frozenset(int(v) for v in s))
-                     for c, s in data["assignments"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad cover document: {exc}") from exc
-        if len({c for c, _ in pairs}) != len(pairs):
-            raise InputError("cover assigns the same color twice")
-        return cls(dict(pairs))
+        """Parse ``{"assignments": [[color, [vertex, ...]], ...]}``; every
+        number must be a plain int."""
+        (raw,) = _fields(data, "cover", assignments=list)
+        pairs = {}
+        for item in raw:
+            c, vs = _list(item, "an assignment [color, vertices]", 2)
+            vs = _list(vs, "an assignment's vertices")
+            if type(c) is not int or not set(map(type, vs)) <= {int}:
+                raise InputError(
+                    f"an assignment must be [int, [int, ...]], got {item!r}"
+                )
+            if c in pairs:
+                raise InputError("cover assigns the same color twice")
+            pairs[c] = frozenset(vs)
+        return cls(pairs)
 
 
 @dataclass

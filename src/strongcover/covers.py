@@ -350,16 +350,9 @@ def _cover_33(
     all_vertices = frozenset(range(col.n))
     if col.is_clique_mask((1 << col.n) - 1, 1):
         return StrongCover({1: all_vertices})
-    g1, peo1 = certs[0]
-    if not g1.is_connected():
-        # cannot happen for a valid (3,3)-coloring with a color-1-only edge;
-        # recheck the two-color branches before giving up
-        for pair in ((1, 2), (1, 3), (2, 3)):
-            cover = two_clique_cover_exact(col, pair)
-            if cover is not None:
-                return cover
-        raise PreconditionError("color 1 graph disconnected; invalid input")
-    dec = clique_cutset(g1, peo1)
+    # a color-1-only edge xy makes every triangle xyz color 1, so color 1
+    # is connected and has a clique cutset
+    dec = clique_cutset(*certs[0])
     rest = dec.a | dec.b
     sub_cover = two_clique_cover_exact(col, (2, 3), vertices=rest)
     if sub_cover is None:
@@ -568,17 +561,11 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     col.validate()
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
-    n = col.n
-    if n == 0:
-        return StrongCover({})
-    reds, blues = col.rows
-    full = (1 << n) - 1
-    for u in range(n):
-        bare = _later(full & ~(reds[u] | blues[u]), u)
-        if bare:
-            v = (bare & -bare).bit_length() - 1
+    if col.n >= 2:
+        ok, witness = is_tk_coloring(col, 2)
+        if not ok:
             raise PreconditionError(
-                f"edge ({u},{v}) carries no color", witness=(u, v)
+                f"not a (2,2)-coloring; witness {witness}", witness=witness
             )
     for i in (1, 2):
         ok, witness = induced_c4_free(col.color_graph(i))
@@ -597,6 +584,8 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
             )
         return cover
 
+    reds, blues = col.rows
+    full = (1 << col.n) - 1
     classes = grow_blowup(col, seed, red=1, blue=2)
     inside = 0
     for cl in classes:

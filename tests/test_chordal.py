@@ -53,6 +53,53 @@ def random_graph(seed, max_n=9):
     return g
 
 
+def perturbed_family_graph(seed, max_n=40):
+    """Interval (even seed) or subtree (odd seed) graph on 4..max_n vertices
+    with one to four vertex pairs toggled, so mostly not chordal."""
+    rng = random.Random(seed)
+    n = rng.randint(4, max_n)
+    if seed % 2 == 0:
+        fam, _ = random_interval_family(n, 1, seed)
+        g = coloring_from_intervals(fam).color_graph(1)
+    else:
+        fam, _ = random_subtree_family(n, 1, seed, host_size=rng.randint(2, 12))
+        g = coloring_from_subtrees(fam).color_graph(1)
+    for _ in range(rng.randint(1, 4)):
+        u, v = rng.sample(range(n), 2)
+        g.adj[u] ^= 1 << v
+        g.adj[v] ^= 1 << u
+    return g
+
+
+def all_graphs(max_n):
+    """Every labeled graph on 0..max_n vertices."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for m in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+
+
+def assert_genuine_certificate(g, cert):
+    """A PEO must be a perfect elimination ordering and a hole an induced
+    chordless cycle of length >= 4."""
+    if cert.is_chordal:
+        pos = {v: i for i, v in enumerate(cert.peo)}
+        assert sorted(pos) == list(range(g.n))
+        for v in cert.peo:
+            later = [u for u in range(g.n) if g.has_edge(u, v) and pos[u] > pos[v]]
+            for a, b in combinations(later, 2):
+                assert g.has_edge(a, b)
+        return
+    hole = cert.hole
+    assert len(hole) >= 4 and len(set(hole)) == len(hole)
+    m = len(hole)
+    for i, u in enumerate(hole):
+        for j in range(i + 1, m):
+            v = hole[j]
+            expected = j - i == 1 or (i == 0 and j == m - 1)
+            assert g.has_edge(u, v) == expected, (hole, u, v)
+
+
 class TestMcsAndChordality:
     def test_mcs_visits_every_vertex_once(self):
         g = random_chordal(3)
@@ -77,40 +124,36 @@ class TestMcsAndChordality:
             assert len(cert.hole) >= 4
 
     def test_agrees_with_subset_oracle(self):
-        for seed in range(120):
-            g = random_graph(seed)
+        graphs = [random_graph(seed) for seed in range(120)]
+        graphs += all_graphs(6)
+        graphs += (perturbed_family_graph(seed, max_n=12) for seed in range(100))
+        holes = 0
+        for g in graphs:
             cert = is_chordal(g)
             assert cert.is_chordal == (oracles.first_hole(g.n, g.adj) is None)
+            assert_genuine_certificate(g, cert)
+            holes += not cert.is_chordal
+        assert holes > 14819  # the non-chordal labeled graphs on <= 6 vertices
 
     def test_hole_certificates_are_genuine(self):
         """A returned hole must induce a chordless cycle of length >= 4."""
         found = 0
-        for seed in range(200):
-            g = random_graph(seed)
+        graphs = [random_graph(seed) for seed in range(200)]
+        graphs += (perturbed_family_graph(seed) for seed in range(400))
+        for g in graphs:
             cert = is_chordal(g)
             if cert.is_chordal:
                 continue
             found += 1
-            hole = cert.hole
-            assert len(hole) >= 4 and len(set(hole)) == len(hole)
-            m = len(hole)
-            for i, u in enumerate(hole):
-                for j in range(i + 1, m):
-                    v = hole[j]
-                    expected = j - i == 1 or (i == 0 and j == m - 1)
-                    assert g.has_edge(u, v) == expected, (hole, u, v)
-        assert found > 20
+            assert_genuine_certificate(g, cert)
+        assert found > 300
 
     def test_peo_certificates_are_genuine(self):
         for seed in range(60):
             g = random_chordal(seed)
             cert = is_chordal(g)
             assert cert.is_chordal
-            pos = {v: i for i, v in enumerate(cert.peo)}
-            for v in cert.peo:
-                later = [u for u in range(g.n) if g.has_edge(u, v) and pos[u] > pos[v]]
-                for a, b in combinations(later, 2):
-                    assert g.has_edge(a, b)
+            assert_genuine_certificate(g, cert)
 
 
 class TestCliques:

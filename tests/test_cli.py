@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from strongcover import _kernels as kernels
+from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
 from strongcover.core import MultiColoring
@@ -133,6 +135,14 @@ class TestCheck:
         assert code == 2 and "negative subtree vertex -1" in err
         assert "Traceback" not in err
 
+    def test_subtree_host_is_checked_before_it_is_built(self, capsys, tmp_path):
+        # a host of 2**61 vertices cannot be allocated: the edge count
+        # has to refuse the document first
+        doc = {"host_edges": [], "t": 1, "members": [[[2**61]]]}
+        path = self.write(tmp_path, doc)
+        code, out, err = run(capsys, ["check", path, "--tk", "2"])
+        assert code == 2 and out == "" and "host is not a tree" in err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -216,6 +226,60 @@ class TestCover:
         assert doc["results"]["error"].startswith("PreconditionError")
         (chk,) = doc["checks"]
         assert chk["name"] == "precondition" and chk["pass"] is False
+
+    @pytest.mark.parametrize(
+        "algorithm, doc, error",
+        [
+            ("t33", construct_k5star().to_dict(),
+             "need exactly 3 colors, got t=2"),
+            ("t33", {"n": 2, "t": 3, "edges": [[0, 1, [1]]]},
+             "need n >= 3, got n=2"),
+            ("tt", {"n": 2, "t": 3, "edges": [[0, 1, [1]]]},
+             "need n >= t, got n=2, t=3"),
+            ("c4free22", {"n": 3, "t": 2, "edges": [[0, 1, [1]], [1, 2, [2]]]},
+             "not a (2,2)-coloring; witness (0, 2)"),
+        ],
+    )
+    def test_precondition_errors_come_from_the_algorithm(
+        self, capsys, tmp_path, algorithm, doc, error
+    ):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        code, report = run_json(capsys, ["cover", algorithm, str(p)])
+        assert code == 1 and report["pass"] is False
+        assert report["results"]["error"] == "PreconditionError: " + error
+        (chk,) = report["checks"]
+        assert chk["name"] == "precondition" and chk["pass"] is False
+
+    @pytest.mark.parametrize("algorithm", ["t33", "tt", "c4free22"])
+    def test_one_tk_scan_per_cover(self, capsys, tmp_path, monkeypatch, algorithm):
+        if algorithm == "c4free22":
+            doc = construct_k5star().to_dict()
+        else:
+            main(["gen", "intervals", "--n", "7", "--t", "3", "--seed", "1",
+                  "--anchor", "1.0", "--k", "3"])
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["meta"]["k_ok"] is True
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return first_tk_violation(*args)
+
+        monkeypatch.setattr(kernels, "first_tk_violation", counted)
+        code, report = run_json(capsys, ["cover", algorithm, str(p)])
+        assert code == 0 and report["pass"] is True
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, cover", [(0, []), (1, [[1, [0]]])])
+    def test_c4free22_covers_tiny_instances(self, capsys, tmp_path, n, cover):
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps({"n": n, "t": 2, "edges": []}))
+        code, report = run_json(capsys, ["cover", "c4free22", str(p)])
+        assert code == 0 and report["pass"] is True
+        assert report["results"]["cover"] == {"assignments": cover}
 
     def test_size_limit_is_structured(self, capsys, tmp_path):
         p = tmp_path / "star.json"

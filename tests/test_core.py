@@ -238,8 +238,21 @@ class TestCovers:
         doc = cov.to_dict()
         assert doc == {"assignments": [[1, [0]], [2, [1, 3]]]}
         assert StrongCover.from_dict(doc).assignments == cov.assignments
-        with pytest.raises(InputError):
-            StrongCover.from_dict({"assignments": [[1, [0]], [1, [2]]]})
+        for bad in (
+            {"assignments": [[1, [0]], [1, [2]]]},
+            {"assignments": [[True, [0.9, "2"]], ["3", [False]]]},
+            {"assignments": [[1, [0.9]]]},
+            {"assignments": [[1.0, [0]]]},
+            {"assignments": [[1, [True]]]},
+            {"assignments": [[1, "0"]]},
+            {"assignments": [[1, [0], 2]]},
+            {"assignments": [1]},
+            {"assignments": {"1": [0]}},
+            {"cover": []},
+            [],
+        ):
+            with pytest.raises(InputError):
+                StrongCover.from_dict(bad)
 
     def test_size_skips_empty_assignments(self):
         cov = StrongCover({1: frozenset(), 2: frozenset({0})})

@@ -1,5 +1,6 @@
 """Cover algorithms against the brute-force oracles and their stated bounds."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from strongcover.constructions import (
     construct_onefourth,
     random_interval_family,
 )
-from strongcover.chordal import is_chordal
+from strongcover.chordal import clique_cutset, is_chordal
 from strongcover.core import (
     MultiColoring,
     coloring_from_intervals,
@@ -363,6 +364,26 @@ class TestStrongCoverTT:
         assert cover.to_dict() == strong_cover_33(col).to_dict()
         assert oracles.theta(col) <= 3
 
+    def test_blowups_reach_cutset_and_triple_branches(self, monkeypatch):
+        """Every blow-up of the base coloring with blocks of 1-3 twins is a
+        chordal (3,3)-coloring with a single-color edge in every color."""
+        base = _tt3_without_covering_pair()
+        cutsets = []
+
+        def counted(g, peo):
+            cutsets.append(g)
+            return clique_cutset(g, peo)
+
+        monkeypatch.setattr(covers, "clique_cutset", counted)
+        for sizes in itertools.product((1, 2, 3), repeat=base.n):
+            col = blow_up(base, BlowupSpec(list(sizes)))
+            cutsets.clear()
+            cover = strong_cover_33(col)
+            assert len(cutsets) == 1, sizes
+            rep = verify_cover(col, cover)
+            assert rep.valid and rep.covered == col.n and cover.size() <= 3
+            assert strong_cover_tt(col).to_dict() == cover.to_dict(), sizes
+
     def test_corpus(self):
         for inst in chordal_tt_corpus():
             col = inst.coloring
@@ -469,8 +490,14 @@ class TestC4Free22:
 
     def test_rejects_uncolored_edge(self):
         col = MultiColoring(3, 2, {(0, 1): frozenset({1})})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             strong_cover_c4free_22(col)
+        assert info.value.witness == (0, 2)
+        assert str(info.value) == "not a (2,2)-coloring; witness (0, 2)"
+
+    def test_covers_zero_and_one_vertex(self):
+        assert strong_cover_c4free_22(MultiColoring(0, 2)).assignments == {}
+        assert strong_cover_c4free_22(MultiColoring(1, 2)).covered() == 1
 
 
 class TestSubstitution:
