@@ -70,7 +70,7 @@ class RunReport:
     def ok(self) -> bool:
         return all(c["pass"] for c in self.checks)
 
-    def emit(self, stream=None) -> None:
+    def emit(self) -> None:
         doc = {
             "meta": self.meta,
             "results": self.results,
@@ -78,8 +78,8 @@ class RunReport:
             "times": self.times,
             "pass": self.ok,
         }
-        json.dump(doc, stream or sys.stdout, sort_keys=True)
-        (stream or sys.stdout).write("\n")
+        json.dump(doc, sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 class _Timed:
@@ -104,12 +104,15 @@ def _load_instance(path: str) -> tuple[MultiColoring, TIntervalFamily | None]:
     Families are converted to their derived coloring; the interval family is
     kept around so covers can be translated back into piercing points.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    data = json.loads(text)
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        data = json.loads(text)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"unreadable instance document: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("instance document must be a JSON object")
     if "edges" in data:
@@ -147,10 +150,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif name == "partition":
         fam = constructions.construct_partition_coloring(args.n, args.t)
         _emit_instance(fam.to_dict(), {"generator": name, "n": args.n, "t": args.t})
-    elif name == "intervals":
-        fam, ok = constructions.random_interval_family(
-            args.n, args.t, args.seed, anchor=args.anchor, k=args.k
-        )
+    elif name in ("intervals", "subtrees"):
         meta = {
             "generator": name,
             "n": args.n,
@@ -158,28 +158,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "anchor": args.anchor,
             "k": args.k,
-            "k_ok": ok,
         }
-        _emit_instance(fam.to_dict(), meta)
-    elif name == "subtrees":
-        fam, ok = constructions.random_subtree_family(
-            args.n,
-            args.t,
-            args.seed,
-            host_size=args.host_size,
-            anchor=args.anchor,
-            k=args.k,
-        )
-        meta = {
-            "generator": name,
-            "n": args.n,
-            "t": args.t,
-            "seed": args.seed,
-            "host_size": args.host_size,
-            "anchor": args.anchor,
-            "k": args.k,
-            "k_ok": ok,
-        }
+        if name == "intervals":
+            fam, ok = constructions.random_interval_family(
+                args.n, args.t, args.seed, anchor=args.anchor, k=args.k
+            )
+        else:
+            meta["host_size"] = args.host_size
+            fam, ok = constructions.random_subtree_family(
+                args.n,
+                args.t,
+                args.seed,
+                host_size=args.host_size,
+                anchor=args.anchor,
+                k=args.k,
+            )
+        meta["k_ok"] = ok
         _emit_instance(fam.to_dict(), meta)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown construction {name!r}")
@@ -576,6 +570,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _int_at_least(low: int):
+    """argparse ``type`` for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() refuses the text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongcover",
@@ -618,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cover.add_argument("instance", help="path to instance JSON, or - for stdin")
     cover.add_argument("--k", type=int, default=None)
-    cover.add_argument("--max-exact", type=int, default=40)
+    cover.add_argument("--max-exact", type=_int_at_least(0), default=40)
     cover.set_defaults(func=cmd_cover)
 
     verify = sub.add_parser(
@@ -630,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=10)
     verify.add_argument("--t", type=int, default=3)
     verify.add_argument("--k", type=int, default=3)
-    verify.add_argument("--samples", type=int, default=50)
+    verify.add_argument("--samples", type=_int_at_least(1), default=50)
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
     return parser

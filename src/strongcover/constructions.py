@@ -229,6 +229,10 @@ def clique_substitute(col: MultiColoring, v: int, size: int) -> MultiColoring:
     return blow_up(col, BlowupSpec(sizes))
 
 
+# Draws a rejection-sampling generator makes before it reports failure.
+_RETRIES = 40
+
+
 def random_interval_family(
     n: int,
     t: int,
@@ -236,15 +240,14 @@ def random_interval_family(
     *,
     anchor: float = 0.0,
     k: int | None = None,
-    retries: int = 40,
 ) -> tuple[TIntervalFamily, bool]:
     """Seeded random interval family, optionally rejection-sampled.
 
     Endpoints start in [0, 3n] and intervals are up to max(2, n) long.
     ``anchor`` is the fraction of members per track forced to contain a
     common track anchor point, which raises the chance of k-wise
-    intersection.  When ``k`` is given the draw repeats up to ``retries``
-    times until ``is_kwise_intersecting`` holds; the second return value
+    intersection.  When ``k`` is given the draw repeats up to ``_RETRIES``
+    (40) times until ``is_kwise_intersecting`` holds; the second return value
     reports whether the final family passed (an exhausted budget is
     reported, not raised).
     """
@@ -255,9 +258,8 @@ def random_interval_family(
     high = 3 * n
     max_len = max(2, n)
     rng = random.Random(seed)
-    attempts = retries if k is not None else 1
     fam = None
-    for _ in range(max(1, attempts)):
+    for _ in range(_RETRIES if k is not None else 1):
         members = [[(0, 0)] * t for _ in range(n)]
         for i in range(t):
             anchor_pt = rng.randint(0, high)
@@ -303,11 +305,9 @@ def random_subtree_family(
     seed: int,
     *,
     host_size: int = 8,
-    min_size: int = 1,
     max_size: int | None = None,
     anchor: float = 0.0,
     k: int | None = None,
-    retries: int = 40,
 ) -> tuple[TSubtreeFamily, bool]:
     """Seeded random subtree family over a uniform-attachment host tree.
 
@@ -322,15 +322,13 @@ def random_subtree_family(
         )
     if max_size is None:
         max_size = host_size
-    if not (1 <= min_size <= max_size <= host_size):
+    if not (1 <= max_size <= host_size):
         raise InputError(
-            f"need 1 <= min_size <= max_size <= host_size, got "
-            f"{min_size}..{max_size} of {host_size}"
+            f"need 1 <= max_size <= host_size, got {max_size} of {host_size}"
         )
     rng = random.Random(seed)
-    attempts = retries if k is not None else 1
     fam = None
-    for _ in range(max(1, attempts)):
+    for _ in range(_RETRIES if k is not None else 1):
         host_edges = _random_tree(rng, host_size)
         adj: list[list[int]] = [[] for _ in range(host_size)]
         for u, v in host_edges:
@@ -345,7 +343,7 @@ def random_subtree_family(
                     root = hubs[i]
                 else:
                     root = rng.randrange(host_size)
-                size = rng.randint(min_size, max_size)
+                size = rng.randint(1, max_size)
                 tracks.append(_random_subtree(rng, adj, root, size))
             members.append(tracks)
         fam = TSubtreeFamily(host_edges, t, members)

@@ -126,7 +126,7 @@ class MultiColoring:
     ``rows[c - 1][v]`` is the bitmask of vertices joined to v by an edge
     carrying color c; colors are 1-based, 1..t.  The rows are the only
     state: ``edge_colors`` is a live mapping view over them, and color
-    graphs, adjacency lists and documents are all read off them.
+    graphs and documents are read off them.
     """
 
     __slots__ = ("n", "t", "rows")
@@ -243,34 +243,9 @@ class MultiColoring:
         g.adj = list(self._row(i))
         return g
 
-    def color_adjacency(self) -> list[list[int]]:
-        """Adjacency bitmask rows for every color graph at once (a copy)."""
-        return [list(row) for row in self.rows]
-
     def is_clique_mask(self, mask: int, color: int) -> bool:
         """True if the vertices of ``mask`` are pairwise joined in ``color``."""
         return is_clique_mask(self._row(color), mask)
-
-    def is_monochromatic_clique(self, vertices: Iterable[int], color: int) -> bool:
-        """True if all pairs inside ``vertices`` carry ``color``."""
-        return self.is_clique_mask(self.vertex_mask(vertices), color)
-
-    def restrict(self, vertices: Iterable[int]) -> tuple["MultiColoring", list[int]]:
-        """Coloring induced on a vertex subset, relabeled 0..m-1 in order.
-
-        Returns the restriction and the list mapping new labels to old.
-        """
-        keep = self.vertex_mask(vertices)
-        old = list(bits(keep))
-        index = {v: i for i, v in enumerate(old)}
-        sub = MultiColoring(len(old), self.t)
-        for row, new in zip(self.rows, sub.rows):
-            for i, v in enumerate(old):
-                r = 0
-                for w in bits(row[v] & keep):
-                    r |= 1 << index[w]
-                new[i] = r
-        return sub, old
 
     def select_colors(self, colors: Sequence[int]) -> "MultiColoring":
         """Coloring keeping only the listed colors, relabeled to 1..len(colors).
@@ -512,11 +487,6 @@ class StrongCover:
 class CoverReport:
     valid: bool
     covered: int
-
-
-def intervals_intersect(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Closed intervals intersect iff max of left ends <= min of right ends."""
-    return max(a[0], b[0]) <= min(a[1], b[1])
 
 
 def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:

@@ -11,7 +11,7 @@ integer checks on the greedy trace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels as kernels
 from .chordal import _max_clique_within, clique_cutset, induced_c4_free, is_chordal
@@ -109,24 +109,6 @@ def multiplicity_sum(col: MultiColoring, vertices: frozenset[int]) -> int:
     s = col.vertex_mask(vertices)
     ends = sum((row[v] & s).bit_count() for row in col.rows for v in bits(s))
     return ends // 2
-
-
-def check_residual_multiplicity(
-    col: MultiColoring, vertices: frozenset[int], k: int
-) -> tuple[bool, tuple[int, int] | None]:
-    """Every edge inside the residual set must carry at least k-1 colors.
-
-    Returns (True, None) or (False, first offending edge).
-    """
-    s = col.vertex_mask(vertices)
-    need = max(k - 1, 0)
-    for u in bits(s):
-        later = s >> u + 1 << u + 1
-        layers = count_layers([row[u] for row in col.rows], need)
-        short = later & ~layers[need]
-        if short:
-            return False, (u, (short & -short).bit_length() - 1)
-    return True, None
 
 
 @dataclass
@@ -265,14 +247,13 @@ def two_clique_cover_exact(
     col: MultiColoring,
     colors: tuple[int, int] = (1, 2),
     vertices: frozenset[int] | None = None,
-    max_n: int = 40,
 ) -> StrongCover | None:
     """Cover a vertex set with at most two cliques of the two given colors.
 
     Scans maximal cliques of the first color on the induced set; the
     leftover must be a clique in the second color.  Returns the first cover
     found in deterministic order (fewest cliques, then lexicographic), or
-    None when no such cover exists.
+    None when no such cover exists.  Over 40 vertices raise SizeLimitError.
     """
     col.validate()
     ci, cj = colors
@@ -280,9 +261,9 @@ def two_clique_cover_exact(
         raise InputError(f"bad color pair {colors}")
     if vertices is None:
         vertices = frozenset(range(col.n))
-    if len(vertices) > max_n:
+    if len(vertices) > 40:
         raise SizeLimitError(
-            f"{len(vertices)} vertices exceed the exhaustive search bound {max_n}"
+            f"{len(vertices)} vertices exceed the exhaustive search bound 40"
         )
     if not vertices:
         return StrongCover({})

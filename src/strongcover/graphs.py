@@ -59,9 +59,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 

@@ -10,10 +10,6 @@ tiny (n <= 10 or so).
 from itertools import combinations
 
 
-def edge_set(n, adj):
-    return {(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1}
-
-
 def is_clique(adj, vertices):
     return all(adj[u] >> v & 1 for u, v in combinations(sorted(vertices), 2))
 
@@ -118,6 +114,14 @@ def kwise_intersecting(fam, k):
         ):
             return False
     return True
+
+
+def residual_multiplicity(col, vertices, k):
+    """(False, first edge inside ``vertices`` with under k-1 colors), else
+    (True, None)."""
+    pairs = combinations(sorted(vertices), 2)
+    short = [e for e in pairs if len(col.colors_of(*e)) < k - 1]
+    return (False, short[0]) if short else (True, None)
 
 
 def _maximal_color_clique_masks(col, color):

@@ -11,6 +11,14 @@ import time
 from math import ceil
 
 import oracles
+from corpora import (
+    c4free_22_corpus,
+    chordal_33_corpus,
+    chordal_tk_corpus,
+    chordal_tt_corpus,
+    helly_corpus,
+    substitution_corpus,
+)
 from strongcover.chordal import (
     chordal_edge_bound_check,
     induced_c4_free,
@@ -32,15 +40,7 @@ from strongcover.core import (
     is_tk_coloring,
     verify_cover,
 )
-from strongcover.corpus import (
-    c4free_22_corpus,
-    chordal_33_corpus,
-    chordal_tk_corpus,
-    chordal_tt_corpus,
-    helly_corpus,
-    random_chordal_graphs,
-    substitution_corpus,
-)
+from strongcover.corpus import random_chordal_graphs
 from strongcover.covers import (
     counting_chain_check,
     exact_max_strong_cover,

@@ -14,9 +14,10 @@ from strongcover.core import MultiColoring
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
-    """Invoke main and return (exit_code, stdout, stderr)."""
+    """Invoke main and return (exit_code, stdout, stderr); stdin is UTF-8."""
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -164,7 +165,10 @@ class TestCheck:
             '{"host_edges": [[0, 1.0]], "t": 1, "members": [[[0]], [[1]]]}',
             '{"host_edges": "x", "t": 1, "members": []}',
             '{"host_edges": [[0, 1]], "t": 1, "members": [[5]]}',
+            "[" * 100000 + "]" * 100000,
+            b"\xff\xfe{}",
         ],
+        ids=lambda text: None if len(text) < 100 else "deeply-nested",
     )
     def test_malformed_document_is_exit_2(self, capsys, monkeypatch, text):
         # a crash inside main() would raise here instead of returning
@@ -405,3 +409,21 @@ class TestVerifyFailures:
         rows = json.loads(out)["results"]["instances"]
         assert [r["name"] for r in rows] == ["lower-seed0", "lower-seed1"]
         assert all(r["error"] == "GuaranteeError: no family" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "exact", "-", "--max-exact", "-1"],
+        ["cover", "exact", "-", "--max-exact", "x"],
+        ["verify", "lower", "--samples", "0"],
+        ["verify", "lower", "--samples", "-1"],
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    # refused while parsing, before any instance is read
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err

@@ -18,7 +18,6 @@ from strongcover.core import (
     TSubtreeFamily,
     coloring_from_intervals,
     coloring_from_subtrees,
-    intervals_intersect,
     is_kwise_intersecting,
     is_tk_coloring,
     kfold_min_colors,
@@ -51,27 +50,17 @@ class TestMultiColoring:
     def test_complete(self):
         col = MultiColoring.complete(4, 2)
         assert kfold_min_colors(col) == 2
-        assert col.is_monochromatic_clique(range(4), 1)
+        assert col.is_clique_mask(col.vertex_mask(range(4)), 1)
 
     def test_color_graph_and_adjacency_agree(self):
         col = construct_k5star()
-        rows = col.color_adjacency()
+        rows = col.rows
         for i in (1, 2):
             g = col.color_graph(i)
             assert g.adj == rows[i - 1]
             assert g.edge_count() == 5
         with pytest.raises(InputError):
             col.color_graph(3)
-
-    def test_restrict_keeps_colors(self):
-        col = construct_k5star()
-        sub, old = col.restrict([4, 1, 2])
-        assert old == [1, 2, 4]
-        assert sub.n == 3 and sub.t == 2
-        # edge (1,2) is red, (2,4) blue, (1,4) blue in the 5-cycle pair
-        assert sub.colors_of(0, 1) == col.colors_of(1, 2)
-        assert sub.colors_of(1, 2) == col.colors_of(2, 4)
-        assert sub.colors_of(0, 2) == col.colors_of(1, 4)
 
     def test_select_colors_relabels(self):
         col = MultiColoring.from_edges(
@@ -155,12 +144,6 @@ class TestFamilies:
         assert col.colors_of(0, 1) == frozenset({1})
         assert col.colors_of(0, 2) == frozenset()
         assert col.colors_of(1, 2) == frozenset()
-
-
-def test_intervals_intersect():
-    assert intervals_intersect((0, 2), (2, 5))
-    assert intervals_intersect((1, 1), (0, 4))
-    assert not intervals_intersect((0, 1), (2, 3))
 
 
 class TestPredicates:
@@ -380,7 +363,7 @@ class TestEdgeColorsView:
         assert col.colors_of(2, 4) == frozenset({2})
         assert dict(view) == {(0, 3): frozenset({1, 3}), (2, 4): frozenset({2})}
         assert len(view) == 2 and (0, 3) in view and (3, 0) not in view
-        rows = col.color_adjacency()
+        rows = col.rows
         assert rows[0][0] == 1 << 3 and rows[0][3] == 1
         assert rows[1][2] == 1 << 4 and rows[1][4] == 1 << 2
         assert rows[2][0] == 1 << 3
@@ -389,7 +372,7 @@ class TestEdgeColorsView:
         }
         view[(0, 3)] = {2}
         assert col.colors_of(0, 3) == frozenset({2})
-        assert col.color_adjacency()[0][0] == 0
+        assert col.rows[0][0] == 0
         del view[(2, 4)]
         assert col.colors_of(2, 4) == frozenset()
         with pytest.raises(KeyError):
@@ -438,12 +421,12 @@ class TestMaskPredicates:
 
     def test_monochromatic_clique_checks_range(self):
         col = construct_k5star()
-        assert col.is_monochromatic_clique([0, 1], 1)
-        assert not col.is_monochromatic_clique([0, 2], 1)
+        assert col.is_clique_mask(col.vertex_mask([0, 1]), 1)
+        assert not col.is_clique_mask(col.vertex_mask([0, 2]), 1)
         with pytest.raises(InputError):
-            col.is_monochromatic_clique([0, 1], 3)
+            col.is_clique_mask(col.vertex_mask([0, 1]), 3)
         with pytest.raises(InputError):
-            col.is_monochromatic_clique([0, 7], 1)
+            col.is_clique_mask(col.vertex_mask([0, 7]), 1)
 
     def test_piercing_checks_cover_on_intervals(self):
         fam = TIntervalFamily(2, [[(0, 4), (0, 0)], [(2, 6), (1, 1)], [(4, 9), (2, 2)]])

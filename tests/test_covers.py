@@ -6,6 +6,12 @@ import random
 import pytest
 
 import oracles
+from corpora import (
+    c4free_22_corpus,
+    chordal_33_corpus,
+    chordal_tk_corpus,
+    chordal_tt_corpus,
+)
 from strongcover.constructions import (
     BlowupSpec,
     blow_up,
@@ -22,15 +28,8 @@ from strongcover.core import (
     is_tk_coloring,
     verify_cover,
 )
-from strongcover.corpus import (
-    c4free_22_corpus,
-    chordal_33_corpus,
-    chordal_tk_corpus,
-    chordal_tt_corpus,
-)
 from strongcover import covers
 from strongcover.covers import (
-    check_residual_multiplicity,
     counting_chain_check,
     exact_max_strong_cover,
     find_k5star,
@@ -44,7 +43,6 @@ from strongcover.covers import (
     two_clique_cover_exact,
 )
 from strongcover.errors import (
-    GuaranteeError,
     InputError,
     PreconditionError,
     SizeLimitError,
@@ -141,10 +139,10 @@ class TestCountingChain:
         for inst in tk_sample(25):
             col, k = inst.coloring, inst.k
             _, trace = greedy_strong_cover(col)
-            ok, offender = check_residual_multiplicity(col, trace.uncovered, k)
+            ok, offender = oracles.residual_multiplicity(col, trace.uncovered, k)
             assert ok, (inst.name, offender)
         sparse = MultiColoring(3, 2, {(0, 1): frozenset({1})})
-        ok, offender = check_residual_multiplicity(sparse, frozenset({0, 2}), 3)
+        ok, offender = oracles.residual_multiplicity(sparse, frozenset({0, 2}), 3)
         assert not ok and offender == (0, 2)
 
 
@@ -563,7 +561,7 @@ class TestMaskCounting:
             for k in range(0, t + 3):
                 short = [e for e in pairs if counts[e] < k - 1]
                 expected = (False, short[0]) if short else (True, None)
-                assert check_residual_multiplicity(col, vs, k) == expected
+                assert oracles.residual_multiplicity(col, vs, k) == expected
 
 
 class TestThetaPrune:

@@ -184,5 +184,5 @@ def test_pure_first_tk_violation_matches_oracle_for_every_k():
         col = MultiColoring(n, t)
         col.rows = [random_adj(rng, n, rng.choice((0.4, 0.7, 0.95))) for _ in range(t)]
         for k in range(2, n + 1):
-            got = first_tk_violation(n, k, col.color_adjacency())
+            got = first_tk_violation(n, k, col.rows)
             assert got == oracles.first_tk_violation(col, k), (n, t, k)
