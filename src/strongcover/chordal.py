@@ -84,13 +84,12 @@ def _check_peo(g: Graph, peo: list[int]) -> tuple[int, int, int] | None:
     n = g.n
     if sorted(peo) != list(range(n)):
         raise InputError("ordering is not a permutation of the vertices")
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << peo[i])
-    if _is_peo(g.adj, peo, suffix):
+    if _is_peo(g.adj, peo):
         return None
-    for i, v in enumerate(peo):
-        ln = g.adj[v] & suffix[i + 1]
+    later = (1 << n) - 1
+    for v in peo:
+        later ^= 1 << v  # the vertices after v
+        ln = g.adj[v] & later
         for a in bits(ln):
             missing = ln & ~g.adj[a] & ~(1 << a)
             if missing:
@@ -100,24 +99,33 @@ def _check_peo(g: Graph, peo: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def _is_peo(adj: list[int], peo: list[int], suffix: list[int]) -> bool:
+def _is_peo(adj: list[int], peo: list[int]) -> bool:
     """Zero fill-in test (Tarjan and Yannakakis 1984) in O(n) mask steps.
 
     The order is perfect iff every vertex's later neighbors, its parent
     (earliest later neighbor) aside, are neighbors of the parent.  A forward
     sweep keeps the earlier vertices still waiting for a parent; the ones
-    adjacent to the current vertex u have u as parent.
+    adjacent to the current vertex u have u as parent, and have no
+    neighbors between themselves and u, so each of their neighbors not yet
+    swept must be u or a neighbor of u.
     """
     waiting = 0
-    for j, u in enumerate(peo):
-        children = waiting & adj[u]
+    swept = 0
+    for u in peo:
+        bit = 1 << u
+        au = adj[u]
+        children = waiting & au
         if children:
             waiting ^= children
-            allowed = adj[u] | 1 << u
-            for v in bits(children):
-                if adj[v] & suffix[j] & ~allowed:
-                    return False
-        waiting |= 1 << u
+            reach = 0
+            while children:
+                low = children & -children
+                reach |= adj[low.bit_length() - 1]
+                children ^= low
+            if reach & ~(au | swept | bit):
+                return False
+        waiting |= bit
+        swept |= bit
     return True
 
 

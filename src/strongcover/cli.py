@@ -20,7 +20,7 @@ from random import Random
 
 from . import constructions, corpus
 from ._kernels import maximal_cliques
-from .chordal import chordal_edge_bound_check, induced_c4_free, is_chordal
+from .chordal import chordal_edge_bound_check, induced_c4_free
 from .core import (
     MultiColoring,
     StrongCover,
@@ -28,15 +28,18 @@ from .core import (
     TSubtreeFamily,
     coloring_from_intervals,
     coloring_from_subtrees,
+    family_peos,
     is_tk_coloring,
     kfold_min_colors,
     piercing_points,
     verify_cover,
 )
 from .covers import (
+    color_certificates,
     counting_chain_check,
     exact_max_strong_cover,
     greedy_strong_cover,
+    induced_c4s,
     strong_cover_33,
     strong_cover_c4free_22,
     strong_cover_tt,
@@ -98,11 +101,15 @@ class _Timed:
         return False
 
 
-def _load_instance(path: str) -> tuple[MultiColoring, TIntervalFamily | None]:
+Family = TIntervalFamily | TSubtreeFamily
+
+
+def _load_instance(path: str) -> tuple[MultiColoring, Family | None]:
     """Parse a coloring, interval family, or subtree family document.
 
-    Families are converted to their derived coloring; the interval family is
-    kept around so covers can be translated back into piercing points.
+    Families are converted to their derived coloring and kept: they give
+    each color a PEO (``family_peos``), and an interval family translates
+    covers back into piercing points.
     """
     try:
         if path == "-":
@@ -118,7 +125,8 @@ def _load_instance(path: str) -> tuple[MultiColoring, TIntervalFamily | None]:
     if "edges" in data:
         return MultiColoring.from_dict(data), None
     if "host_edges" in data:
-        return coloring_from_subtrees(TSubtreeFamily.from_dict(data)), None
+        fam = TSubtreeFamily.from_dict(data)
+        return coloring_from_subtrees(fam), fam
     if "members" in data:
         fam = TIntervalFamily.from_dict(data)
         return coloring_from_intervals(fam), fam
@@ -180,8 +188,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _peos(fam: Family | None) -> list[list[int]] | None:
+    """A family document's PEOs; an edges document has none, and its
+    colors are searched."""
+    return None if fam is None else family_peos(fam)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    col, _fam = _load_instance(args.instance)
+    col, fam = _load_instance(args.instance)
+    peos = _peos(fam) if args.chordal or args.c4free else None
     report = RunReport(meta={"source": args.instance, "n": col.n, "t": col.t})
     if args.tk is not None:
         with _Timed(report, "tk"):
@@ -196,11 +211,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     if args.chordal:
         with _Timed(report, "chordal"):
-            holes = {}
-            for i in range(1, col.t + 1):
-                cert = is_chordal(col.color_graph(i))
-                if not cert.is_chordal:
-                    holes[i] = cert.hole
+            certs = color_certificates(col, peos)
+            holes = {
+                i: cert.hole
+                for i, (_g, cert) in enumerate(certs, start=1)
+                if not cert.is_chordal
+            }
         report.add_check(
             "chordal",
             "every color graph is chordal",
@@ -211,11 +227,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     if args.c4free:
         with _Timed(report, "c4free"):
-            squares = {}
-            for i in range(1, col.t + 1):
-                ok, square = induced_c4_free(col.color_graph(i))
-                if not ok:
-                    squares[i] = list(square)
+            squares = {
+                i: list(square)
+                for i, square in induced_c4s(col, peos)
+                if square is not None
+            }
         report.add_check(
             "c4free",
             "no color graph has an induced 4-cycle",
@@ -254,7 +270,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         }
     )
     try:
-        cover = _run_cover(args, col, report)
+        cover = _run_cover(args, col, fam, report)
     except (PreconditionError, GuaranteeError, SizeLimitError, InputError) as exc:
         report.results["error"] = f"{type(exc).__name__}: {exc}"
         report.add_check("precondition", "algorithm precondition holds", True, False, False)
@@ -271,7 +287,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         rep.valid,
     )
     _add_bound_checks(args, col, cover, rep.covered, report)
-    if fam is not None and rep.valid:
+    if isinstance(fam, TIntervalFamily) and rep.valid:
         report.results["piercing_points"] = [
             [track, point] for track, point in piercing_points(fam, cover)
         ]
@@ -280,12 +296,15 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _run_cover(
-    args: argparse.Namespace, col: MultiColoring, report: RunReport
+    args: argparse.Namespace,
+    col: MultiColoring,
+    fam: Family | None,
+    report: RunReport,
 ) -> StrongCover:
     algorithm = args.algorithm
     if algorithm == "greedy":
         with _Timed(report, "greedy"):
-            cover, trace = greedy_strong_cover(col)
+            cover, trace = greedy_strong_cover(col, peos=_peos(fam))
         report.results["uncovered"] = sorted(trace.uncovered)
         return cover
     if algorithm == "exact":
@@ -296,13 +315,13 @@ def _run_cover(
         return cover
     if algorithm == "t33":
         with _Timed(report, "t33"):
-            return strong_cover_33(col)
+            return strong_cover_33(col, peos=_peos(fam))
     if algorithm == "tt":
         with _Timed(report, "tt"):
-            return strong_cover_tt(col)
+            return strong_cover_tt(col, peos=_peos(fam))
     if algorithm == "c4free22":
         with _Timed(report, "c4free22"):
-            return strong_cover_c4free_22(col)
+            return strong_cover_c4free_22(col, peos=_peos(fam))
     raise InputError(f"unknown algorithm {algorithm!r}")  # pragma: no cover
 
 
@@ -355,18 +374,18 @@ def _add_bound_checks(
 
 
 def _run_suite(args, report, inequality, make, check) -> None:
-    """One row per sample: ``make(i, seed)`` gives (name, coloring) and
-    ``check(coloring)`` the row's findings, ``pass`` included.  A failed
-    precondition, guarantee or size limit marks its row failed with the
-    error and the suite goes on."""
+    """One row per sample: ``make(i, seed)`` gives (name, coloring, PEOs or
+    None) and ``check(coloring, peos)`` the row's findings, ``pass``
+    included.  A failed precondition, guarantee or size limit marks its row
+    failed with the error and the suite goes on."""
     rows = []
     for i in range(args.samples):
         seed = args.seed + i
         row = {"name": f"{args.suite}-seed{seed}", "seed": seed}
         try:
-            row["name"], col = make(i, seed)
+            row["name"], col, peos = make(i, seed)
             row["n"] = col.n
-            row.update(check(col))
+            row.update(check(col, peos))
         except (PreconditionError, GuaranteeError, SizeLimitError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["pass"] = False
@@ -380,14 +399,14 @@ def _alternating(n: int, t: int, k: int):
     def make(i, seed):
         kind = "interval" if i % 2 == 0 else "subtree"
         inst = corpus.seeded_tk_instance(kind, n, t, k, seed)
-        return inst.name, inst.coloring
+        return inst.name, inst.coloring, inst.peos
 
     return make
 
 
 def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col):
-        cover, trace = greedy_strong_cover(col)
+    def check(col, peos):
+        cover, trace = greedy_strong_cover(col, peos=peos)
         rep = verify_cover(col, cover)
         chain = counting_chain_check(col, trace, args.k)
         ok = (
@@ -408,8 +427,8 @@ def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
 
 
 def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col):
-        cover = strong_cover_33(col)
+    def check(col, peos):
+        cover = strong_cover_33(col, peos=peos)
         rep = verify_cover(col, cover)
         ok = rep.valid and rep.covered == col.n and cover.size() <= 3
         return {"cliques": cover.size(), "pass": ok}
@@ -423,8 +442,8 @@ def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
 def _verify_tt(args: argparse.Namespace, report: RunReport) -> None:
     limit = 2 if args.t % 2 == 0 else 3
 
-    def check(col):
-        cover = strong_cover_tt(col)
+    def check(col, peos):
+        cover = strong_cover_tt(col, peos=peos)
         rep = verify_cover(col, cover)
         ok = rep.valid and rep.covered == col.n and cover.size() <= limit
         return {"cliques": cover.size(), "pass": ok}
@@ -443,12 +462,12 @@ def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
             rng = Random(seed)
             sizes = [1 + rng.randrange(3) for _ in range(5)]
             col = constructions.blow_up(star, constructions.BlowupSpec(sizes))
-            return "k5star-blowup-" + "".join(map(str, sizes)), col
+            return "k5star-blowup-" + "".join(map(str, sizes)), col, None
         inst = corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
-        return inst.name, inst.coloring
+        return inst.name, inst.coloring, inst.peos
 
-    def check(col):
-        cover = strong_cover_c4free_22(col)
+    def check(col, peos):
+        cover = strong_cover_c4free_22(col, peos=peos)
         rep = verify_cover(col, cover)
         bound = ceil(4 * col.n / 5)
         ok = rep.valid and rep.covered >= bound

@@ -15,11 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .core import (
+    MAX_VERTICES,
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    check_size,
+    coloring_from_intervals,
     coloring_from_subtrees,
-    is_kwise_intersecting,
     is_tk_coloring,
 )
 from .errors import InputError
@@ -79,6 +81,7 @@ def construct_onefourth(t: int) -> TIntervalFamily:
     if t < 2:
         raise InputError(f"need t >= 2, got {t}")
     n = 4 * t - 5
+    check_size(n, t)
     size_a = 2 * t - 2
     members = [[(0, 0)] * t for _ in range(n)]
     for v in range(n):
@@ -153,6 +156,7 @@ def construct_partition_coloring(n: int, t: int) -> TIntervalFamily:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if t > n:
         raise InputError(f"need t <= n, got n={n}, t={t}")
+    check_size(n, t)
     base = n // t
     extra = n % t
     part_of = []
@@ -247,18 +251,29 @@ def random_interval_family(
     ``anchor`` is the fraction of members per track forced to contain a
     common track anchor point, which raises the chance of k-wise
     intersection.  When ``k`` is given the draw repeats up to ``_RETRIES``
-    (40) times until ``is_kwise_intersecting`` holds; the second return value
-    reports whether the final family passed (an exhausted budget is
-    reported, not raised).
+    (40) times until the derived coloring is a (t,k)-coloring, which by
+    the Helly property of intervals means the family is k-wise
+    intersecting; the second return value reports whether the final family
+    passed (an exhausted budget is reported, not raised).
     """
+    fam, ok, _col = _draw_intervals(n, t, seed, anchor, k)
+    return fam, ok
+
+
+def _draw_intervals(
+    n: int, t: int, seed: int, anchor: float, k: int | None
+) -> tuple[TIntervalFamily, bool, MultiColoring | None]:
+    """``random_interval_family`` plus the coloring its last draw was
+    tested on (None when ``k`` is None and no draw was tested), so an
+    accepted family is built once."""
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if not (0.0 <= anchor <= 1.0):
         raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
+    check_size(n, t)
     high = 3 * n
     max_len = max(2, n)
     rng = random.Random(seed)
-    fam = None
     for _ in range(_RETRIES if k is not None else 1):
         members = [[(0, 0)] * t for _ in range(n)]
         for i in range(t):
@@ -274,9 +289,12 @@ def random_interval_family(
                     hi = lo + rng.randint(0, max_len)
                 members[v][i] = (lo, hi)
         fam = TIntervalFamily(t, members)
-        if k is None or is_kwise_intersecting(fam, k):
-            return fam, True
-    return fam, False
+        if k is None:
+            return fam, True, None
+        col = coloring_from_intervals(fam)
+        if is_tk_coloring(col, k)[0]:
+            return fam, True, col
+    return fam, False, col
 
 
 def _random_tree(rng: random.Random, h: int) -> list[tuple[int, int]]:
@@ -316,6 +334,21 @@ def random_subtree_family(
     a shared vertex.  Rejection sampling against the induced coloring as in
     ``random_interval_family``.
     """
+    fam, ok, _col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
+    return fam, ok
+
+
+def _draw_subtrees(
+    n: int,
+    t: int,
+    seed: int,
+    host_size: int,
+    max_size: int | None,
+    anchor: float,
+    k: int | None,
+) -> tuple[TSubtreeFamily, bool, MultiColoring | None]:
+    """``random_subtree_family`` plus the coloring its last draw was tested
+    on, as ``_draw_intervals``."""
     if n < 1 or t < 1 or host_size < 1:
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
@@ -326,8 +359,12 @@ def random_subtree_family(
         raise InputError(
             f"need 1 <= max_size <= host_size, got {max_size} of {host_size}"
         )
+    check_size(n, t)
+    if host_size > MAX_VERTICES:
+        raise InputError(
+            f"host_size={host_size} exceeds the limit of {MAX_VERTICES} vertices"
+        )
     rng = random.Random(seed)
-    fam = None
     for _ in range(_RETRIES if k is not None else 1):
         host_edges = _random_tree(rng, host_size)
         adj: list[list[int]] = [[] for _ in range(host_size)]
@@ -348,8 +385,8 @@ def random_subtree_family(
             members.append(tracks)
         fam = TSubtreeFamily(host_edges, t, members)
         if k is None:
-            return fam, True
-        ok, _ = is_tk_coloring(coloring_from_subtrees(fam), k)
-        if ok:
-            return fam, True
-    return fam, False
+            return fam, True, None
+        col = coloring_from_subtrees(fam)
+        if is_tk_coloring(col, k)[0]:
+            return fam, True, col
+    return fam, False, col

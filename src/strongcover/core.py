@@ -19,9 +19,27 @@ from itertools import chain
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, is_clique_mask, mask_of
+from .graphs import Graph, bits, is_clique_mask
 
 Edge = tuple[int, int]
+
+# Largest coloring accepted.  The rows take n*t slots before any edge is
+# read, so a few bytes of document could otherwise ask for gigabytes; the
+# limits are checked first.  A dense coloring at the slot limit holds at
+# most MAX_SLOTS * MAX_VERTICES / 8 bytes = 512 MiB of row bits.
+MAX_VERTICES = 1 << 14
+MAX_COLORS = 1 << 10
+MAX_SLOTS = 1 << 18
+
+
+def check_size(n: int, t: int) -> None:
+    """InputError unless n vertices and t colors are within the limits."""
+    if n > MAX_VERTICES:
+        raise InputError(f"n={n} exceeds the limit of {MAX_VERTICES} vertices")
+    if t > MAX_COLORS:
+        raise InputError(f"t={t} exceeds the limit of {MAX_COLORS} colors")
+    if n * t > MAX_SLOTS:
+        raise InputError(f"n*t={n * t} exceeds the limit of {MAX_SLOTS} row slots")
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -138,6 +156,7 @@ class MultiColoring:
             raise InputError(f"n must be nonnegative, got {n}")
         if t < 1:
             raise InputError(f"t must be positive, got {t}")
+        check_size(n, t)
         self.n = n
         self.t = t
         self.rows: list[list[int]] = [[0] * n for _ in range(t)]
@@ -186,13 +205,15 @@ class MultiColoring:
             raise InputError(f"n must be nonnegative, got {self.n}")
         if self.t < 1 or len(self.rows) != self.t:
             raise InputError(f"t must be positive and match the rows, got {self.t}")
-        full = (1 << self.n) - 1
+        n = self.n
         for row in self.rows:
-            if len(row) != self.n:
-                raise InputError(f"color row has {len(row)} entries for n={self.n}")
+            if len(row) != n:
+                raise InputError(f"color row has {len(row)} entries for n={n}")
+            bit = 1
             for v, r in enumerate(row):
-                if r & ~full or r >> v & 1:
+                if r >> n or r & bit:
                     raise InputError(f"vertex {v} has a bad adjacency row")
+                bit <<= 1
 
     @classmethod
     def from_edges(
@@ -369,42 +390,70 @@ class TSubtreeFamily:
 
     @property
     def host_size(self) -> int:
-        h = 0
-        for u, v in self.host_edges:
-            h = max(h, u + 1, v + 1)
-        for tracks in self.members:
-            for s in tracks:
-                for v in s:
-                    h = max(h, v + 1)
-        return h
-
-    def host_graph(self) -> Graph:
-        return Graph(self.host_size, self.host_edges)
+        """One more than the largest vertex of a host edge or subtree."""
+        ends = chain.from_iterable(self.host_edges)
+        vertices = chain.from_iterable(chain.from_iterable(self.members))
+        return max(0, 1 + max(chain(ends, vertices), default=-1))
 
     def validate(self) -> None:
+        self._rooted()
+
+    def _rooted(self) -> tuple[list[int], list[list[int]]]:
+        """Check the family with its host rooted at 0.
+
+        Returns the depth of every host vertex and, per member, the top
+        vertex (the one nearest the root) of each of its subtrees.  One BFS
+        of the host gives every vertex its parent; a vertex set of a tree is
+        connected iff exactly one of its vertices has its parent outside
+        the set, and that vertex is its top, so each subtree is checked in
+        O(|s|).
+        """
         if self.t < 1:
             raise InputError(f"t must be positive, got {self.t}")
         # the edge count comes first: it bounds the host by the document
         h = self.host_size
         if h > 0 and len(self.host_edges) != h - 1:
             raise InputError("host is not a tree")
-        host = self.host_graph()
-        if not host.is_connected():
+        host = Graph(h, self.host_edges)
+        parent = [-1] * h
+        depth = [0] * h
+        seen = 1 if h else 0
+        frontier = [0] if h else []
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in bits(host.adj[u] & ~seen):
+                    seen |= 1 << v
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+            frontier = nxt
+        if seen != host.full_mask():
             raise InputError("host is not a tree")
+        tops = []
         for idx, tracks in enumerate(self.members):
             if len(tracks) != self.t:
                 raise InputError(
                     f"member {idx} has {len(tracks)} subtree(s), expected {self.t}"
                 )
+            mine = []
             for s in tracks:
                 if not s:
                     raise InputError(f"member {idx}: empty subtree")
                 start = min(s)
                 if start < 0:
                     raise InputError(f"member {idx}: negative subtree vertex {start}")
-                mask = mask_of(s)
-                if host.component_mask(start, mask) != mask:
-                    raise InputError(f"member {idx}: subtree vertices not connected")
+                top = -1
+                for x in s:
+                    if parent[x] not in s:
+                        if top >= 0:
+                            raise InputError(
+                                f"member {idx}: subtree vertices not connected"
+                            )
+                        top = x
+                mine.append(top)
+            tops.append(mine)
+        return depth, tops
 
     def to_dict(self) -> dict:
         return {
@@ -525,9 +574,8 @@ def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
     Per track, each host vertex gets the mask of members whose subtree
     holds it; a member's row is the OR of those masks over its subtree.
     """
-    fam.validate()
+    h = len(fam._rooted()[0])
     col = MultiColoring(fam.n, fam.t)
-    h = fam.host_size
     for i, row in enumerate(col.rows):
         holders = [0] * h
         for v, tracks in enumerate(fam.members):
@@ -539,6 +587,29 @@ def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
                 meets |= holders[x]
             row[v] = meets ^ 1 << v
     return col
+
+
+def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
+    """One perfect elimination ordering per color of a family's coloring.
+
+    Interval tracks: the members by right end (Fulkerson and Gross 1965);
+    a member's later neighbors all contain its right end, so they pairwise
+    meet.  Subtree tracks: the members by the depth of their subtree's top
+    vertex, deepest first, with the host rooted at 0 (Gavril 1974); a later
+    neighbor's top is no deeper, so it contains the member's top.  The
+    family is validated as ``coloring_from_*`` validate it.
+    """
+    if isinstance(fam, TSubtreeFamily):
+        depth, tops = fam._rooted()
+        return [
+            sorted(range(fam.n), key=[-depth[top[i]] for top in tops].__getitem__)
+            for i in range(fam.t)
+        ]
+    fam.validate()
+    return [
+        sorted(range(fam.n), key=[tracks[i][1] for tracks in fam.members].__getitem__)
+        for i in range(fam.t)
+    ]
 
 
 def is_tk_coloring(

@@ -10,46 +10,65 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructions import random_interval_family, random_subtree_family
-from .core import MultiColoring, coloring_from_intervals, coloring_from_subtrees
+from .constructions import (
+    _draw_intervals,
+    _draw_subtrees,
+    random_interval_family,
+    random_subtree_family,
+)
+from .core import (
+    MultiColoring,
+    TIntervalFamily,
+    TSubtreeFamily,
+    coloring_from_intervals,
+    coloring_from_subtrees,
+    family_peos,
+)
 from .errors import GuaranteeError, InputError
 from .graphs import Graph
 
 
 class ColoringInstance(NamedTuple):
-    """A named coloring together with the k level it is guaranteed to meet."""
+    """A named coloring together with the k level it is guaranteed to meet.
+
+    A family-derived instance also carries its family and one perfect
+    elimination ordering per color (``family_peos``), so the covers check
+    its chordality in O(n) mask steps instead of searching for it.
+    """
 
     name: str
     coloring: MultiColoring
     t: int
     k: int
+    peos: list[list[int]] | None = None
+    family: TIntervalFamily | TSubtreeFamily | None = None
 
 
 def _interval_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float
 ) -> ColoringInstance:
-    fam, ok = random_interval_family(n, t, seed, anchor=anchor, k=k)
+    fam, ok, col = _draw_intervals(n, t, seed, anchor, k)
     if not ok:
-        fam, ok = random_interval_family(n, t, seed, anchor=1.0, k=k)
+        fam, ok, col = _draw_intervals(n, t, seed, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored interval family failed k-wise intersection", name
         )
-    return ColoringInstance(name, coloring_from_intervals(fam), t, k)
+    return ColoringInstance(name, col, t, k, family_peos(fam), fam)
 
 
 def _subtree_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float, host_size: int
 ) -> ColoringInstance:
-    kwargs = dict(host_size=host_size, max_size=min(4, host_size), k=k)
-    fam, ok = random_subtree_family(n, t, seed, anchor=anchor, **kwargs)
+    max_size = min(4, host_size)
+    fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
     if not ok:
-        fam, ok = random_subtree_family(n, t, seed, anchor=1.0, **kwargs)
+        fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored subtree family failed k-wise intersection", name
         )
-    return ColoringInstance(name, coloring_from_subtrees(fam), t, k)
+    return ColoringInstance(name, col, t, k, family_peos(fam), fam)
 
 
 def seeded_tk_instance(

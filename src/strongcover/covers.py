@@ -11,10 +11,18 @@ integer checks on the greedy trace.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _kernels as kernels
-from .chordal import _max_clique_within, clique_cutset, induced_c4_free, is_chordal
+from .chordal import (
+    ChordalCertificate,
+    _max_clique_within,
+    _require_peo,
+    clique_cutset,
+    induced_c4_free,
+    is_chordal,
+)
 from .core import (
     MultiColoring,
     StrongCover,
@@ -50,15 +58,45 @@ class GreedyTrace:
         }
 
 
-def _chordal_certificates(col: MultiColoring) -> list[tuple[Graph, list[int]]]:
+Peos = list[list[int]]
+
+
+def _given(col: MultiColoring, peos: Peos, i: int) -> Graph:
+    """Color i's graph, after checking that ``peos[i - 1]`` is a PEO of
+    it in O(n) mask steps; InputError if it is not."""
+    if len(peos) != col.t:
+        raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
+    g = col.color_graph(i)
+    _require_peo(g, peos[i - 1])
+    return g
+
+
+def color_certificates(
+    col: MultiColoring, peos: Peos | None = None
+) -> Iterator[tuple[Graph, ChordalCertificate]]:
+    """Each color graph with its chordality certificate, in color order 1..t.
+
+    Given orderings (one per color, as ``family_peos`` makes them) are
+    checked and become the certificates; without them maximum cardinality
+    search decides each color.
+    """
+    for i in range(1, col.t + 1):
+        if peos is None:
+            g = col.color_graph(i)
+            yield g, is_chordal(g)
+        else:
+            yield _given(col, peos, i), ChordalCertificate(peo=peos[i - 1])
+
+
+def _chordal_certificates(
+    col: MultiColoring, peos: Peos | None = None
+) -> list[tuple[Graph, list[int]]]:
     """Each color graph with one PEO, in color order 1..t.
 
     Raises PreconditionError with the hole of the first non-chordal color.
     """
     out = []
-    for i in range(1, col.t + 1):
-        g = col.color_graph(i)
-        cert = is_chordal(g)
+    for i, (g, cert) in enumerate(color_certificates(col, peos), start=1):
         if not cert.is_chordal:
             raise PreconditionError(
                 f"color {i} graph is not chordal", witness=(i, cert.hole)
@@ -67,16 +105,34 @@ def _chordal_certificates(col: MultiColoring) -> list[tuple[Graph, list[int]]]:
     return out
 
 
+def induced_c4s(
+    col: MultiColoring, peos: Peos | None = None
+) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Each color with the lexicographically first induced 4-cycle of its
+    graph, or None.  A color with a given ordering is chordal once the
+    ordering is checked, so it has no induced 4-cycle and is not scanned."""
+    for i in range(1, col.t + 1):
+        if peos is None:
+            yield i, induced_c4_free(col.color_graph(i))[1]
+        else:
+            _given(col, peos, i)
+            yield i, None
+
+
 def greedy_strong_cover(
-    col: MultiColoring, order: tuple[int, ...] | None = None
+    col: MultiColoring,
+    order: tuple[int, ...] | None = None,
+    *,
+    peos: Peos | None = None,
 ) -> tuple[StrongCover, GreedyTrace]:
     """Sweep the colors in the given order, each time removing a maximum
     clique of that color's graph restricted to the still-uncovered vertices.
 
     Every color graph must be chordal.  On a (t,k)-coloring the total
     covered is at least (k-1) n / (k+1) whatever the order.  Each color's
-    PEO is computed once, as its chordality certificate, and reused by
-    every step.
+    PEO, given in ``peos`` (checked) or else found by maximum cardinality
+    search, is the chordality certificate and is reused by every step; the
+    cover does not depend on which PEO a color has.
     """
     col.validate()
     t = col.t
@@ -84,7 +140,7 @@ def greedy_strong_cover(
         order = tuple(range(1, t + 1))
     if sorted(order) != list(range(1, t + 1)):
         raise InputError(f"order {order} is not a permutation of 1..{t}")
-    certs = _chordal_certificates(col)
+    certs = _chordal_certificates(col, peos)
 
     remaining = (1 << col.n) - 1
     steps: list[GreedyStep] = []
@@ -289,7 +345,7 @@ def _mono_edge_colors(col: MultiColoring) -> set[int]:
     return out
 
 
-def strong_cover_33(col: MultiColoring) -> StrongCover:
+def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCover:
     """Cover all vertices of a chordal (3,3)-coloring with at most 3 cliques.
 
     Either some color has no edge carrying it alone, in which case the other
@@ -298,6 +354,7 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
     clique does it, otherwise a clique cutset Q splits the rest into A and B
     with no single-color-1 edge inside either, so A u B is two-clique
     coverable in the other two colors and Q rides along as the third clique.
+    Given ``peos`` are checked and stand in for the chordality search.
     """
     col.validate()
     if col.t != 3:
@@ -309,7 +366,7 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (3,3)-coloring; witness {witness}", witness=witness
         )
-    return _cover_33(col, _chordal_certificates(col))
+    return _cover_33(col, _chordal_certificates(col, peos))
 
 
 def _cover_33(
@@ -349,14 +406,15 @@ def _cover_33(
     return cover
 
 
-def strong_cover_tt(col: MultiColoring) -> StrongCover:
+def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCover:
     """Cover a chordal (t,t)-coloring with at most 2 (t even) or 3 (t odd)
     cliques.
 
     Some color pair must cover every edge when t is even; the pair scan
     runs first for odd t too, then a color triple whose restriction is a
     (3,3)-coloring is delegated to the three-color algorithm with the
-    triple's chordality certificates, which are computed once up front.
+    triple's chordality certificates, which are computed (or, with
+    ``peos``, checked) once up front.
     """
     col.validate()
     t = col.t
@@ -369,7 +427,7 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
         raise PreconditionError(
             f"not a (t,t)-coloring; witness {witness}", witness=witness
         )
-    certs = _chordal_certificates(col)
+    certs = _chordal_certificates(col, peos)
 
     full = (1 << col.n) - 1
     for i, j in itertools.combinations(range(1, t + 1), 2):
@@ -528,7 +586,9 @@ def grow_blowup(
     return [frozenset(bits(c)) for c in classes]
 
 
-def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
+def strong_cover_c4free_22(
+    col: MultiColoring, *, peos: Peos | None = None
+) -> StrongCover:
     """Two cliques covering at least ceil(4n/5) vertices of an induced-C4-free
     (2,2)-coloring.
 
@@ -537,7 +597,8 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     outside vertex sees all of it in a common color, splitting the outside
     into a red part R and a blue part B, and dropping the smallest class X_i
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
-    X_{i+1} u X_{i+4} u B.
+    X_{i+1} u X_{i+4} u B.  Colors with a given PEO (``peos``, checked)
+    are chordal, so their induced-C4 scan is skipped.
     """
     col.validate()
     if col.t != 2:
@@ -548,9 +609,8 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
             raise PreconditionError(
                 f"not a (2,2)-coloring; witness {witness}", witness=witness
             )
-    for i in (1, 2):
-        ok, witness = induced_c4_free(col.color_graph(i))
-        if not ok:
+    for i, witness in induced_c4s(col, peos):
+        if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",
                 witness=(i, witness),
