@@ -25,10 +25,30 @@ def first_tk_violation(n, k, color_adj):
     immediately.  At the last level a vertex completes a violation exactly
     when it lies in no alive color's common mask, so the lowest such vertex
     from the level's first candidate on is read off one OR of those masks.
+
+    Below the last level, a node whose remaining candidates are the pool
+    {v, ..., n-1} is skipped when some alive color is a clique on the pool
+    and its common mask holds the whole pool: the chosen vertices are a
+    clique in that color and joined in it to every pool vertex, so every
+    completion is a clique in that color.  ``start[c]`` is the least s such
+    that {s, ..., n-1} is a clique in color c (one backward pass per color),
+    so a color qualifies only when ``start[c] <= v``, and nodes with v below
+    every ``start`` skip the test.  Skipped subtrees hold no violation, so
+    the visit order and the witness are those of the unpruned scan; on a
+    passing input the scan no longer walks every (k-1)-prefix.
     """
     if k > n:
         return None
     full = (1 << n) - 1
+    start = []
+    for rows in color_adj:
+        s = n
+        pool = 0
+        while s and rows[s - 1] & pool == pool:
+            s -= 1
+            pool |= 1 << s
+        start.append(s)
+    lo = min(start, default=n)
     alive = list(range(len(color_adj)))
     common = [full] * len(alive)
     chosen = []
@@ -44,7 +64,13 @@ def first_tk_violation(n, k, color_adj):
             free = full & ~reach >> v << v
             if free:
                 return tuple(chosen) + ((free & -free).bit_length() - 1,)
-        elif v < n - (k - depth - 1):
+        elif v < n - (k - depth - 1) and not (
+            v >= lo
+            and any(
+                start[ci] <= v and cm >> v == full >> v
+                for ci, cm in zip(alive, common)
+            )
+        ):
             new_alive = []
             new_common = []
             for ci, cm in zip(alive, common):

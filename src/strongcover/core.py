@@ -224,14 +224,6 @@ class MultiColoring:
             col.add_colors(u, v, cs)
         return col
 
-    @classmethod
-    def complete(cls, n: int, t: int) -> "MultiColoring":
-        """Every edge carries every color."""
-        col = cls(n, t)
-        full = (1 << n) - 1
-        col.rows = [[full ^ (1 << v) for v in range(n)] for _ in range(t)]
-        return col
-
     def add_colors(self, u: int, v: int, colors: Iterable[int]) -> None:
         self._check_edge(u, v)
         add = self._color_mask(colors)
@@ -367,10 +359,17 @@ class TIntervalFamily:
         requires plain int endpoints."""
         t, raw = _fields(data, "interval family", t=int, members=list)
         members = []
+        # the checks are inlined so that the messages are formatted (by
+        # ``_list``) only for a member that fails them
         for idx, tracks in enumerate(raw):
-            what = f"member {idx}: an interval [lo, hi]"
-            tracks = _list(tracks, f"member {idx}")
-            members.append([tuple(_list(iv, what, 2)) for iv in tracks])
+            if not isinstance(tracks, _SEQ):
+                _list(tracks, f"member {idx}")
+            ivs = []
+            for iv in tracks:
+                if not isinstance(iv, _SEQ) or len(iv) != 2:
+                    _list(iv, f"member {idx}: an interval [lo, hi]", 2)
+                ivs.append(tuple(iv))
+            members.append(ivs)
         fam = cls(t, members)
         fam.validate()
         return fam

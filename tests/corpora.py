@@ -21,6 +21,14 @@ class SubstitutionCase(NamedTuple):
     size: int
 
 
+def complete_coloring(n: int, t: int) -> MultiColoring:
+    """K_n with every edge carrying every color."""
+    col = MultiColoring(n, t)
+    full = (1 << n) - 1
+    col.rows = [[full ^ (1 << v) for v in range(n)] for _ in range(t)]
+    return col
+
+
 _ANCHORS = (0.8, 0.9, 1.0)
 
 

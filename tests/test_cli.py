@@ -1,10 +1,12 @@
 """End-to-end tests of the command line front end via main(argv)."""
 
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongcover import _kernels as kernels
 from strongcover._kernels import first_tk_violation
@@ -143,6 +145,20 @@ class TestCheck:
         path = self.write(tmp_path, doc)
         code, out, err = run(capsys, ["check", path, "--tk", "2"])
         assert code == 2 and out == "" and "host is not a tree" in err
+
+    def test_tk5_on_anchored_family(self, capsys, monkeypatch):
+        # every color is complete, so the (5,5) scan stops at its root
+        # instead of walking C(100, 4) prefixes per color
+        argv = ["gen", "intervals", "--n", "100", "--t", "5",
+                "--anchor", "1.0", "--seed", "0"]
+        code, out, _err = run(capsys, argv)
+        assert code == 0
+        code, doc = run_json(
+            capsys, ["check", "-", "--tk", "5"], stdin_text=out,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0 and doc["pass"] is True
+        assert doc["checks"][0]["witness"] is None
 
     @pytest.mark.parametrize(
         "text",
@@ -427,3 +443,139 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err
+
+
+@st.composite
+def edges_documents(draw):
+    n = draw(st.integers(2, 7))
+    t = draw(st.integers(1, 3))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            cs = draw(st.lists(st.integers(1, t), max_size=t, unique=True))
+            if cs:
+                edges.append([u, v, cs])
+    return {"n": n, "t": t, "edges": edges}
+
+
+@st.composite
+def interval_documents(draw):
+    t = draw(st.integers(1, 3))
+    interval = st.tuples(st.integers(-3, 6), st.integers(0, 5)).map(
+        lambda p: [p[0], p[0] + p[1]]
+    )
+    tracks = st.lists(interval, min_size=t, max_size=t)
+    return {"t": t, "members": draw(st.lists(tracks, min_size=2, max_size=7))}
+
+
+@st.composite
+def subtree_documents(draw):
+    """A random host tree (each vertex hangs below a smaller one) and
+    subtrees grown down from a top vertex, so every document is valid."""
+    h = draw(st.integers(1, 7))
+    parent = [-1] + [draw(st.integers(0, v - 1)) for v in range(1, h)]
+    t = draw(st.integers(1, 3))
+
+    def subtree():
+        top = draw(st.integers(0, h - 1))
+        inside = {top}
+        for v in range(top + 1, h):
+            if parent[v] in inside and draw(st.booleans()):
+                inside.add(v)
+        return sorted(inside)
+
+    members = [
+        [subtree() for _ in range(t)] for _ in range(draw(st.integers(2, 7)))
+    ]
+    return {"host_edges": [[parent[v], v] for v in range(1, h)], "t": t,
+            "members": members}
+
+
+# stand-ins for a field or a number: out of range, of the wrong type, or
+# in range but changing the document's shape
+_ODD_VALUES = (-1, 0, 1, 2, 99, 2**70, 1.5, True, None, "x", [], {})
+
+
+@st.composite
+def instance_texts(draw):
+    """A valid edges, interval or subtree document, or one with a field of
+    the wrong type, one number replaced (a vertex or color out of range,
+    a float, a bool, ...), or its JSON text truncated."""
+    doc = draw(st.one_of(edges_documents(), interval_documents(),
+                         subtree_documents()))
+    fault = draw(st.sampled_from(("none", "none", "field", "leaf", "truncate")))
+    if fault == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(_ODD_VALUES))
+    elif fault == "leaf":
+        slots = []
+
+        def walk(node):
+            for i, item in enumerate(node):
+                if isinstance(item, list):
+                    walk(item)
+                else:
+                    slots.append((node, i))
+
+        walk([doc[key] for key in sorted(doc)])
+        if slots:
+            node, i = draw(st.sampled_from(slots))
+            node[i] = draw(st.sampled_from(_ODD_VALUES))
+    text = json.dumps(doc)
+    if fault == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+_COUNTS = st.sampled_from(("2", "3", "4", "-1", "0", "1", "9"))
+
+
+@st.composite
+def command_lines(draw):
+    if draw(st.booleans()):
+        argv = ["check", "-"]
+        if draw(st.booleans()):
+            argv += ["--tk", draw(_COUNTS)]
+        if draw(st.booleans()):
+            argv += ["--kfold", draw(_COUNTS)]
+        argv += [f for f in ("--chordal", "--c4free") if draw(st.booleans())]
+        return argv
+    algorithm = draw(st.sampled_from(("greedy", "t33", "tt", "c4free22", "exact")))
+    argv = ["cover", algorithm, "-"]
+    if draw(st.booleans()):
+        argv += ["--k", draw(_COUNTS)]
+    return argv
+
+
+def invoke(argv, text):
+    """main(argv) with ``text`` on stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_times(out):
+    if not out:
+        return out
+    doc = json.loads(out)
+    doc.pop("times")
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=command_lines(), text=instance_texts())
+def test_main_keeps_the_exit_code_contract(argv, text):
+    """Any document under any check or cover: exit 0, 1 or 2, no
+    traceback, and the same report on a second run."""
+    code, out, err = invoke(argv, text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (out == "") == (code == 2)
+    again = invoke(argv, text)
+    assert again[0] == code and again[2] == err
+    assert without_times(again[1]) == without_times(out)

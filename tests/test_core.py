@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from corpora import complete_coloring
 from strongcover.constructions import (
     construct_k5star,
     construct_onefourth,
@@ -48,7 +49,7 @@ class TestMultiColoring:
             MultiColoring(3, 2).add_colors(1, 1, [1])
 
     def test_complete(self):
-        col = MultiColoring.complete(4, 2)
+        col = complete_coloring(4, 2)
         assert kfold_min_colors(col) == 2
         assert col.is_clique_mask(col.vertex_mask(range(4)), 1)
 
@@ -188,7 +189,7 @@ class TestPredicates:
                 assert direct == oracles.kwise_intersecting(fam, k)
 
     def test_kfold_bounds(self):
-        assert kfold_min_colors(MultiColoring.complete(4, 3)) == 3
+        assert kfold_min_colors(complete_coloring(4, 3)) == 3
         assert kfold_min_colors(construct_k5star()) == 1
         sparse = MultiColoring(3, 2, {(0, 1): frozenset({1})})
         assert kfold_min_colors(sparse) == 0

@@ -11,6 +11,7 @@ from corpora import (
     chordal_33_corpus,
     chordal_tk_corpus,
     chordal_tt_corpus,
+    complete_coloring,
 )
 from strongcover.constructions import (
     BlowupSpec,
@@ -187,7 +188,7 @@ class TestExactSearch:
         assert exact_max_strong_cover(col).covered() == 6
 
     def test_size_guard(self):
-        col = MultiColoring.complete(6, 1)
+        col = complete_coloring(6, 1)
         with pytest.raises(SizeLimitError):
             exact_max_strong_cover(col, max_n=5)
         with pytest.raises(SizeLimitError):
@@ -203,7 +204,7 @@ class TestTheta:
     def test_known_values(self):
         assert theta(construct_k5star()) is None
         assert theta(construct_k4_two_paths()) == 2
-        assert theta(MultiColoring.complete(5, 2)) == 1
+        assert theta(complete_coloring(5, 2)) == 1
         assert theta(MultiColoring(1, 1)) == 1
         assert theta(MultiColoring(0, 1)) == 0
 

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from corpora import complete_coloring
 from strongcover import BACKEND
 from strongcover._kernels import find_induced_c4, first_tk_violation, maximal_cliques
 from strongcover.core import MultiColoring, is_tk_coloring
@@ -160,7 +161,14 @@ def test_first_tk_violation_edges():
 
 
 def test_first_tk_violation_depth_is_not_bounded_by_recursion():
-    assert is_tk_coloring(MultiColoring.complete(1100, 1), 1100) == (True, None)
+    assert is_tk_coloring(complete_coloring(1100, 1), 1100) == (True, None)
+    # without the edge (1098, 1099) no vertex suffix longer than one is a
+    # clique, so the scan walks about 1,099 levels down to the witness
+    col = complete_coloring(1100, 1)
+    col.rows[0][1098] ^= 1 << 1099
+    col.rows[0][1099] ^= 1 << 1098
+    assert is_tk_coloring(col, 1100) == (False, tuple(range(1100)))
+    assert is_tk_coloring(col, 1099) == (False, tuple(range(1097)) + (1098, 1099))
 
 
 def test_backend_name_is_reported():
@@ -186,3 +194,41 @@ def test_pure_first_tk_violation_matches_oracle_for_every_k():
         for k in range(2, n + 1):
             got = first_tk_violation(n, k, col.rows)
             assert got == oracles.first_tk_violation(col, k), (n, t, k)
+
+
+def suffix_complete_adj(rng, n, p):
+    """Random on a prefix and complete on a random vertex suffix; about half
+    of the prefix vertices are joined to the whole suffix."""
+    adj = random_adj(rng, n, p)
+    start = rng.randint(n // 3, n)
+    pool = (1 << n) - 1 >> start << start
+    for v in range(start, n):
+        adj[v] |= pool ^ 1 << v
+    for u in range(start):
+        if rng.random() < 0.5:
+            adj[u] |= pool
+            for v in range(start, n):
+                adj[v] |= 1 << u
+    return adj
+
+
+def test_first_tk_violation_matches_oracle_on_suffix_cliques():
+    """Colors that are cliques on a vertex suffix let the scan skip a
+    subtree in the middle of the walk, whether or not a violation exists."""
+    rng = random.Random(808)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        t = rng.randint(1, 4)
+        col = MultiColoring(n, t)
+        col.rows = [
+            suffix_complete_adj(rng, n, rng.choice((0.7, 0.9, 0.97)))
+            if rng.random() < 0.7 else random_adj(rng, n, 0.5)
+            for _ in range(t)
+        ]
+        for k in range(2, n + 2):
+            got = first_tk_violation(n, k, col.rows)
+            expected = oracles.first_tk_violation(col, k) if k <= n else None
+            assert got == expected, (n, t, k, col.rows)
+            seen.add(expected is None)
+    assert seen == {True, False}
