@@ -209,9 +209,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             ok,
             witness=sorted(witness) if witness else None,
         )
+    certs = None
     if args.chordal:
         with _Timed(report, "chordal"):
-            certs = color_certificates(col, peos)
+            certs = list(color_certificates(col, peos))
             holes = {
                 i: cert.hole
                 for i, (_g, cert) in enumerate(certs, start=1)
@@ -227,9 +228,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     if args.c4free:
         with _Timed(report, "c4free"):
+            if certs is None:
+                certs = color_certificates(col, peos)
             squares = {
                 i: list(square)
-                for i, square in induced_c4s(col, peos)
+                for i, square in induced_c4s(certs)
                 if square is not None
             }
         report.add_check(

@@ -200,7 +200,6 @@ def blow_up(col: MultiColoring, spec: BlowupSpec) -> MultiColoring:
     colors of the original edge.  Equivalent to iterating single-vertex
     clique substitutions.
     """
-    col.validate()
     spec.validate(col.n)
     offsets = [0]
     for s in spec.sizes:
@@ -353,6 +352,8 @@ def _draw_subtrees(
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
         )
+    if not (0.0 <= anchor <= 1.0):
+        raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
     if max_size is None:
         max_size = host_size
     if not (1 <= max_size <= host_size):

@@ -199,8 +199,9 @@ class MultiColoring:
 
     def validate(self) -> None:
         """Check the rows' shape in O(t n): t rows of n masks, no bit at or
-        beyond n, no self-loop.  Writes keep both endpoints' rows in step,
-        so symmetry holds by construction."""
+        beyond n, no self-loop.  Every writer of the package keeps this shape,
+        with both endpoints' rows in step, so no algorithm calls this: it
+        checks rows assigned by hand."""
         if self.n < 0:
             raise InputError(f"n must be nonnegative, got {self.n}")
         if self.t < 1 or len(self.rows) != self.t:
@@ -287,19 +288,23 @@ class MultiColoring:
         n, t, raw = _fields(data, "coloring", n=int, t=int, edges=list)
         col = cls(n, t)
         rows = col.rows
-        seen = set()
+        listed = [0] * n  # listed[u]: the v > u of the edges (u, v) read so far
         for item in raw:
-            u, v, cs = _list(item, "an edge [u, v, colors]", 3)
+            if not isinstance(item, _SEQ) or len(item) != 3:
+                _list(item, "an edge [u, v, colors]", 3)
+            u, v, cs = item
             if type(u) is not int or type(v) is not int or not isinstance(cs, _SEQ):
                 raise InputError(f"an edge must be [int, int, list], got {item!r}")
             if not u < v:
                 raise InputError(f"edge ({u},{v}) must satisfy u < v")
-            if (u, v) in seen:
-                raise InputError(f"edge ({u},{v}) listed twice")
-            seen.add((u, v))
             if u < 0 or v >= n:
                 raise InputError(f"bad edge ({u},{v}) for n={n}")
-            bu, bv = 1 << u, 1 << v
+            # a repeated edge passed the range check on its first listing
+            bv = 1 << v
+            if listed[u] & bv:
+                raise InputError(f"edge ({u},{v}) listed twice")
+            listed[u] |= bv
+            bu = 1 << u
             for c in cs:
                 if type(c) is not int or not 1 <= c <= t:
                     raise InputError(f"color {c!r} out of range 1..{t}")
@@ -475,12 +480,17 @@ class TSubtreeFamily:
                 raise InputError(f"host edge ends must be integers, got {u!r}, {v!r}")
             host_edges.append(edge_key(u, v))
         members = []
+        # as in TIntervalFamily.from_dict, a message is formatted only for a
+        # member that fails a check
         for idx, tracks in enumerate(raw):
-            what = f"member {idx}: a subtree"
-            sets = [_list(s, what) for s in _list(tracks, f"member {idx}")]
-            if not set(map(type, chain.from_iterable(sets))) <= {int}:
+            if not isinstance(tracks, _SEQ):
+                _list(tracks, f"member {idx}")
+            for s in tracks:
+                if not isinstance(s, _SEQ):
+                    _list(s, f"member {idx}: a subtree")
+            if not set(map(type, chain.from_iterable(tracks))) <= {int}:
                 raise InputError(f"member {idx}: subtree vertices must be integers")
-            members.append([frozenset(s) for s in sets])
+            members.append([frozenset(s) for s in tracks])
         fam = cls(host_edges, t, members)
         fam.validate()
         return fam
@@ -619,7 +629,6 @@ def is_tk_coloring(
     Returns (True, None) or (False, witness) with the lexicographically
     first violating k-subset.
     """
-    col.validate()
     if not (2 <= k <= col.n):
         raise InputError(f"need 2 <= k <= n, got k={k}, n={col.n}")
     witness = kernels.first_tk_violation(col.n, k, col.rows)
@@ -651,7 +660,6 @@ def count_layers(masks: Iterable[int], top: int) -> list[int]:
 
 def kfold_min_colors(col: MultiColoring) -> int:
     """Minimum number of colors carried by any edge."""
-    col.validate()
     n = col.n
     if n < 2:
         raise InputError(f"need at least two vertices, got n={n}")
@@ -669,7 +677,6 @@ def kfold_min_colors(col: MultiColoring) -> int:
 
 def verify_cover(col: MultiColoring, cov: StrongCover) -> CoverReport:
     """Check that each assigned set is a clique in its color; count coverage."""
-    col.validate()
     seen = 0
     valid = True
     for c, s in cov.assignments.items():

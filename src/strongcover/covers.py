@@ -11,7 +11,7 @@ integer checks on the greedy trace.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import _kernels as kernels
@@ -61,31 +61,25 @@ class GreedyTrace:
 Peos = list[list[int]]
 
 
-def _given(col: MultiColoring, peos: Peos, i: int) -> Graph:
-    """Color i's graph, after checking that ``peos[i - 1]`` is a PEO of
-    it in O(n) mask steps; InputError if it is not."""
-    if len(peos) != col.t:
-        raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
-    g = col.color_graph(i)
-    _require_peo(g, peos[i - 1])
-    return g
-
-
 def color_certificates(
     col: MultiColoring, peos: Peos | None = None
 ) -> Iterator[tuple[Graph, ChordalCertificate]]:
     """Each color graph with its chordality certificate, in color order 1..t.
 
     Given orderings (one per color, as ``family_peos`` makes them) are
-    checked and become the certificates; without them maximum cardinality
-    search decides each color.
+    checked in O(n) mask steps and become the certificates, InputError if
+    one is not a PEO; without them maximum cardinality search decides each
+    color.
     """
+    if peos is not None and len(peos) != col.t:
+        raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
     for i in range(1, col.t + 1):
+        g = col.color_graph(i)
         if peos is None:
-            g = col.color_graph(i)
             yield g, is_chordal(g)
         else:
-            yield _given(col, peos, i), ChordalCertificate(peo=peos[i - 1])
+            _require_peo(g, peos[i - 1])
+            yield g, ChordalCertificate(peo=peos[i - 1])
 
 
 def _chordal_certificates(
@@ -106,17 +100,13 @@ def _chordal_certificates(
 
 
 def induced_c4s(
-    col: MultiColoring, peos: Peos | None = None
+    certs: Iterable[tuple[Graph, ChordalCertificate]],
 ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Each color with the lexicographically first induced 4-cycle of its
-    graph, or None.  A color with a given ordering is chordal once the
-    ordering is checked, so it has no induced 4-cycle and is not scanned."""
-    for i in range(1, col.t + 1):
-        if peos is None:
-            yield i, induced_c4_free(col.color_graph(i))[1]
-        else:
-            _given(col, peos, i)
-            yield i, None
+    """Each color of ``color_certificates`` with the lexicographically first
+    induced 4-cycle of its graph, or None.  A color with a PEO is chordal,
+    so it has no induced 4-cycle and only colors with a hole are scanned."""
+    for i, (g, cert) in enumerate(certs, start=1):
+        yield i, None if cert.is_chordal else induced_c4_free(g)[1]
 
 
 def greedy_strong_cover(
@@ -134,7 +124,6 @@ def greedy_strong_cover(
     search, is the chordality certificate and is reused by every step; the
     cover does not depend on which PEO a color has.
     """
-    col.validate()
     t = col.t
     if order is None:
         order = tuple(range(1, t + 1))
@@ -210,7 +199,6 @@ def _search_space(col: MultiColoring, max_n: int) -> tuple[list[list[int]], list
     """Per-color maximal clique masks for the exhaustive searches, and
     ``suffix_best[i]``, the sum of the largest clique sizes of the colors
     after the first i: a bound on what those colors can still cover."""
-    col.validate()
     if col.n > max_n:
         raise SizeLimitError(
             f"n={col.n} exceeds the exhaustive search bound {max_n}"
@@ -311,7 +299,6 @@ def two_clique_cover_exact(
     found in deterministic order (fewest cliques, then lexicographic), or
     None when no such cover exists.  Over 40 vertices raise SizeLimitError.
     """
-    col.validate()
     ci, cj = colors
     if ci == cj or not (1 <= ci <= col.t and 1 <= cj <= col.t):
         raise InputError(f"bad color pair {colors}")
@@ -356,7 +343,6 @@ def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     coverable in the other two colors and Q rides along as the third clique.
     Given ``peos`` are checked and stand in for the chordality search.
     """
-    col.validate()
     if col.t != 3:
         raise PreconditionError(f"need exactly 3 colors, got t={col.t}")
     if col.n < 3:
@@ -416,7 +402,6 @@ def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     triple's chordality certificates, which are computed (or, with
     ``peos``, checked) once up front.
     """
-    col.validate()
     t = col.t
     if t < 2:
         raise PreconditionError(f"need t >= 2, got t={t}")
@@ -476,7 +461,6 @@ def find_k5star(
     one mask formula: it must be red-joined to the two chosen vertices of
     red degree one and blue-joined to the two of red degree two.
     """
-    col.validate()
     if red == blue or not (1 <= red <= col.t and 1 <= blue <= col.t):
         raise InputError(f"bad color pair ({red}, {blue})")
     reds = col.rows[red - 1]
@@ -540,7 +524,6 @@ def grow_blowup(
     far classes blue only.  Vertices are absorbed in increasing order until
     a full pass absorbs nothing.
     """
-    col.validate()
     if len(set(seed)) != 5:
         raise InputError("seed must be five distinct vertices")
     if not _is_k5star(col, tuple(sorted(seed)), red, blue):
@@ -597,10 +580,10 @@ def strong_cover_c4free_22(
     outside vertex sees all of it in a common color, splitting the outside
     into a red part R and a blue part B, and dropping the smallest class X_i
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
-    X_{i+1} u X_{i+4} u B.  Colors with a given PEO (``peos``, checked)
-    are chordal, so their induced-C4 scan is skipped.
+    X_{i+1} u X_{i+4} u B.  Each color's chordality certificate comes
+    first, from ``peos`` (checked) or maximum cardinality search; a color
+    with a PEO is chordal, so its induced-C4 scan is skipped.
     """
-    col.validate()
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
     if col.n >= 2:
@@ -609,7 +592,7 @@ def strong_cover_c4free_22(
             raise PreconditionError(
                 f"not a (2,2)-coloring; witness {witness}", witness=witness
             )
-    for i, witness in induced_c4s(col, peos):
+    for i, witness in induced_c4s(color_certificates(col, peos)):
         if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",

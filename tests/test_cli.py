@@ -70,6 +70,14 @@ class TestGen:
             main(["gen", "nonsense"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("construction", ["intervals", "subtrees"])
+    @pytest.mark.parametrize("anchor", ["2", "-1", "nan"])
+    def test_anchor_outside_the_unit_interval_is_usage_error(
+        self, capsys, construction, anchor
+    ):
+        code, out, err = run(capsys, ["gen", construction, "--anchor", anchor])
+        assert code == 2 and out == "" and "anchor fraction must be in [0,1]" in err
+
 
 class TestCheck:
     def write(self, tmp_path, doc):
@@ -553,7 +561,10 @@ def invoke(argv, text):
     sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the command line
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -579,3 +590,64 @@ def test_main_keeps_the_exit_code_contract(argv, text):
     again = invoke(argv, text)
     assert again[0] == code and again[2] == err
     assert without_times(again[1]) == without_times(out)
+
+
+# small, negative, and just over the size limits (16,384 vertices, 1,024 colors)
+_SMALL = ("-1", "0", "1", "2", "3", "5")
+_VERTICES = st.sampled_from(_SMALL + ("16385",))
+_COLORS = st.sampled_from(_SMALL + ("1025",))
+_ANCHORS = st.sampled_from(("0", "0.5", "0.9", "1", "nan", "inf", "-1", "2", "x"))
+
+
+@st.composite
+def gen_command_lines(draw):
+    argv = ["gen", draw(st.sampled_from((
+        "subtrees", "intervals", "partition", "onefourth", "k5star", "k4paths",
+        "k8c4free",
+    )))]
+    for flag, values in (
+        ("--n", _VERTICES),
+        ("--t", _COLORS),
+        ("--k", st.sampled_from(_SMALL)),
+        ("--seed", st.sampled_from(("-1", "0", "7", "99999999999"))),
+        ("--host-size", _VERTICES),
+        ("--anchor", _ANCHORS),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def verify_command_lines(draw):
+    argv = ["verify", draw(st.sampled_from(("lower", "t33", "tt", "c4free22",
+                                            "constructions")))]
+    argv += ["--samples", draw(st.sampled_from(("-1", "0", "1", "2")))]
+    for flag, values in (
+        ("--n", _VERTICES),
+        ("--t", _COLORS),
+        ("--k", st.sampled_from(_SMALL)),
+        ("--seed", st.sampled_from(("-1", "0", "7"))),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=st.one_of(gen_command_lines(), verify_command_lines()))
+def test_gen_and_verify_keep_the_exit_code_contract(argv):
+    """Any gen or verify command line: exit 0, 1 or 2 (argparse's refusal
+    counted as 2), no traceback, and the same output on a second run."""
+    code, out, err = invoke(argv, "")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert (out == "") == (code == 2)
+    if out:  # strict JSON: a NaN or an Infinity would be a silent coercion
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {argv}"))
+    again = invoke(argv, "")
+    assert again[0] == code and again[2] == err
+    if argv[0] == "gen":
+        assert again[1] == out
+    else:
+        assert without_times(again[1]) == without_times(out)

@@ -283,6 +283,9 @@ class TestRandomGenerators:
             random_subtree_family(3, 1, 0, host_size=0)
         with pytest.raises(InputError):
             random_subtree_family(3, 1, 0, host_size=4, max_size=0)
+        for anchor in (2.0, -1.0, float("nan")):
+            with pytest.raises(InputError, match="anchor fraction"):
+                random_subtree_family(3, 1, 0, host_size=4, anchor=anchor)
 
     def test_full_anchor_gives_high_kfold(self):
         fam, _ = random_interval_family(5, 2, 9, anchor=1.0)

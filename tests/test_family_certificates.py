@@ -343,3 +343,76 @@ class TestSizeLimits:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and "exceeds the limit" in captured.err
+
+
+class TestCertifyOnce:
+    """One chordality certificate per color feeds both ``--chordal`` and
+    ``--c4free``; only a color whose certificate is a hole is scanned."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"mcs": [], "peo": [], "c4": []}
+        for module, name, key in (
+            (chordal, "mcs_order", "mcs"),
+            (chordal, "_check_peo", "peo"),
+            (kernels, "find_induced_c4", "c4"),
+        ):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, key=key):
+                seen[key].append(args[0] if key == "c4" else args[0].n)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return seen
+
+    def test_chordal_edges_document_runs_one_search_per_color(
+        self, calls, monkeypatch, capsys
+    ):
+        fam = TIntervalFamily.from_dict(_docs()["intervals"])
+        edges = coloring_from_intervals(fam).to_dict()
+        argv = ["check", "-", "--chordal", "--c4free"]
+        code, out, _ = run(argv, edges, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls["mcs"] == [40, 40, 40] and calls["c4"] == []
+
+    def test_c4free22_edges_document_runs_no_scan(self, calls, monkeypatch, capsys):
+        fam, ok = random_interval_family(30, 2, 3, anchor=0.9, k=2)
+        assert ok
+        edges = coloring_from_intervals(fam).to_dict()
+        code, out, _ = run(["cover", "c4free22", "-"], edges, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls["mcs"] == [30, 30] and calls["c4"] == []
+
+    @pytest.mark.parametrize("kind", ["intervals", "subtrees"])
+    def test_family_document_checks_each_order_once(
+        self, kind, calls, monkeypatch, capsys
+    ):
+        code, out, _ = run(
+            ["check", "-", "--chordal", "--c4free"], _docs()[kind], monkeypatch, capsys
+        )
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert calls == {"mcs": [], "peo": [40, 40, 40], "c4": []}
+
+    @pytest.mark.parametrize("name", ["square", "k5star-blowup"])
+    def test_non_chordal_colors_keep_their_witness(self, name, calls, monkeypatch, capsys):
+        if name == "square":
+            cycle = [(0, 1, [1]), (1, 2, [1]), (2, 3, [1]), (0, 3, [1])]
+            col = MultiColoring.from_edges(4, 1, cycle)
+        else:
+            spec = constructions.BlowupSpec([2, 1, 3, 1, 2])
+            col = constructions.blow_up(constructions.construct_k5star(), spec)
+        code, out, _ = run(
+            ["check", "-", "--chordal", "--c4free"], col.to_dict(), monkeypatch, capsys
+        )
+        chordal_check, c4_check = json.loads(out)["checks"]
+        assert code == 1 and chordal_check["pass"] is False
+        assert sorted(chordal_check["witness"]) == [str(c) for c in range(1, col.t + 1)]
+        squares = {
+            str(c): list(quad)
+            for c, row in enumerate(col.rows, start=1)
+            if (quad := oracles.first_induced_c4(col.n, row)) is not None
+        }
+        assert c4_check["witness"] == (squares or None)
+        assert c4_check["pass"] is (not squares)
+        assert calls["mcs"] == calls["c4"] == [col.n] * col.t
