@@ -33,22 +33,27 @@ def first_tk_violation(n, k, color_adj):
     completion is a clique in that color.  ``start[c]`` is the least s such
     that {s, ..., n-1} is a clique in color c (one backward pass per color),
     so a color qualifies only when ``start[c] <= v``, and nodes with v below
-    every ``start`` skip the test.  Skipped subtrees hold no violation, so
-    the visit order and the witness are those of the unpruned scan; on a
-    passing input the scan no longer walks every (k-1)-prefix.
+    every ``start`` skip the test (at k <= 2 the pass is skipped and no
+    node is tested).  Skipped subtrees hold no violation, so the visit
+    order and the witness are those of the unpruned scan; on a passing
+    input the scan no longer walks every (k-1)-prefix.
     """
     if k > n:
         return None
     full = (1 << n) - 1
     start = []
-    for rows in color_adj:
-        s = n
-        pool = 0
-        while s and rows[s - 1] & pool == pool:
-            s -= 1
-            pool |= 1 << s
-        start.append(s)
-    lo = min(start, default=n)
+    lo = n
+    # at k <= 2 the only level above the last is the root's, where a skip
+    # can only end the scan early: the O(t*n) pass would cost what it saves
+    if k > 2:
+        for rows in color_adj:
+            s = n
+            pool = 0
+            while s and rows[s - 1] & pool == pool:
+                s -= 1
+                pool |= 1 << s
+            start.append(s)
+        lo = min(start, default=n)
     alive = list(range(len(color_adj)))
     common = [full] * len(alive)
     chosen = []

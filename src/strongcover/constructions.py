@@ -12,6 +12,7 @@ vertices while preserving coloring classes and cover sizes.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import (
@@ -19,9 +20,9 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    _interval_rows,
+    _subtree_rows,
     check_size,
-    coloring_from_intervals,
-    coloring_from_subtrees,
     is_tk_coloring,
 )
 from .errors import InputError
@@ -236,6 +237,22 @@ def clique_substitute(col: MultiColoring, v: int, size: int) -> MultiColoring:
 _RETRIES = 40
 
 
+def _below(getrandbits: Callable[[int], int], m: int) -> int:
+    """A uniform draw from range(m), m >= 1, off ``getrandbits = rng.getrandbits``.
+
+    It makes the same ``getrandbits`` calls as CPython's
+    ``Random._randbelow_with_getrandbits``, through which ``randrange(m)``,
+    ``randint(a, a + m - 1)`` (``a + _below(...)``) and ``choice(seq)``
+    (``seq[_below(..., len(seq))]``) draw, so a generator written with it
+    consumes the same stream, without their argument checks and frames.
+    """
+    width = m.bit_length()
+    r = getrandbits(width)
+    while r >= m:
+        r = getrandbits(width)
+    return r
+
+
 def random_interval_family(
     n: int,
     t: int,
@@ -255,65 +272,78 @@ def random_interval_family(
     intersecting; the second return value reports whether the final family
     passed (an exhausted budget is reported, not raised).
     """
-    fam, ok, _col = _draw_intervals(n, t, seed, anchor, k)
+    fam, ok, _col, _peos = _draw_intervals(n, t, seed, anchor, k)
     return fam, ok
+
+
+def _interval_coloring(
+    los: list[list[int]], his: list[list[int]]
+) -> tuple[MultiColoring, list[list[int]]]:
+    """The coloring of one drawn interval family, given per track as
+    left-end and right-end arrays, and one PEO per color (the members by
+    right end)."""
+    col = MultiColoring(len(los[0]), len(los))
+    peos = []
+    for i, (track_los, track_his) in enumerate(zip(los, his)):
+        col.rows[i], by_hi = _interval_rows(track_los, track_his)
+        peos.append(by_hi)
+    return col, peos
 
 
 def _draw_intervals(
     n: int, t: int, seed: int, anchor: float, k: int | None
-) -> tuple[TIntervalFamily, bool, MultiColoring | None]:
+) -> tuple[TIntervalFamily, bool, MultiColoring | None, list[list[int]] | None]:
     """``random_interval_family`` plus the coloring its last draw was
-    tested on (None when ``k`` is None and no draw was tested), so an
-    accepted family is built once."""
+    tested on and that coloring's PEOs (both None when ``k`` is None and
+    no draw was tested), so an accepted family is built once.
+
+    Every draw makes the random calls ``random_interval_family`` has always
+    made, in the same order: per track ``randint(0, 3n)`` for the anchor
+    point, ``sample(range(n), round(anchor * n))`` for the anchored members,
+    then two ``randint`` per member; the ``randint`` calls go through
+    ``_below``.  A draw is held as endpoint arrays, which the sweep and the
+    (t,k) verdict read; a ``TIntervalFamily`` is built only for the draw
+    that is returned.
+    """
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if not (0.0 <= anchor <= 1.0):
         raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
     check_size(n, t)
-    high = 3 * n
-    max_len = max(2, n)
+    span = 3 * n + 1  # endpoints start in [0, 3n]
+    reach = max(2, n) + 1  # lengths in [0, max(2, n)]
+    n_anchored = round(anchor * n)
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    col = peos = None
+    ok = True
     for _ in range(_RETRIES if k is not None else 1):
-        members = [[(0, 0)] * t for _ in range(n)]
-        for i in range(t):
-            anchor_pt = rng.randint(0, high)
-            n_anchored = round(anchor * n)
+        los = []
+        his = []
+        for _i in range(t):
+            anchor_pt = _below(getrandbits, span)
             anchored = set(rng.sample(range(n), n_anchored))
+            track_los = []
+            track_his = []
             for v in range(n):
                 if v in anchored:
-                    lo = anchor_pt - rng.randint(0, max_len)
-                    hi = anchor_pt + rng.randint(0, max_len)
+                    track_los.append(anchor_pt - _below(getrandbits, reach))
+                    track_his.append(anchor_pt + _below(getrandbits, reach))
                 else:
-                    lo = rng.randint(0, high)
-                    hi = lo + rng.randint(0, max_len)
-                members[v][i] = (lo, hi)
-        fam = TIntervalFamily(t, members)
+                    lo = _below(getrandbits, span)
+                    track_los.append(lo)
+                    track_his.append(lo + _below(getrandbits, reach))
+            los.append(track_los)
+            his.append(track_his)
         if k is None:
-            return fam, True, None
-        col = coloring_from_intervals(fam)
-        if is_tk_coloring(col, k)[0]:
-            return fam, True, col
-    return fam, False, col
-
-
-def _random_tree(rng: random.Random, h: int) -> list[tuple[int, int]]:
-    """Uniform-attachment tree on h vertices."""
-    return [(rng.randrange(v), v) for v in range(1, h)]
-
-
-def _random_subtree(
-    rng: random.Random, adj: list[list[int]], root: int, size: int
-) -> frozenset[int]:
-    """Connected vertex set grown from the root by random frontier picks."""
-    chosen = {root}
-    frontier = sorted(set(adj[root]))
-    while len(chosen) < size and frontier:
-        v = rng.choice(frontier)
-        chosen.add(v)
-        frontier = sorted(
-            {u for c in chosen for u in adj[c]} - chosen
-        )
-    return frozenset(chosen)
+            break
+        col, peos = _interval_coloring(los, his)
+        ok = is_tk_coloring(col, k)[0]
+        if ok:
+            break
+    tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
+    fam = TIntervalFamily(t, [list(ivs) for ivs in zip(*tracks)])
+    return fam, ok, col, peos
 
 
 def random_subtree_family(
@@ -333,8 +363,19 @@ def random_subtree_family(
     a shared vertex.  Rejection sampling against the induced coloring as in
     ``random_interval_family``.
     """
-    fam, ok, _col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
+    fam, ok, _col, _peos = _draw_subtrees(
+        n, t, seed, host_size, max_size, anchor, k
+    )
     return fam, ok
+
+
+def _subtree_coloring(h: int, subtrees: list[list[list[int]]]) -> MultiColoring:
+    """The coloring of one drawn subtree family, given per track as one
+    host-vertex list per member."""
+    col = MultiColoring(len(subtrees[0]), len(subtrees))
+    for i, track in enumerate(subtrees):
+        col.rows[i] = _subtree_rows(h, track)
+    return col
 
 
 def _draw_subtrees(
@@ -345,9 +386,21 @@ def _draw_subtrees(
     max_size: int | None,
     anchor: float,
     k: int | None,
-) -> tuple[TSubtreeFamily, bool, MultiColoring | None]:
+) -> tuple[TSubtreeFamily, bool, MultiColoring | None, list[list[int]] | None]:
     """``random_subtree_family`` plus the coloring its last draw was tested
-    on, as ``_draw_intervals``."""
+    on and that coloring's PEOs, as ``_draw_intervals``.
+
+    Every draw makes the random calls ``random_subtree_family`` has always
+    made, in the same order: ``randrange(v)`` for the parent of each host
+    vertex v >= 1, ``randrange(host_size)`` for each track's hub, then per
+    member and track ``random()`` against ``anchor``, ``randrange`` for an
+    unanchored root, ``randint(1, max_size)`` for the size and one
+    ``choice`` from the sorted frontier per grown vertex; all but
+    ``random()`` go through ``_below``.  The host is held as adjacency
+    masks and a growing subtree's frontier as a mask, so the j-th element
+    of the sorted frontier is its j-th lowest set bit.  A ``TSubtreeFamily``
+    is built only for the draw that is returned.
+    """
     if n < 1 or t < 1 or host_size < 1:
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
@@ -365,29 +418,66 @@ def _draw_subtrees(
         raise InputError(
             f"host_size={host_size} exceeds the limit of {MAX_VERTICES} vertices"
         )
+    h = host_size
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    rand = rng.random
+    col = None
+    ok = True
     for _ in range(_RETRIES if k is not None else 1):
-        host_edges = _random_tree(rng, host_size)
-        adj: list[list[int]] = [[] for _ in range(host_size)]
-        for u, v in host_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        members = []
-        hubs = [rng.randrange(host_size) for _ in range(t)]
-        for _v in range(n):
-            tracks = []
+        # uniform attachment: vertex v hangs below a vertex p < v
+        parents = [_below(getrandbits, v) for v in range(1, h)]
+        adj = [0] * h
+        for v, p in enumerate(parents, start=1):
+            adj[p] |= 1 << v
+            adj[v] |= 1 << p
+        hubs = [_below(getrandbits, h) for _ in range(t)]
+        subtrees = [[[]] * n for _ in range(t)]
+        for v in range(n):
             for i in range(t):
-                if rng.random() < anchor:
+                if rand() < anchor:
                     root = hubs[i]
                 else:
-                    root = rng.randrange(host_size)
-                size = rng.randint(1, max_size)
-                tracks.append(_random_subtree(rng, adj, root, size))
-            members.append(tracks)
-        fam = TSubtreeFamily(host_edges, t, members)
+                    root = _below(getrandbits, h)
+                size = 1 + _below(getrandbits, max_size)
+                grown = [root]
+                chosen = 1 << root
+                frontier = adj[root]
+                while size > 1 and frontier:
+                    pick = frontier
+                    for _j in range(_below(getrandbits, pick.bit_count())):
+                        pick &= pick - 1
+                    x = (pick & -pick).bit_length() - 1
+                    grown.append(x)
+                    chosen |= 1 << x
+                    frontier = (frontier | adj[x]) & ~chosen
+                    size -= 1
+                subtrees[i][v] = grown
         if k is None:
-            return fam, True, None
-        col = coloring_from_subtrees(fam)
-        if is_tk_coloring(col, k)[0]:
-            return fam, True, col
-    return fam, False, col
+            break
+        col = _subtree_coloring(h, subtrees)
+        ok = is_tk_coloring(col, k)[0]
+        if ok:
+            break
+    fam = TSubtreeFamily(
+        [(p, v) for v, p in enumerate(parents, start=1)],
+        t,
+        [[frozenset(track[v]) for track in subtrees] for v in range(n)],
+    )
+    return fam, ok, col, None if col is None else _subtree_peos(parents, subtrees)
+
+
+def _subtree_peos(
+    parents: list[int], subtrees: list[list[list[int]]]
+) -> list[list[int]]:
+    """``family_peos`` of a drawn subtree family: every host edge joins a
+    vertex v to a parent p < v, so the top of a subtree (its vertex nearest
+    the root 0) is its least vertex, and a vertex lies one deeper than its
+    parent."""
+    depth = [0]
+    for p in parents:
+        depth.append(depth[p] + 1)
+    return [
+        sorted(range(len(track)), key=[-depth[min(s)] for s in track].__getitem__)
+        for track in subtrees
+    ]

@@ -547,54 +547,78 @@ class CoverReport:
     covered: int
 
 
+def _interval_rows(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
+    """One track's rows from its members' left and right ends, and the
+    members by right end (stably sorted, as ``family_peos`` orders them).
+
+    Member u meets exactly the members whose left end is at most u's right
+    end (a prefix of the members sorted by left end) and whose right end is
+    at least u's left end (a suffix of the members sorted by right end), so
+    each row is one prefix mask AND one suffix mask.
+    """
+    n = len(los)
+    by_lo = sorted(range(n), key=los.__getitem__)
+    by_hi = sorted(range(n), key=his.__getitem__)
+    sorted_los = [los[v] for v in by_lo]
+    sorted_his = [his[v] for v in by_hi]
+    prefix = [0] * (n + 1)  # prefix[j]: the j members with least left ends
+    for j, v in enumerate(by_lo):
+        prefix[j + 1] = prefix[j] | 1 << v
+    suffix = [0] * (n + 1)  # suffix[j]: by_hi[j:], the latest right ends
+    for j in range(n - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | 1 << by_hi[j]
+    rows = [
+        (prefix[bisect_right(sorted_los, hi)] & suffix[bisect_left(sorted_his, lo)])
+        ^ 1 << v
+        for v, lo, hi in zip(range(n), los, his)
+    ]
+    return rows, by_hi
+
+
 def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i intervals of u and v intersect.
 
-    A sweep per track: u meets exactly the members whose left end is at
-    most u's right end (a prefix of the members sorted by left end) and
-    whose right end is at least u's left end (a suffix of the members
-    sorted by right end), so each row is one prefix mask AND one suffix
-    mask.
+    One ``_interval_rows`` sweep per track.
     """
     fam.validate()
-    n = fam.n
-    col = MultiColoring(n, fam.t)
-    for i, row in enumerate(col.rows):
-        track = [tracks[i] for tracks in fam.members]
-        by_lo = sorted(range(n), key=lambda v: track[v][0])
-        by_hi = sorted(range(n), key=lambda v: track[v][1])
-        los = [track[v][0] for v in by_lo]
-        his = [track[v][1] for v in by_hi]
-        prefix = [0] * (n + 1)  # prefix[j]: the j members with least left ends
-        for j, v in enumerate(by_lo):
-            prefix[j + 1] = prefix[j] | 1 << v
-        suffix = [0] * (n + 1)  # suffix[j]: by_hi[j:], the latest right ends
-        for j in range(n - 1, -1, -1):
-            suffix[j] = suffix[j + 1] | 1 << by_hi[j]
-        for v, (lo, hi) in enumerate(track):
-            meets = prefix[bisect_right(los, hi)] & suffix[bisect_left(his, lo)]
-            row[v] = meets ^ 1 << v
+    col = MultiColoring(fam.n, fam.t)
+    for i in range(fam.t):
+        col.rows[i] = _interval_rows(
+            [tracks[i][0] for tracks in fam.members],
+            [tracks[i][1] for tracks in fam.members],
+        )[0]
     return col
+
+
+def _subtree_rows(h: int, subtrees: Sequence[Iterable[int]]) -> list[int]:
+    """One track's rows from its members' subtrees (host vertices below h).
+
+    Each host vertex gets the mask of members whose subtree holds it; a
+    member's row is the OR of those masks over its subtree.
+    """
+    holders = [0] * h
+    for v, s in enumerate(subtrees):
+        bit = 1 << v
+        for x in s:
+            holders[x] |= bit
+    rows = []
+    for v, s in enumerate(subtrees):
+        meets = 0
+        for x in s:
+            meets |= holders[x]
+        rows.append(meets ^ 1 << v)
+    return rows
 
 
 def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex.
 
-    Per track, each host vertex gets the mask of members whose subtree
-    holds it; a member's row is the OR of those masks over its subtree.
+    One ``_subtree_rows`` sweep per track.
     """
     h = len(fam._rooted()[0])
     col = MultiColoring(fam.n, fam.t)
-    for i, row in enumerate(col.rows):
-        holders = [0] * h
-        for v, tracks in enumerate(fam.members):
-            for x in tracks[i]:
-                holders[x] |= 1 << v
-        for v, tracks in enumerate(fam.members):
-            meets = 0
-            for x in tracks[i]:
-                meets |= holders[x]
-            row[v] = meets ^ 1 << v
+    for i in range(fam.t):
+        col.rows[i] = _subtree_rows(h, [tracks[i] for tracks in fam.members])
     return col
 
 

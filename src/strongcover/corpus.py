@@ -22,7 +22,6 @@ from .core import (
     TSubtreeFamily,
     coloring_from_intervals,
     coloring_from_subtrees,
-    family_peos,
 )
 from .errors import GuaranteeError, InputError
 from .graphs import Graph
@@ -32,8 +31,9 @@ class ColoringInstance(NamedTuple):
     """A named coloring together with the k level it is guaranteed to meet.
 
     A family-derived instance also carries its family and one perfect
-    elimination ordering per color (``family_peos``), so the covers check
-    its chordality in O(n) mask steps instead of searching for it.
+    elimination ordering per color (``family_peos``'s, handed out by the
+    draw), so the covers check its chordality in O(n) mask steps instead of
+    searching for it.
     """
 
     name: str
@@ -47,28 +47,28 @@ class ColoringInstance(NamedTuple):
 def _interval_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float
 ) -> ColoringInstance:
-    fam, ok, col = _draw_intervals(n, t, seed, anchor, k)
+    fam, ok, col, peos = _draw_intervals(n, t, seed, anchor, k)
     if not ok:
-        fam, ok, col = _draw_intervals(n, t, seed, 1.0, k)
+        fam, ok, col, peos = _draw_intervals(n, t, seed, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored interval family failed k-wise intersection", name
         )
-    return ColoringInstance(name, col, t, k, family_peos(fam), fam)
+    return ColoringInstance(name, col, t, k, peos, fam)
 
 
 def _subtree_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float, host_size: int
 ) -> ColoringInstance:
     max_size = min(4, host_size)
-    fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
+    fam, ok, col, peos = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
     if not ok:
-        fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
+        fam, ok, col, peos = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored subtree family failed k-wise intersection", name
         )
-    return ColoringInstance(name, col, t, k, family_peos(fam), fam)
+    return ColoringInstance(name, col, t, k, peos, fam)
 
 
 def seeded_tk_instance(

@@ -4,9 +4,12 @@ Everything here is a direct transcription of a definition: enumerate all
 subsets, check the property, return the first or best hit.  None of the
 package's algorithm modules are imported, so agreement between these
 oracles and the library is meaningful evidence.  Sizes are expected to be
-tiny (n <= 10 or so).
+tiny (n <= 10 or so).  The reference draws are the random generators'
+loops as first written, on the standard ``random`` calls, so they pin the
+random stream the generators consume.
 """
 
+import random
 from itertools import combinations
 
 
@@ -264,3 +267,70 @@ def first_k5star(col, red, blue):
         if ok and all(d == 2 for d in degree.values()):
             return vs
     return None
+
+
+def reference_interval_draw(n, t, seed, anchor, k, accepts):
+    """The rejection-sampling loop of ``random_interval_family`` as first
+    written, on ``randint`` and ``sample``: (members, ok) of the draw it
+    returns.  ``accepts(members)`` is the verdict on one draw; a draw is
+    retried up to 40 times when ``k`` is given."""
+    high = 3 * n
+    max_len = max(2, n)
+    rng = random.Random(seed)
+    for _ in range(40 if k is not None else 1):
+        members = [[(0, 0)] * t for _ in range(n)]
+        for i in range(t):
+            anchor_pt = rng.randint(0, high)
+            n_anchored = round(anchor * n)
+            anchored = set(rng.sample(range(n), n_anchored))
+            for v in range(n):
+                if v in anchored:
+                    lo = anchor_pt - rng.randint(0, max_len)
+                    hi = anchor_pt + rng.randint(0, max_len)
+                else:
+                    lo = rng.randint(0, high)
+                    hi = lo + rng.randint(0, max_len)
+                members[v][i] = (lo, hi)
+        if k is None:
+            return members, True
+        if accepts(members):
+            return members, True
+    return members, False
+
+
+def reference_subtree_draw(n, t, seed, host_size, max_size, anchor, k, accepts):
+    """The rejection-sampling loop of ``random_subtree_family`` as first
+    written, on ``randrange``, ``random``, ``randint`` and ``choice`` over a
+    sorted frontier: (host_edges, members, ok) of the draw it returns, with
+    ``accepts(host_edges, members)`` the verdict on one draw."""
+    if max_size is None:
+        max_size = host_size
+    rng = random.Random(seed)
+    for _ in range(40 if k is not None else 1):
+        host_edges = [(rng.randrange(v), v) for v in range(1, host_size)]
+        adj = [[] for _ in range(host_size)]
+        for u, v in host_edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        members = []
+        hubs = [rng.randrange(host_size) for _ in range(t)]
+        for _v in range(n):
+            tracks = []
+            for i in range(t):
+                if rng.random() < anchor:
+                    root = hubs[i]
+                else:
+                    root = rng.randrange(host_size)
+                size = rng.randint(1, max_size)
+                chosen = {root}
+                frontier = sorted(set(adj[root]))
+                while len(chosen) < size and frontier:
+                    chosen.add(rng.choice(frontier))
+                    frontier = sorted({u for c in chosen for u in adj[c]} - chosen)
+                tracks.append(frozenset(chosen))
+            members.append(tracks)
+        if k is None:
+            return host_edges, members, True
+        if accepts(host_edges, members):
+            return host_edges, members, True
+    return host_edges, members, False

@@ -1,6 +1,7 @@
 """Structural checks for the named constructions and random generators."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,9 @@ import oracles
 from strongcover.chordal import induced_c4_free, is_chordal
 from strongcover.constructions import (
     BlowupSpec,
+    _below,
+    _draw_intervals,
+    _draw_subtrees,
     blow_up,
     clique_substitute,
     construct_k4_two_paths,
@@ -21,8 +25,11 @@ from strongcover.constructions import (
     random_subtree_family,
 )
 from strongcover.core import (
+    TIntervalFamily,
+    TSubtreeFamily,
     coloring_from_intervals,
     coloring_from_subtrees,
+    family_peos,
     is_kwise_intersecting,
     is_tk_coloring,
     kfold_min_colors,
@@ -291,6 +298,97 @@ class TestRandomGenerators:
         fam, _ = random_interval_family(5, 2, 9, anchor=1.0)
         col = coloring_from_intervals(fam)
         assert kfold_min_colors(col) >= 1
+
+
+def intervals_meet(a, b):
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
+def subtrees_meet(a, b):
+    return not a.isdisjoint(b)
+
+
+class TestRandomStream:
+    """The draws behind ``random_*_family`` consume the random stream of the
+    reference loops in ``oracles``: the same family, verdict and coloring
+    for every argument set, exhausted budgets included."""
+
+    def test_below_is_randrange(self):
+        for m in range(1, 201):
+            ours, theirs = random.Random(m), random.Random(m)
+            seq = list(range(m))
+            for _ in range(5):
+                assert _below(ours.getrandbits, m) == theirs.randrange(m)
+                assert 3 + _below(ours.getrandbits, m) == theirs.randint(3, m + 2)
+                assert seq[_below(ours.getrandbits, m)] == theirs.choice(seq)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 47])
+    def test_interval_draws(self, n):
+        outcomes = set()
+        for t, k, anchor, seed in itertools.product(
+            range(1, 5), (None, 2, 3), (0.0, 0.5, 0.85, 1.0), range(6)
+        ):
+            if k is not None and k > n:
+                with pytest.raises(InputError):
+                    _draw_intervals(n, t, seed, anchor, k)
+                continue
+
+            def accepts(members):
+                col = coloring_from_intervals(TIntervalFamily(t, members))
+                return is_tk_coloring(col, k)[0]
+
+            members, ok = oracles.reference_interval_draw(
+                n, t, seed, anchor, k, accepts
+            )
+            fam, got_ok, col, peos = _draw_intervals(n, t, seed, anchor, k)
+            assert (fam.t, fam.members, got_ok) == (t, members, ok)
+            if k is None:
+                assert col is None and peos is None
+                continue
+            outcomes.add(ok)
+            assert col.rows == oracles.family_color_adjacency(
+                members, t, intervals_meet
+            )
+            assert peos == family_peos(fam)
+        if n >= 10:
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 47])
+    def test_subtree_draws(self, n):
+        outcomes = set()
+        for t, k, anchor, seed, (host_size, max_size) in itertools.product(
+            range(1, 5),
+            (None, 2, 3),
+            (0.0, 0.5, 0.85, 1.0),
+            range(6),
+            ((1, 1), (2, None), (6, 4), (9, 3)),
+        ):
+            args = (n, t, seed, host_size, max_size, anchor, k)
+            if k is not None and k > n:
+                with pytest.raises(InputError):
+                    _draw_subtrees(*args)
+                continue
+
+            def accepts(host_edges, members):
+                fam = TSubtreeFamily(host_edges, t, members)
+                return is_tk_coloring(coloring_from_subtrees(fam), k)[0]
+
+            host_edges, members, ok = oracles.reference_subtree_draw(*args, accepts)
+            fam, got_ok, col, peos = _draw_subtrees(*args)
+            assert (fam.host_edges, fam.t, fam.members, got_ok) == (
+                host_edges, t, members, ok
+            )
+            if k is None:
+                assert col is None and peos is None
+                continue
+            outcomes.add(ok)
+            assert col.rows == oracles.family_color_adjacency(
+                members, t, subtrees_meet
+            )
+            assert peos == family_peos(fam)
+        if n >= 10:
+            assert outcomes == {True, False}
 
 
 def test_all_cross_pairs_once_matches_pair_count():

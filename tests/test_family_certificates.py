@@ -288,7 +288,7 @@ class TestOneBuildPerDraw:
 
     @pytest.mark.parametrize("kind", ["interval", "subtree"])
     def test_accepted_draw_is_not_rebuilt(self, kind, monkeypatch):
-        build = "coloring_from_intervals" if kind == "interval" else "coloring_from_subtrees"
+        build = "_interval_coloring" if kind == "interval" else "_subtree_coloring"
         builds = self.count(monkeypatch, build)
         draws = self.count(monkeypatch, "is_tk_coloring")
         inst = corpus.seeded_tk_instance(kind, 12, 3, 3, 11)

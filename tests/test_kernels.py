@@ -214,9 +214,12 @@ def suffix_complete_adj(rng, n, p):
 
 def test_first_tk_violation_matches_oracle_on_suffix_cliques():
     """Colors that are cliques on a vertex suffix let the scan skip a
-    subtree in the middle of the walk, whether or not a violation exists."""
+    subtree in the middle of the walk, whether or not a violation exists.
+    At k = 2 the scan skips no node, and its witness is still the oracle's
+    on colorings with a complete suffix."""
     rng = random.Random(808)
     seen = set()
+    seen_k2 = set()
     for _ in range(300):
         n = rng.randint(2, 10)
         t = rng.randint(1, 4)
@@ -231,4 +234,8 @@ def test_first_tk_violation_matches_oracle_on_suffix_cliques():
             expected = oracles.first_tk_violation(col, k) if k <= n else None
             assert got == expected, (n, t, k, col.rows)
             seen.add(expected is None)
+            # some color is a clique on the suffix {n-2, n-1}
+            if k == 2 and any(rows[n - 2] >> n - 1 & 1 for rows in col.rows):
+                seen_k2.add(expected is None)
     assert seen == {True, False}
+    assert seen_k2 == {True, False}
