@@ -14,36 +14,39 @@ BACKEND = "pure"
 def first_tk_violation(n, k, color_adj):
     """Lexicographically first k-subset that is a clique in no color.
 
-    color_adj is a list (one entry per color) of adjacency bitmask rows.
-    Returns the violating subset as an increasing tuple, or None.
+    color_adj is a list (one entry per color) of adjacency bitmask rows,
+    and k >= 2.  Returns the violating subset as an increasing tuple, or
+    None.
 
     The scan walks increasing k-tuples depth first on an explicit stack, so
     its depth is not bounded by the interpreter's recursion limit.  For every
     color still alive it keeps the bitmask of vertices adjacent (in that
     color) to all chosen vertices.  Once no color is alive every extension
     violates, so the lexicographically first completion is emitted
-    immediately.  At the last level a vertex completes a violation exactly
-    when it lies in no alive color's common mask, so the lowest such vertex
-    from the level's first candidate on is read off one OR of those masks.
+    immediately.  The last two levels are fused: at depth k-2 each
+    candidate v is tested in place, without a frame for the last level.
+    A vertex w > v completes a violation exactly when it lies in no common
+    mask ``cm & color_adj[c][v]`` of an alive color c whose ``cm`` holds v,
+    so the lowest such w is read off one OR of those masks.
 
-    Below the last level, a node whose remaining candidates are the pool
-    {v, ..., n-1} is skipped when some alive color is a clique on the pool
-    and its common mask holds the whole pool: the chosen vertices are a
-    clique in that color and joined in it to every pool vertex, so every
-    completion is a clique in that color.  ``start[c]`` is the least s such
-    that {s, ..., n-1} is a clique in color c (one backward pass per color),
-    so a color qualifies only when ``start[c] <= v``, and nodes with v below
-    every ``start`` skip the test (at k <= 2 the pass is skipped and no
-    node is tested).  Skipped subtrees hold no violation, so the visit
-    order and the witness are those of the unpruned scan; on a passing
-    input the scan no longer walks every (k-1)-prefix.
+    At every level above the last, a node whose remaining candidates are
+    the pool {v, ..., n-1} is skipped when some alive color is a clique on
+    the pool and its common mask holds the whole pool: the chosen vertices
+    are a clique in that color and joined in it to every pool vertex, so
+    every completion is a clique in that color.  ``start[c]`` is the least
+    s such that {s, ..., n-1} is a clique in color c (one backward pass per
+    color), so a color qualifies only when ``start[c] <= v``, and nodes
+    with v below every ``start`` skip the test (at k = 2 the pass is
+    skipped and no node is tested).  Skipped subtrees hold no violation, so
+    the visit order and the witness are those of the unpruned scan; on a
+    passing input the scan no longer walks every (k-1)-prefix.
     """
     if k > n:
         return None
     full = (1 << n) - 1
     start = []
     lo = n
-    # at k <= 2 the only level above the last is the root's, where a skip
+    # at k = 2 the root is the only level above the last, where a skip
     # can only end the scan early: the O(t*n) pass would cost what it saves
     if k > 2:
         for rows in color_adj:
@@ -62,20 +65,25 @@ def first_tk_violation(n, k, color_adj):
     v = 0
     while True:
         depth = len(chosen)
-        if depth == k - 1:
-            reach = 0
-            for cm in common:
-                reach |= cm
-            free = full & ~reach >> v << v
-            if free:
-                return tuple(chosen) + ((free & -free).bit_length() - 1,)
-        elif v < n - (k - depth - 1) and not (
+        if v < n - (k - depth - 1) and not (
             v >= lo
             and any(
                 start[ci] <= v and cm >> v == full >> v
                 for ci, cm in zip(alive, common)
             )
         ):
+            if depth == k - 2:
+                # w > v completes (chosen, v, w) when no alive color
+                # holding v holds w in its common mask with v
+                reach = 0
+                for ci, cm in zip(alive, common):
+                    if cm >> v & 1:
+                        reach |= cm & color_adj[ci][v]
+                free = full & ~reach >> (v + 1) << (v + 1)
+                if free:
+                    return tuple(chosen) + (v, (free & -free).bit_length() - 1)
+                v += 1
+                continue
             new_alive = []
             new_common = []
             for ci, cm in zip(alive, common):
@@ -98,6 +106,41 @@ def first_tk_violation(n, k, color_adj):
 def find_induced_c4(n, adj):
     """Lexicographically first 4-subset inducing a 4-cycle, or None.
 
+    The scan runs on the true-twin quotient: true twins are vertices with
+    the same closed neighborhood ``adj[v] | 1 << v``, and one dict pass
+    keeps the least vertex of each class.  The quotient gives the same
+    witness as the whole graph:
+
+    1. An induced C4 never holds two true twins: true twins are adjacent,
+       and adjacent vertices of a C4 have different closed neighborhoods.
+    2. Swapping a C4 vertex for its twin gives another induced C4, so the
+       C4s of the graph are the quotient's C4s lifted with one member per
+       class.
+    3. Swapping a vertex for a smaller one lowers the sorted 4-tuple, so
+       the lexicographically first C4 uses least members only.  Classes
+       numbered by their least vertex keep the vertex order, so the
+       quotient's first C4 is the graph's.
+
+    The scan is cubic in classes rather than vertices (a clique
+    substitution into a 5-cycle scans 5 vertices); with no twin pair it
+    runs on the rows as they are.
+    """
+    least = {}
+    for v, row in enumerate(adj):
+        least.setdefault(row | 1 << v, v)
+    if len(least) == n:
+        return _c4_scan(adj, range(n))
+    reps = list(least.values())
+    keep = 0
+    for v in reps:
+        keep |= 1 << v
+    return _c4_scan([row & keep for row in adj], reps)
+
+
+def _c4_scan(adj, verts):
+    """First induced C4 among the increasing vertex list ``verts``, whose
+    rows in ``adj`` hold no vertex outside it.
+
     Any three vertices of an induced C4 span exactly two edges, so for
     a < b < c the fourth vertex d > c is fixed by one mask:
 
@@ -111,9 +154,11 @@ def find_induced_c4(n, adj):
     Triples are walked in lexicographic order and d is the lowest bit
     above c, so the first hit is the lexicographically first witness.
     """
-    for a in range(n - 3):
+    m = len(verts)
+    for i in range(m - 3):
+        a = verts[i]
         ra = adj[a]
-        for b in range(a + 1, n - 2):
+        for b in verts[i + 1 : m - 2]:
             rb = adj[b]
             ab = ra >> b & 1
             cands = ((ra ^ rb) if ab else (ra & rb)) >> (b + 1)

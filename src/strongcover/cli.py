@@ -636,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run property checks on an instance")
     check.add_argument("instance", help="path to instance JSON, or - for stdin")
     check.add_argument("--tk", type=int, default=None, metavar="K")
-    check.add_argument("--kfold", type=int, default=None, metavar="K")
+    check.add_argument(
+        "--kfold", type=_int_at_least(1), default=None, metavar="K"
+    )
     check.add_argument("--chordal", action="store_true")
     check.add_argument("--c4free", action="store_true")
     check.set_defaults(func=cmd_check)

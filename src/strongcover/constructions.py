@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import ceil, log
 
 from .core import (
     MAX_VERTICES,
@@ -253,6 +254,37 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     return r
 
 
+def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)``, 0 <= k <= n, off ``getrandbits``.
+
+    It repeats CPython's ``Random.sample`` on a range, each pick through
+    ``_below``: while a list of the n values is no larger than a set of k
+    (CPython's ``setsize`` test), picks come from that pool, each picked
+    slot refilled from the pool's end; otherwise repeats are redrawn
+    against a set of the picks.  The picks, their order and the stream
+    are ``sample``'s.
+    """
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    picks = []
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - k, -1):
+            j = _below(getrandbits, left)
+            picks.append(pool[j])
+            pool[j] = pool[left - 1]
+        return picks
+    selected = set()
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in selected:
+            j = _below(getrandbits, n)
+        selected.add(j)
+        picks.append(j)
+    return picks
+
+
 def random_interval_family(
     n: int,
     t: int,
@@ -301,9 +333,9 @@ def _draw_intervals(
     made, in the same order: per track ``randint(0, 3n)`` for the anchor
     point, ``sample(range(n), round(anchor * n))`` for the anchored members,
     then two ``randint`` per member; the ``randint`` calls go through
-    ``_below``.  A draw is held as endpoint arrays, which the sweep and the
-    (t,k) verdict read; a ``TIntervalFamily`` is built only for the draw
-    that is returned.
+    ``_below`` and the ``sample`` call through ``_sample``.  A draw is
+    held as endpoint arrays, which the sweep and the (t,k) verdict read; a
+    ``TIntervalFamily`` is built only for the draw that is returned.
     """
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
@@ -322,7 +354,7 @@ def _draw_intervals(
         his = []
         for _i in range(t):
             anchor_pt = _below(getrandbits, span)
-            anchored = set(rng.sample(range(n), n_anchored))
+            anchored = set(_sample(getrandbits, n, n_anchored))
             track_los = []
             track_his = []
             for v in range(n):

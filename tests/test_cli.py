@@ -442,6 +442,8 @@ class TestVerifyFailures:
         ["cover", "exact", "-", "--max-exact", "x"],
         ["verify", "lower", "--samples", "0"],
         ["verify", "lower", "--samples", "-1"],
+        ["check", "-", "--kfold", "0"],
+        ["check", "-", "--kfold", "-1"],
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, argv):

@@ -12,6 +12,7 @@ from strongcover.constructions import (
     _below,
     _draw_intervals,
     _draw_subtrees,
+    _sample,
     blow_up,
     clique_substitute,
     construct_k4_two_paths,
@@ -306,6 +307,17 @@ def intervals_meet(a, b):
 
 def subtrees_meet(a, b):
     return not a.isdisjoint(b)
+
+
+def test_sample_is_random_sample():
+    """``_sample`` repeats ``Random.sample`` on a range: the same picks in
+    the same order, and the same stream.  Its set branch is taken for
+    k <= 5 from n = 22 on, and for 6 <= k <= 21 from n = 86 on."""
+    for n in range(1, 201):
+        ours, theirs = random.Random(n), random.Random(n)
+        for k in range(n + 1):
+            assert _sample(ours.getrandbits, n, k) == theirs.sample(range(n), k)
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestRandomStream:

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from corpora import complete_coloring
-from strongcover import BACKEND
+from strongcover import BACKEND, _kernels as kernels
 from strongcover._kernels import find_induced_c4, first_tk_violation, maximal_cliques
+from strongcover.constructions import BlowupSpec, blow_up, construct_k5star
 from strongcover.core import MultiColoring, is_tk_coloring
 
 
@@ -239,3 +240,93 @@ def test_first_tk_violation_matches_oracle_on_suffix_cliques():
                 seen_k2.add(expected is None)
     assert seen == {True, False}
     assert seen_k2 == {True, False}
+
+
+@st.composite
+def clique_substitutions(draw):
+    """A graph on at most 8 vertices with a clique of 1-4 vertices put in
+    for each vertex, relabeled at random and with an optional single-edge
+    flip (which may leave no twin pair at all)."""
+    n, adj = draw(adjacency())
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    owner = [v for v in range(n) for _ in range(sizes[v])]
+    m = len(owner)
+    label = draw(st.permutations(range(m)))
+    rows = [0] * m
+    for x in range(m):
+        for y in range(x + 1, m):
+            if owner[x] == owner[y] or adj[owner[x]] >> owner[y] & 1:
+                rows[label[x]] |= 1 << label[y]
+                rows[label[y]] |= 1 << label[x]
+    if m >= 2 and draw(st.booleans()):
+        pair = st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
+        x, y = draw(pair)
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    return m, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=clique_substitutions())
+def test_find_induced_c4_on_clique_substitutions_matches_oracle(data):
+    """The scan runs on one least vertex per true-twin class; the witness
+    is still the lexicographically first of the whole graph."""
+    n, adj = data
+    assert find_induced_c4(n, adj) == oracles.first_induced_c4(n, adj)
+
+
+def relabeled(rows, label):
+    """The graph with vertex v renamed label[v]; each distinct closed
+    neighborhood is mapped once, so a blow-up maps a few rows."""
+    mapped = {}
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        closed = row | 1 << v
+        if closed not in mapped:
+            mapped[closed] = sum(1 << label[u] for u in oracles_bits(closed))
+        out[label[v]] = mapped[closed] ^ 1 << label[v]
+    return out
+
+
+class TestTwinQuotient:
+    """K5* blown up to classes of 160 (n=800): each color is a 5-cycle of
+    cliques, so its quotient is the 5-cycle itself."""
+
+    def blowup_colors(self, label):
+        col = blow_up(construct_k5star(), BlowupSpec([160] * 5))
+        return [relabeled(rows, label) for rows in col.rows]
+
+    def spy(self, monkeypatch):
+        scanned = []
+        scan = kernels._c4_scan
+
+        def counted(adj, verts):
+            scanned.append(len(verts))
+            return scan(adj, verts)
+
+        monkeypatch.setattr(kernels, "_c4_scan", counted)
+        return scanned
+
+    def test_each_color_is_scanned_on_its_five_classes(self, monkeypatch):
+        label = list(range(800))
+        random.Random(5).shuffle(label)
+        scanned = self.spy(monkeypatch)
+        for rows in self.blowup_colors(label):
+            assert find_induced_c4(800, rows) is None
+        assert scanned == [5, 5]
+
+    def test_a_planted_c4_is_the_oracles_witness(self, monkeypatch):
+        # vertices 0 and 1 of the first class keep their labels and lose
+        # their edge in color 1: with a vertex of each neighboring class
+        # they induce a C4, and the least such vertices make the witness
+        rest = list(range(2, 800))
+        random.Random(6).shuffle(rest)
+        rows = self.blowup_colors([0, 1] + rest)[0]
+        rows[0] ^= 1 << 1
+        rows[1] ^= 1 << 0
+        scanned = self.spy(monkeypatch)
+        witness = find_induced_c4(800, rows)
+        assert witness[:2] == (0, 1)
+        assert witness == oracles.first_induced_c4(800, rows)
+        # {0}, {1}, the rest of their class and the four other classes
+        assert scanned == [7]
