@@ -56,6 +56,7 @@ from .covers import (
     GreedyStep,
     GreedyTrace,
     counting_chain_check,
+    exact_cover_and_theta,
     exact_max_strong_cover,
     find_k5star,
     greedy_strong_cover,
@@ -102,6 +103,7 @@ __all__ = [
     "construct_onefourth",
     "construct_partition_coloring",
     "counting_chain_check",
+    "exact_cover_and_theta",
     "exact_max_strong_cover",
     "find_k5star",
     "greedy_color_chordal",

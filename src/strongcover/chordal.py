@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, lex_key, mask_of
 
 
 @dataclass
@@ -184,6 +184,13 @@ def is_chordal(g: Graph) -> ChordalCertificate:
     return ChordalCertificate(hole=hole)
 
 
+def chordal_peo(g: Graph) -> list[int] | None:
+    """Decide chordality without building a hole: the reverse maximum
+    cardinality search order when it is a PEO, else None."""
+    peo = mcs_order(g)[::-1]
+    return peo if _is_peo(g.adj, peo) else None
+
+
 def _require_peo(g: Graph, peo: list[int]) -> None:
     triple = _check_peo(g, peo)
     if triple is not None:
@@ -244,7 +251,7 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
         cands.add(g.adj[v] & later | 1 << v)
         later |= 1 << v
     maximal = [c for c in cands if not any(c != o and c & o == c for o in cands)]
-    maximal.sort(key=lambda c: tuple(bits(c)))
+    maximal.sort(key=lex_key)
     return [frozenset(bits(c)) for c in maximal]
 
 

@@ -36,8 +36,9 @@ from .core import (
 )
 from .covers import (
     color_certificates,
+    color_peos,
     counting_chain_check,
-    exact_max_strong_cover,
+    exact_cover_and_theta,
     greedy_strong_cover,
     induced_c4s,
     strong_cover_33,
@@ -229,10 +230,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.c4free:
         with _Timed(report, "c4free"):
             if certs is None:
-                certs = color_certificates(col, peos)
+                colors = color_peos(col, peos)
+            else:
+                colors = ((g, cert.peo) for g, cert in certs)
             squares = {
                 i: list(square)
-                for i, square in induced_c4s(certs)
+                for i, square in induced_c4s(colors)
                 if square is not None
             }
         report.add_check(
@@ -312,9 +315,9 @@ def _run_cover(
         return cover
     if algorithm == "exact":
         with _Timed(report, "exact"):
-            cover = exact_max_strong_cover(col, max_n=args.max_exact)
-        with _Timed(report, "theta"):
-            report.results["theta"] = theta(col, max_n=args.max_exact)
+            cover, report.results["theta"] = exact_cover_and_theta(
+                col, max_n=args.max_exact
+            )
         return cover
     if algorithm == "t33":
         with _Timed(report, "t33"):

@@ -19,6 +19,7 @@ from .chordal import (
     ChordalCertificate,
     _max_clique_within,
     _require_peo,
+    chordal_peo,
     clique_cutset,
     induced_c4_free,
     is_chordal,
@@ -31,7 +32,7 @@ from .core import (
     verify_cover,
 )
 from .errors import GuaranteeError, InputError, PreconditionError, SizeLimitError
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, lex_key, mask_of
 
 
 @dataclass
@@ -61,25 +62,42 @@ class GreedyTrace:
 Peos = list[list[int]]
 
 
-def color_certificates(
+def color_peos(
     col: MultiColoring, peos: Peos | None = None
-) -> Iterator[tuple[Graph, ChordalCertificate]]:
-    """Each color graph with its chordality certificate, in color order 1..t.
+) -> Iterator[tuple[Graph, list[int] | None]]:
+    """Each color graph with a PEO, or None where it is not chordal, in
+    color order 1..t.
 
     Given orderings (one per color, as ``family_peos`` makes them) are
-    checked in O(n) mask steps and become the certificates, InputError if
-    one is not a PEO; without them maximum cardinality search decides each
-    color.
+    checked in O(n) mask steps, InputError if one is not a PEO; without
+    them maximum cardinality search decides each color and builds no hole.
     """
     if peos is not None and len(peos) != col.t:
         raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
         if peos is None:
-            yield g, is_chordal(g)
+            yield g, chordal_peo(g)
         else:
             _require_peo(g, peos[i - 1])
-            yield g, ChordalCertificate(peo=peos[i - 1])
+            yield g, peos[i - 1]
+
+
+def color_certificates(
+    col: MultiColoring, peos: Peos | None = None
+) -> Iterator[tuple[Graph, ChordalCertificate]]:
+    """Each color graph with its chordality certificate, in color order 1..t:
+    a PEO as ``color_peos`` gives it, or for a color that is not chordal the
+    hole ``is_chordal`` builds from its search.  Only a caller that reports
+    holes needs them; ``color_peos`` decides chordality without them.
+    """
+    if peos is not None:
+        for g, peo in color_peos(col, peos):
+            yield g, ChordalCertificate(peo=peo)
+        return
+    for i in range(1, col.t + 1):
+        g = col.color_graph(i)
+        yield g, is_chordal(g)
 
 
 def _chordal_certificates(
@@ -100,13 +118,13 @@ def _chordal_certificates(
 
 
 def induced_c4s(
-    certs: Iterable[tuple[Graph, ChordalCertificate]],
+    colors: Iterable[tuple[Graph, list[int] | None]],
 ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Each color of ``color_certificates`` with the lexicographically first
+    """Each color of ``color_peos`` with the lexicographically first
     induced 4-cycle of its graph, or None.  A color with a PEO is chordal,
-    so it has no induced 4-cycle and only colors with a hole are scanned."""
-    for i, (g, cert) in enumerate(certs, start=1):
-        yield i, None if cert.is_chordal else induced_c4_free(g)[1]
+    so it has no induced 4-cycle and only colors without one are scanned."""
+    for i, (g, peo) in enumerate(colors, start=1):
+        yield i, None if peo is not None else induced_c4_free(g)[1]
 
 
 def greedy_strong_cover(
@@ -191,11 +209,14 @@ def _maximal_cliques(adj: list[int], within: int = -1) -> list[int]:
     """Maximal clique masks of the graph induced on ``within`` (all vertices
     by default), sorted by vertex tuple."""
     masks = kernels.maximal_cliques(len(adj), adj, within)
-    masks.sort(key=lambda m: tuple(bits(m)))
+    masks.sort(key=lex_key)
     return masks
 
 
-def _search_space(col: MultiColoring, max_n: int) -> tuple[list[list[int]], list[int]]:
+SearchSpace = tuple[list[list[int]], list[int]]
+
+
+def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
     """Per-color maximal clique masks for the exhaustive searches, and
     ``suffix_best[i]``, the sum of the largest clique sizes of the colors
     after the first i: a bound on what those colors can still cover."""
@@ -220,9 +241,33 @@ def exact_max_strong_cover(
     depth first in lexicographic order with an upper-bound prune, so the
     returned cover is the lexicographically least among maximum ones.
     """
-    cliques, suffix_best = _search_space(col, max_n)
+    return _max_cover(_search_space(col, max_n))
+
+
+def theta(col: MultiColoring, max_n: int = 40) -> int | None:
+    """Minimum number of cliques in a strong cover of all vertices.
+
+    Returns None when no strong cover covers every vertex.  Exhaustive over
+    per-color maximal cliques with memoized pruning; a branch stops once
+    the largest clique of every remaining color cannot cover what is left.
+    """
+    return _min_cover_size(col.n, _search_space(col, max_n))
+
+
+def exact_cover_and_theta(
+    col: MultiColoring, max_n: int = 40
+) -> tuple[StrongCover, int | None]:
+    """``exact_max_strong_cover`` and ``theta`` from one search space: each
+    color's maximal cliques are enumerated and sorted once for both."""
+    space = _search_space(col, max_n)
+    return _max_cover(space), _min_cover_size(col.n, space)
+
+
+def _max_cover(space: SearchSpace) -> StrongCover:
+    """The search of ``exact_max_strong_cover``."""
+    cliques, suffix_best = space
     per_color = [[0] + masks for masks in cliques]
-    t = col.t
+    t = len(per_color)
     best_count = -1
     best_choice: list[int] = []
     choice: list[int] = [0] * t
@@ -249,15 +294,9 @@ def exact_max_strong_cover(
     return StrongCover(assignments)
 
 
-def theta(col: MultiColoring, max_n: int = 40) -> int | None:
-    """Minimum number of cliques in a strong cover of all vertices.
-
-    Returns None when no strong cover covers every vertex.  Exhaustive over
-    per-color maximal cliques with memoized pruning; a branch stops once
-    the largest clique of every remaining color cannot cover what is left.
-    """
-    per_color, suffix_best = _search_space(col, max_n)
-    n = col.n
+def _min_cover_size(n: int, space: SearchSpace) -> int | None:
+    """The search of ``theta`` on n vertices."""
+    per_color, suffix_best = space
     full = (1 << n) - 1
     if full == 0:
         return 0
@@ -580,9 +619,10 @@ def strong_cover_c4free_22(
     outside vertex sees all of it in a common color, splitting the outside
     into a red part R and a blue part B, and dropping the smallest class X_i
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
-    X_{i+1} u X_{i+4} u B.  Each color's chordality certificate comes
-    first, from ``peos`` (checked) or maximum cardinality search; a color
-    with a PEO is chordal, so its induced-C4 scan is skipped.
+    X_{i+1} u X_{i+4} u B.  Each color's chordality is decided first, by
+    ``peos`` (checked) or maximum cardinality search; a color with a PEO is
+    chordal, so its induced-C4 scan is skipped, and no hole is built for
+    one without.
     """
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
@@ -592,7 +632,7 @@ def strong_cover_c4free_22(
             raise PreconditionError(
                 f"not a (2,2)-coloring; witness {witness}", witness=witness
             )
-    for i, witness in induced_c4s(color_certificates(col, peos)):
+    for i, witness in induced_c4s(color_peos(col, peos)):
         if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",

@@ -13,6 +13,7 @@ from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
 from strongcover.core import MultiColoring
+from strongcover.covers import exact_max_strong_cover, theta
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -318,6 +319,60 @@ class TestCover:
         assert code == 1
         assert doc["results"]["error"].startswith("SizeLimitError")
 
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """Vertex counts of the maximal-clique enumerations made."""
+        calls = []
+        real = kernels.maximal_cliques
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "maximal_cliques", counted)
+        return calls
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_exact_enumerates_each_color_once(self, capsys, tmp_path, enumerations, t):
+        """The cover and theta share one enumeration per color and equal
+        what the two library searches give on their own."""
+        # K_{3,3,3} with cross edge (u, v) in colors 1 + (u + v + c) % t
+        edges = [
+            [u, v, sorted({1 + (u + v + c) % t for c in range(2)})]
+            for u in range(9) for v in range(u + 1, 9) if u % 3 != v % 3
+        ]
+        col = MultiColoring.from_dict({"n": 9, "t": t, "edges": edges})
+        p = tmp_path / "multipartite.json"
+        p.write_text(json.dumps(col.to_dict()))
+        code, report = run_json(capsys, ["cover", "exact", str(p)])
+        assert code == 0 and enumerations == [9] * t
+        assert report["results"]["cover"] == exact_max_strong_cover(col).to_dict()
+        assert report["results"]["theta"] == theta(col)
+
+    @pytest.mark.parametrize("limit", ["0", "4"])
+    def test_exact_over_its_limit_enumerates_nothing(
+        self, capsys, tmp_path, enumerations, limit
+    ):
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps(construct_k5star().to_dict()))
+        code, report = run_json(capsys, ["cover", "exact", str(p), "--max-exact", limit])
+        assert code == 1 and enumerations == []
+        report.pop("times")
+        assert report == {
+            "meta": {"source": str(p), "algorithm": "exact", "n": 5, "t": 2, "k": None},
+            "results": {
+                "error": f"SizeLimitError: n=5 exceeds the exhaustive search bound {limit}"
+            },
+            "checks": [{
+                "name": "precondition",
+                "inequality": "algorithm precondition holds",
+                "expected": True,
+                "observed": False,
+                "pass": False,
+            }],
+            "pass": False,
+        }
+
     def test_subtree_instance_has_no_piercing_points(self, capsys, tmp_path):
         main(["gen", "subtrees", "--n", "5", "--t", "2", "--seed", "1",
               "--host-size", "5", "--anchor", "1.0", "--k", "2"])
@@ -553,6 +608,11 @@ def command_lines(draw):
     argv = ["cover", algorithm, "-"]
     if draw(st.booleans()):
         argv += ["--k", draw(_COUNTS)]
+    if algorithm == "exact":
+        # every valid document has n >= 2: no limit, or one it exceeds
+        limit = draw(st.sampled_from((None, "0", "1")))
+        if limit is not None:
+            argv += ["--max-exact", limit]
     return argv
 
 

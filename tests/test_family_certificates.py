@@ -5,6 +5,7 @@ search or the induced-C4 scan."""
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -416,3 +417,50 @@ class TestCertifyOnce:
         assert c4_check["witness"] == (squares or None)
         assert c4_check["pass"] is (not squares)
         assert calls["mcs"] == calls["c4"] == [col.n] * col.t
+
+
+class TestHolesOnlyWhereReported:
+    """A non-chordal color gets a hole only where a report or a
+    ``PreconditionError`` shows it; the C4 paths decide chordality alone."""
+
+    @pytest.fixture
+    def holes(self, monkeypatch):
+        built = []
+        real = chordal._hole_from_triple
+
+        def counted(g, v, a, b):
+            built.append(g.n)
+            return real(g, v, a, b)
+
+        monkeypatch.setattr(chordal, "_hole_from_triple", counted)
+        return built
+
+    @staticmethod
+    def blowup():
+        """K5* with classes of 3, 2, 4, 2, 3 under a seeded relabeling."""
+        col = constructions.blow_up(
+            constructions.construct_k5star(), constructions.BlowupSpec([3, 2, 4, 2, 3])
+        )
+        label = list(range(col.n))
+        random.Random(12).shuffle(label)
+        edges = [
+            [*sorted((label[u], label[v])), cs] for u, v, cs in col.to_dict()["edges"]
+        ]
+        return {"n": col.n, "t": col.t, "edges": sorted(edges)}
+
+    def test_c4free22_on_a_blowup_builds_no_hole(self, holes, monkeypatch, capsys):
+        doc = self.blowup()
+        code, out, _ = run(["cover", "c4free22", "-"], doc, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert holes == []
+
+    def test_check_builds_holes_only_for_chordal(self, holes, monkeypatch, capsys):
+        doc = self.blowup()
+        code, out, _ = run(["check", "-", "--c4free"], doc, monkeypatch, capsys)
+        (c4_only,) = json.loads(out)["checks"]
+        assert code == 0 and c4_only["pass"] is True and holes == []
+        code, out, _ = run(["check", "-", "--chordal", "--c4free"], doc, monkeypatch, capsys)
+        chordal_check, c4_check = json.loads(out)["checks"]
+        assert code == 1 and sorted(chordal_check["witness"]) == ["1", "2"]
+        assert c4_check == c4_only
+        assert holes == [doc["n"], doc["n"]]

@@ -1,10 +1,12 @@
 """Bitset graph primitives."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongcover.errors import InputError
-from strongcover.graphs import Graph, bits, mask_of
+from strongcover.graphs import Graph, bits, lex_key, mask_of
 
 
 def test_mask_roundtrip():
@@ -12,6 +14,31 @@ def test_mask_roundtrip():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
     assert mask_of([]) == 0
+
+
+def by_tuple(mask):
+    return tuple(bits(mask))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lex_key_sorts_as_vertex_tuples(seed):
+    """Seeded mask lists, some wider than 64 bits, with repeats, the empty
+    mask and sets drawn from a few far-apart vertex ranges (so one mask's
+    tuple is often a prefix of another's) sort alike under both keys."""
+    rng = random.Random(seed)
+    width = (8, 63, 64, 65, 130, 300)[seed]
+    pool = [v for lo in (0, width // 2, width) for v in range(lo, lo + 4)]
+    masks = [rng.getrandbits(rng.randint(0, width)) for _ in range(200)]
+    masks += [mask_of(rng.sample(pool, rng.randint(0, 5))) for _ in range(200)]
+    masks += rng.sample(masks, 40) + [0, 0, 1, 1 << width]
+    rng.shuffle(masks)
+    assert sorted(masks, key=lex_key) == sorted(masks, key=by_tuple)
+
+
+def test_lex_key_of_the_empty_mask_sorts_first():
+    assert lex_key(0) == ""
+    assert sorted([1, 0, 2, 3], key=lex_key) == sorted([1, 0, 2, 3], key=by_tuple)
+    assert sorted([1, 0, 2, 3], key=lex_key) == [0, 1, 3, 2]
 
 
 def test_add_edge_and_queries():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from corpora import complete_coloring
 from strongcover import BACKEND, _kernels as kernels
+from strongcover.covers import _maximal_cliques
 from strongcover._kernels import find_induced_c4, first_tk_violation, maximal_cliques
 from strongcover.constructions import BlowupSpec, blow_up, construct_k5star
 from strongcover.core import MultiColoring, is_tk_coloring
@@ -84,6 +85,21 @@ def test_maximal_cliques_within_match_oracle_on_induced_subgraph():
 def test_find_induced_c4_matches_oracle(data):
     n, adj = data
     assert find_induced_c4(n, adj) == oracles.first_induced_c4(n, adj)
+
+
+def test_sorted_maximal_cliques_are_the_kernels_in_vertex_tuple_order():
+    """``covers._maximal_cliques`` sorts with ``lex_key``; the order must be
+    the kernel's output sorted by vertex tuple, ``within`` = 0 and n = 0
+    included."""
+    rng = random.Random(41)
+    for trial in range(300):
+        n = trial % 14
+        adj = random_adj(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        within = rng.choice((-1, 0, rng.getrandbits(n)))
+        want = sorted(
+            maximal_cliques(n, adj, within), key=lambda m: tuple(oracles_bits(m))
+        )
+        assert _maximal_cliques(adj, within) == want
 
 
 def test_find_induced_c4_matches_oracle_on_denser_graphs():
