@@ -1,8 +1,9 @@
-"""Golden digests of ``strongcover cover exact`` reports.
+"""Golden digests of ``strongcover`` reports on fixed documents.
 
 Documents are drawn with the standard library's ``random`` only, never
 with the package's generators, so a change to a generator cannot move
-them:
+them.  ``golden_cover_exact.json`` pins ``cover exact`` on edges
+documents:
 
 * K5* blow-ups (a red 5-cycle and a blue 5-cycle on five classes, every
   edge inside a class in both colors) with classes of 1-4 vertices, under
@@ -12,11 +13,27 @@ them:
 * random colorings with n <= 12 and t <= 3, some pairs carrying no color;
 * instances with n = 0 and n = 1.
 
-Each case is pinned by a truncated sha256 of its document, and by the exit
-code and a truncated sha256 of the report less ``times`` (the only part of
-a report that differs between identical runs).  ``test_golden.py`` checks
-them.  To print the cases whose digests moved, or to write a new file
-after an intended output change, run from the repository root:
+``golden_families.json`` pins ``cover greedy --k 2``, ``cover t33``,
+``cover tt``, ``cover c4free22`` and ``check --tk 2 --chordal --c4free``
+on family documents:
+
+* interval families: anchored tracks, point intervals on a short range
+  (many ties in right ends), nested intervals about a common center,
+  intervals on an even grid (many shared endpoints), all with some
+  negative endpoints;
+* subtree families on random, path and star hosts under a random vertex
+  relabeling, each subtree grown from a track hub or a random root;
+* families with n = 0 and n = 1;
+* malformed variants of the above, each with one or two faults, which
+  must exit 2 under every command line.
+
+Each run is pinned by a truncated sha256 of its document, its exit code,
+a truncated sha256 of the report less ``times`` (the only part of a report
+that differs between identical runs) when there is a report, and a
+truncated sha256 of the standard error text when there is one.
+``test_golden.py`` checks them.  To print the cases whose digests moved,
+or to write new files after an intended output change, run from the
+repository root:
 
     PYTHONPATH=src python tests/golden.py          # list changed cases
     PYTHONPATH=src python tests/golden.py --write  # rewrite the digests
@@ -36,6 +53,14 @@ from strongcover.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_cover_exact.json")
 ARGV = ["cover", "exact", "-"]
+FAMILY_DIGESTS = Path(__file__).with_name("golden_families.json")
+FAMILY_ARGV = {
+    "cover-greedy-k2": ["cover", "greedy", "-", "--k", "2"],
+    "cover-t33": ["cover", "t33", "-"],
+    "cover-tt": ["cover", "tt", "-"],
+    "cover-c4free22": ["cover", "c4free22", "-"],
+    "check-tk2-chordal-c4free": ["check", "-", "--tk", "2", "--chordal", "--c4free"],
+}
 
 
 def _relabeled(n: int, t: int, pairs: dict, rng: random.Random) -> dict:
@@ -105,36 +130,241 @@ def documents() -> dict[str, dict]:
     return docs
 
 
+def _interval(rng: random.Random, shape: str, anchor: int) -> list[int]:
+    """One track interval of an interval family of the given shape."""
+    if shape == "anchored" and rng.random() < 0.85:
+        return [anchor - rng.randint(0, 3), anchor + rng.randint(0, 3)]
+    if shape == "points":
+        lo = rng.randint(-2, 3)
+        return [lo, lo + rng.choice((0, 0, 0, 1))]
+    if shape == "nested":
+        r = rng.randint(0, 6)
+        return [anchor - r, anchor + r + rng.choice((0, 0, 1))]
+    if shape == "grid":
+        lo = 2 * rng.randint(-2, 3)
+        return [lo, lo + 2 * rng.randint(0, 2)]
+    lo = rng.randint(-8, 8)
+    return [lo, lo + rng.choice((0, 0, 1, 2, 4, 9))]
+
+
+INTERVAL_SHAPES = ("anchored", "points", "nested", "grid", "random")
+
+
+def interval_family(rng: random.Random, shape: str) -> dict:
+    n = rng.randint(2, 12)
+    t = rng.choice((1, 2, 2, 3, 3, 4))
+    anchors = [rng.randint(-4, 4) for _ in range(t)]
+    members = [[_interval(rng, shape, a) for a in anchors] for _ in range(n)]
+    return {"t": t, "members": members}
+
+
+def _host(rng: random.Random, shape: str, h: int) -> list[list[int]]:
+    """Edges of a tree on vertices 0..h-1 of the given shape, relabeled at
+    random, each edge in a random orientation, in random order."""
+    if shape == "path":
+        edges = [(v - 1, v) for v in range(1, h)]
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, h)]
+    else:
+        edges = [(rng.randrange(v), v) for v in range(1, h)]
+    perm = list(range(h))
+    rng.shuffle(perm)
+    out = [[perm[u], perm[v]] if rng.random() < 0.5 else [perm[v], perm[u]]
+           for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def _subtree(rng: random.Random, adj: list[set], root: int, size: int) -> list[int]:
+    grown = [root]
+    frontier = set(adj[root])
+    while len(grown) < size and frontier:
+        x = rng.choice(sorted(frontier))
+        grown.append(x)
+        frontier = (frontier | adj[x]) - set(grown)
+    rng.shuffle(grown)
+    return grown
+
+
+HOST_SHAPES = ("random", "path", "star")
+
+
+def subtree_family(rng: random.Random, shape: str) -> dict:
+    h = rng.randint(1, 9)
+    host = _host(rng, shape, h)
+    adj = [set() for _ in range(h)]
+    for u, v in host:
+        adj[u].add(v)
+        adj[v].add(u)
+    n = rng.randint(2, 12)
+    t = rng.choice((1, 2, 2, 3, 3, 4))
+    hubs = [rng.randrange(h) for _ in range(t)]
+    anchored = rng.choice((0.5, 0.9, 1.0))
+    members = [
+        [
+            _subtree(
+                rng,
+                adj,
+                hub if rng.random() < anchored else rng.randrange(h),
+                rng.randint(1, 4),
+            )
+            for hub in hubs
+        ]
+        for _ in range(n)
+    ]
+    return {"host_edges": host, "t": t, "members": members}
+
+
+# Faults 0-6 keep the shape of a document that another fault needs; the
+# rest replace a whole field or member and come last.
+_SHAPE_KEEPING = 7
+_FAULTS = 10
+
+
+def _break_intervals(rng: random.Random, doc: dict, fault: int) -> None:
+    """Put fault number ``fault`` into an interval family document."""
+    members = doc["members"]
+    m = rng.randrange(len(members))
+    i = rng.randrange(len(members[m]))
+    lo, hi = members[m][i][:2]
+    if fault == 0:
+        members[m][i] = [hi + 1, lo]  # empty interval
+    elif fault == 1:
+        members[m].pop()  # a track short
+    elif fault == 2:
+        members[m].append([lo, hi])  # a track too many
+    elif fault == 3:
+        members[m][i] = [lo + 0.5, hi]
+    elif fault == 4:
+        members[m][i] = [lo, True]
+    elif fault == 5:
+        members[m][i] = [str(lo), hi]
+    elif fault == 6:
+        members[m][i] = [lo, hi, hi]
+    elif fault == 7:
+        members[m] = lo
+    elif fault == 8:
+        doc["t"] = rng.choice((0, -1, float(doc["t"])))
+    else:
+        doc["members"] = {"0": members[0]}
+
+
+def _break_subtrees(rng: random.Random, doc: dict, fault: int) -> None:
+    """Put fault number ``fault`` into a subtree family document; a fault
+    that the document cannot take replaces its host edges instead."""
+    host, members = doc["host_edges"], doc["members"]
+    vertices = [v for e in host for v in e] + [
+        v for tracks in members for s in tracks for v in s
+    ]
+    h = 1 + max(vertices)
+    m = rng.randrange(len(members))
+    i = rng.randrange(len(members[m]))
+    adjacent = {frozenset(e) for e in host}
+    apart = [(a, b) for a in range(h) for b in range(a + 1, h)
+             if frozenset((a, b)) not in adjacent]
+    if fault == 0:
+        host.append([0, h])  # the host gains a vertex no member holds
+        host.append([h, 0])  # and a parallel edge: too many edges
+    elif fault == 1 and host:
+        host[rng.randrange(len(host))] = list(rng.choice(host))  # a repeated edge
+    elif fault == 2 and host:
+        v = rng.randrange(h)
+        host[rng.randrange(len(host))] = [v, v]
+    elif fault == 3 and apart:
+        members[m][i] = list(rng.choice(apart))  # not connected
+    elif fault == 4:
+        members[m][i] = []
+    elif fault == 5:
+        members[m][i] = members[m][i] + [-1]
+    elif fault == 6:
+        members[m].append(members[m][0])
+    elif fault == 7:
+        members[m][i] = [rng.choice(("x", 1.5, None))]
+    elif fault == 8 and host:
+        host[0] = host[0] + [0]
+    else:
+        doc["host_edges"] = "x" if fault == 9 else None
+
+
+def family_documents() -> dict[str, dict]:
+    """Every family case's document, by case name."""
+    docs = {
+        "intervals-n0-t2": {"t": 2, "members": []},
+        "intervals-n1-t1": {"t": 1, "members": [[[3, 3]]]},
+        "intervals-n1-t3": {"t": 3, "members": [[[-1, 2], [0, 0], [5, 9]]]},
+        "subtrees-n0-t1": {"host_edges": [], "t": 1, "members": []},
+        "subtrees-n1-t2": {"host_edges": [[1, 0]], "t": 2, "members": [[[0], [1, 0]]]},
+        "subtrees-n1-t3": {"host_edges": [], "t": 3, "members": [[[0], [0], [0]]]},
+    }
+    for shape in INTERVAL_SHAPES:
+        for seed in range(8):
+            rng = random.Random(f"intervals-{shape}:{seed}")
+            docs[f"intervals-{shape}-{seed}"] = interval_family(rng, shape)
+    for shape in HOST_SHAPES:
+        for seed in range(12):
+            rng = random.Random(f"subtrees-{shape}:{seed}")
+            docs[f"subtrees-{shape}-{seed}"] = subtree_family(rng, shape)
+    for seed in range(48):
+        rng = random.Random(f"malformed:{seed}")
+        if seed % 2 == 0:
+            doc = interval_family(rng, rng.choice(INTERVAL_SHAPES))
+            breaks = _break_intervals
+        else:
+            doc = subtree_family(rng, rng.choice(HOST_SHAPES))
+            breaks = _break_subtrees
+        if seed % 4 == 3:  # a quarter get two faults
+            breaks(rng, doc, rng.randrange(_SHAPE_KEEPING))
+            breaks(rng, doc, rng.randrange(_FAULTS))
+        else:  # every fault of both kinds at least once
+            breaks(rng, doc, seed // 4 % _FAULTS)
+        docs[f"malformed-{seed}"] = doc
+    return docs
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_case(doc: dict) -> dict:
-    """The pinned digests of one document under ``cover exact``."""
+def run_case(doc: dict, argv: list[str] = ARGV) -> dict:
+    """The pinned digests of one document under one command line."""
     text = json.dumps(doc, sort_keys=True)
     out = io.StringIO()
+    err = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
-        with contextlib.redirect_stdout(out):
-            code = main(ARGV)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     finally:
         sys.stdin = saved
-    report = json.loads(out.getvalue())
-    report.pop("times")
-    canon = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    return {"doc": _sha(text), "exit": code, "report": _sha(canon)}
+    pinned = {"doc": _sha(text), "exit": code}
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        report.pop("times")
+        pinned["report"] = _sha(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    if err.getvalue():
+        pinned["stderr"] = _sha(err.getvalue())
+    return pinned
+
+
+def run_family_case(doc: dict) -> dict:
+    """The pinned digests of one family document under every command line."""
+    return {label: run_case(doc, argv) for label, argv in FAMILY_ARGV.items()}
 
 
 def compute() -> dict[str, dict]:
     return {name: run_case(doc) for name, doc in documents().items()}
 
 
+def compute_families() -> dict[str, dict]:
+    return {name: run_family_case(doc) for name, doc in family_documents().items()}
+
+
 if __name__ == "__main__":
-    got = compute()
-    if "--write" in sys.argv[1:]:
-        DIGESTS.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-    else:
-        want = json.loads(DIGESTS.read_text())
+    for path, got in ((DIGESTS, compute()), (FAMILY_DIGESTS, compute_families())):
+        if "--write" in sys.argv[1:]:
+            path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+            continue
+        want = json.loads(path.read_text())
         changed = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
-        print("\n".join(changed) or "no case changed")
+        print(f"{path.name}:", ", ".join(changed) or "no case changed")
