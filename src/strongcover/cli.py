@@ -11,6 +11,7 @@ report timing fields are the only nondeterministic part.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,6 +36,7 @@ from .core import (
     verify_cover,
 )
 from .covers import (
+    Peos,
     color_certificates,
     color_peos,
     counting_chain_check,
@@ -105,12 +107,13 @@ class _Timed:
 Family = TIntervalFamily | TSubtreeFamily
 
 
-def _load_instance(path: str) -> tuple[MultiColoring, Family | None]:
+def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None]:
     """Parse a coloring, interval family, or subtree family document.
 
-    Families are converted to their derived coloring and kept: they give
-    each color a PEO (``family_peos``), and an interval family translates
-    covers back into piercing points.
+    A family document gives its derived coloring, the family itself (an
+    interval family translates covers back into piercing points) and one
+    PEO per color (``family_peos``); an edges document has no PEOs, and
+    its colors are searched.
     """
     try:
         if path == "-":
@@ -124,13 +127,13 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None]:
     if not isinstance(data, dict):
         raise InputError("instance document must be a JSON object")
     if "edges" in data:
-        return MultiColoring.from_dict(data), None
+        return MultiColoring.from_dict(data), None, None
     if "host_edges" in data:
         fam = TSubtreeFamily.from_dict(data)
-        return coloring_from_subtrees(fam), fam
+        return coloring_from_subtrees(fam), fam, family_peos(fam)
     if "members" in data:
         fam = TIntervalFamily.from_dict(data)
-        return coloring_from_intervals(fam), fam
+        return coloring_from_intervals(fam), fam, family_peos(fam)
     raise InputError("unrecognized instance document")
 
 
@@ -189,15 +192,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _peos(fam: Family | None) -> list[list[int]] | None:
-    """A family document's PEOs; an edges document has none, and its
-    colors are searched."""
-    return None if fam is None else family_peos(fam)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    col, fam = _load_instance(args.instance)
-    peos = _peos(fam) if args.chordal or args.c4free else None
+    col, _fam, peos = _load_instance(args.instance)
     report = RunReport(meta={"source": args.instance, "n": col.n, "t": col.t})
     if args.tk is not None:
         with _Timed(report, "tk"):
@@ -265,7 +261,7 @@ def _greedy_lower_bound_ok(covered: int, n: int, k: int) -> bool:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    col, fam = _load_instance(args.instance)
+    col, fam, peos = _load_instance(args.instance)
     report = RunReport(
         meta={
             "source": args.instance,
@@ -276,7 +272,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         }
     )
     try:
-        cover = _run_cover(args, col, fam, report)
+        cover = _run_cover(args, col, peos, report)
     except (PreconditionError, GuaranteeError, SizeLimitError, InputError) as exc:
         report.results["error"] = f"{type(exc).__name__}: {exc}"
         report.add_check("precondition", "algorithm precondition holds", True, False, False)
@@ -304,13 +300,13 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def _run_cover(
     args: argparse.Namespace,
     col: MultiColoring,
-    fam: Family | None,
+    peos: Peos | None,
     report: RunReport,
 ) -> StrongCover:
     algorithm = args.algorithm
     if algorithm == "greedy":
         with _Timed(report, "greedy"):
-            cover, trace = greedy_strong_cover(col, peos=_peos(fam))
+            cover, trace = greedy_strong_cover(col, peos=peos)
         report.results["uncovered"] = sorted(trace.uncovered)
         return cover
     if algorithm == "exact":
@@ -321,13 +317,13 @@ def _run_cover(
         return cover
     if algorithm == "t33":
         with _Timed(report, "t33"):
-            return strong_cover_33(col, peos=_peos(fam))
+            return strong_cover_33(col, peos=peos)
     if algorithm == "tt":
         with _Timed(report, "tt"):
-            return strong_cover_tt(col, peos=_peos(fam))
+            return strong_cover_tt(col, peos=peos)
     if algorithm == "c4free22":
         with _Timed(report, "c4free22"):
-            return strong_cover_c4free_22(col, peos=_peos(fam))
+            return strong_cover_c4free_22(col, peos=peos)
     raise InputError(f"unknown algorithm {algorithm!r}")  # pragma: no cover
 
 
@@ -634,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--anchor", type=float, default=0.0)
     gen.add_argument("--host-size", type=int, default=6)
-    gen.set_defaults(func=cmd_gen)
 
     check = sub.add_parser("check", help="run property checks on an instance")
     check.add_argument("instance", help="path to instance JSON, or - for stdin")
@@ -644,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--chordal", action="store_true")
     check.add_argument("--c4free", action="store_true")
-    check.set_defaults(func=cmd_check)
 
     cover = sub.add_parser("cover", help="run a cover algorithm on an instance")
     cover.add_argument(
@@ -653,7 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("instance", help="path to instance JSON, or - for stdin")
     cover.add_argument("--k", type=int, default=None)
     cover.add_argument("--max-exact", type=_int_at_least(0), default=40)
-    cover.set_defaults(func=cmd_cover)
 
     verify = sub.add_parser(
         "verify", help="run a coverage guarantee suite over a seeded corpus"
@@ -666,15 +659,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=int, default=3)
     verify.add_argument("--samples", type=_int_at_least(1), default=50)
     verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, once per process: each parse gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so the commands can be replaced in this module
+        return globals()[f"cmd_{args.command}"](args)
     except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,10 @@ from .core import (
     TIntervalFamily,
     TSubtreeFamily,
     _interval_rows,
+    _right_end_order,
     _subtree_rows,
     check_size,
+    family_peos,
     is_tk_coloring,
 )
 from .errors import InputError
@@ -91,9 +93,7 @@ def construct_onefourth(t: int) -> TIntervalFamily:
     for j, path in enumerate(hamilton_paths_for_construction(t), start=1):
         for p, v in enumerate(path):
             members[v][j] = (2 * p, 2 * p + 2)
-    fam = TIntervalFamily(t, members)
-    fam.validate()
-    return fam
+    return TIntervalFamily(t, members)
 
 
 def construct_k5star() -> MultiColoring:
@@ -175,9 +175,7 @@ def construct_partition_coloring(n: int, t: int) -> TIntervalFamily:
             else:
                 tracks.append((4 * n + 2 * v + 2, 4 * n + 2 * v + 2))
         members.append(tracks)
-    fam = TIntervalFamily(t, members)
-    fam.validate()
-    return fam
+    return TIntervalFamily(t, members)
 
 
 @dataclass
@@ -308,18 +306,13 @@ def random_interval_family(
     return fam, ok
 
 
-def _interval_coloring(
-    los: list[list[int]], his: list[list[int]]
-) -> tuple[MultiColoring, list[list[int]]]:
+def _interval_coloring(los: list[list[int]], his: list[list[int]]) -> MultiColoring:
     """The coloring of one drawn interval family, given per track as
-    left-end and right-end arrays, and one PEO per color (the members by
-    right end)."""
+    left-end and right-end arrays."""
     col = MultiColoring(len(los[0]), len(los))
-    peos = []
     for i, (track_los, track_his) in enumerate(zip(los, his)):
-        col.rows[i], by_hi = _interval_rows(track_los, track_his)
-        peos.append(by_hi)
-    return col, peos
+        col.rows[i] = _interval_rows(track_los, track_his, _right_end_order(track_his))
+    return col
 
 
 def _draw_intervals(
@@ -347,7 +340,7 @@ def _draw_intervals(
     n_anchored = round(anchor * n)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    col = peos = None
+    col = None
     ok = True
     for _ in range(_RETRIES if k is not None else 1):
         los = []
@@ -369,13 +362,13 @@ def _draw_intervals(
             his.append(track_his)
         if k is None:
             break
-        col, peos = _interval_coloring(los, his)
+        col = _interval_coloring(los, his)
         ok = is_tk_coloring(col, k)[0]
         if ok:
             break
     tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
-    fam = TIntervalFamily(t, [list(ivs) for ivs in zip(*tracks)])
-    return fam, ok, col, peos
+    fam = TIntervalFamily(t, list(zip(*tracks)))
+    return fam, ok, col, None if col is None else family_peos(fam)
 
 
 def random_subtree_family(
@@ -496,20 +489,4 @@ def _draw_subtrees(
         t,
         [[frozenset(track[v]) for track in subtrees] for v in range(n)],
     )
-    return fam, ok, col, None if col is None else _subtree_peos(parents, subtrees)
-
-
-def _subtree_peos(
-    parents: list[int], subtrees: list[list[list[int]]]
-) -> list[list[int]]:
-    """``family_peos`` of a drawn subtree family: every host edge joins a
-    vertex v to a parent p < v, so the top of a subtree (its vertex nearest
-    the root 0) is its least vertex, and a vertex lies one deeper than its
-    parent."""
-    depth = [0]
-    for p in parents:
-        depth.append(depth[p] + 1)
-    return [
-        sorted(range(len(track)), key=[-depth[min(s)] for s in track].__getitem__)
-        for track in subtrees
-    ]
+    return fam, ok, col, None if col is None else family_peos(fam)

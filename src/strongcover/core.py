@@ -327,18 +327,40 @@ class MultiColoring:
         return f"MultiColoring(n={self.n}, t={self.t}, edges={len(self.edge_colors)})"
 
 
-@dataclass
+def _right_end_order(his: Sequence[int]) -> list[int]:
+    """A track's members stably sorted by right end (its sweep order)."""
+    return sorted(range(len(his)), key=his.__getitem__)
+
+
+@dataclass(frozen=True)
 class TIntervalFamily:
-    """n members, each a tuple of t closed integer intervals (one per track)."""
+    """n members, each a tuple of t closed integer intervals (one per track).
+
+    A family is checked when built and cannot change, so no later layer
+    checks it again.  It holds tuples, and each track's right-end order for
+    its coloring's sweep and ``family_peos``.
+    """
 
     t: int
-    members: list[list[tuple[int, int]]]
+    members: tuple[tuple[tuple[int, int], ...], ...]
+    _by_hi: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        members = tuple(map(tuple, self.members))
+        object.__setattr__(self, "members", members)
+        self.validate()
+        check_size(len(members), self.t)
+        object.__setattr__(self, "_by_hi", tuple(
+            _right_end_order([tracks[i][1] for tracks in members])
+            for i in range(self.t)
+        ))
 
     @property
     def n(self) -> int:
         return len(self.members)
 
     def validate(self) -> None:
+        """The checks the constructor runs."""
         if self.t < 1:
             raise InputError(f"t must be positive, got {self.t}")
         for idx, tracks in enumerate(self.members):
@@ -360,8 +382,8 @@ class TIntervalFamily:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TIntervalFamily":
-        """Parse ``{"t": t, "members": [[[lo, hi], ...], ...]}``; ``validate``
-        requires plain int endpoints."""
+        """Parse ``{"t": t, "members": [[[lo, hi], ...], ...]}``; the
+        constructor requires plain int endpoints."""
         t, raw = _fields(data, "interval family", t=int, members=list)
         members = []
         # the checks are inlined so that the messages are formatted (by
@@ -369,24 +391,33 @@ class TIntervalFamily:
         for idx, tracks in enumerate(raw):
             if not isinstance(tracks, _SEQ):
                 _list(tracks, f"member {idx}")
-            ivs = []
             for iv in tracks:
                 if not isinstance(iv, _SEQ) or len(iv) != 2:
                     _list(iv, f"member {idx}: an interval [lo, hi]", 2)
-                ivs.append(tuple(iv))
-            members.append(ivs)
-        fam = cls(t, members)
-        fam.validate()
-        return fam
+            members.append(tuple(map(tuple, tracks)))
+        return cls(t, members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TSubtreeFamily:
-    """n members, each a tuple of t vertex sets inducing subtrees of a host tree."""
+    """n members, each a tuple of t vertex sets inducing subtrees of a host tree.
 
-    host_edges: list[Edge]
+    Checked when built, as ``TIntervalFamily``, by one rooting of the host
+    (``_rooted``), whose depths and subtree tops it keeps.
+    """
+
+    host_edges: tuple[Edge, ...]
     t: int
-    members: list[list[frozenset[int]]]
+    members: tuple[tuple[frozenset[int], ...], ...]
+    _depth: list[int] = field(init=False, repr=False, compare=False)
+    _tops: list[list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "host_edges", tuple(map(tuple, self.host_edges)))
+        object.__setattr__(self, "members", tuple(map(tuple, self.members)))
+        depth, tops = self._rooted()
+        object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_tops", tops)
 
     @property
     def n(self) -> int:
@@ -400,6 +431,7 @@ class TSubtreeFamily:
         return max(0, 1 + max(chain(ends, vertices), default=-1))
 
     def validate(self) -> None:
+        """The checks the constructor runs."""
         self._rooted()
 
     def _rooted(self) -> tuple[list[int], list[list[int]]]:
@@ -490,10 +522,8 @@ class TSubtreeFamily:
                     _list(s, f"member {idx}: a subtree")
             if not set(map(type, chain.from_iterable(tracks))) <= {int}:
                 raise InputError(f"member {idx}: subtree vertices must be integers")
-            members.append([frozenset(s) for s in tracks])
-        fam = cls(host_edges, t, members)
-        fam.validate()
-        return fam
+            members.append(tuple(map(frozenset, tracks)))
+        return cls(host_edges, t, members)
 
 
 @dataclass
@@ -547,9 +577,9 @@ class CoverReport:
     covered: int
 
 
-def _interval_rows(los: list[int], his: list[int]) -> tuple[list[int], list[int]]:
-    """One track's rows from its members' left and right ends, and the
-    members by right end (stably sorted, as ``family_peos`` orders them).
+def _interval_rows(los: list[int], his: list[int], by_hi: list[int]) -> list[int]:
+    """One track's rows from its members' left ends, right ends and
+    ``_right_end_order``.
 
     Member u meets exactly the members whose left end is at most u's right
     end (a prefix of the members sorted by left end) and whose right end is
@@ -558,7 +588,6 @@ def _interval_rows(los: list[int], his: list[int]) -> tuple[list[int], list[int]
     """
     n = len(los)
     by_lo = sorted(range(n), key=los.__getitem__)
-    by_hi = sorted(range(n), key=his.__getitem__)
     sorted_los = [los[v] for v in by_lo]
     sorted_his = [his[v] for v in by_hi]
     prefix = [0] * (n + 1)  # prefix[j]: the j members with least left ends
@@ -567,26 +596,25 @@ def _interval_rows(los: list[int], his: list[int]) -> tuple[list[int], list[int]
     suffix = [0] * (n + 1)  # suffix[j]: by_hi[j:], the latest right ends
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] | 1 << by_hi[j]
-    rows = [
+    return [
         (prefix[bisect_right(sorted_los, hi)] & suffix[bisect_left(sorted_his, lo)])
         ^ 1 << v
         for v, lo, hi in zip(range(n), los, his)
     ]
-    return rows, by_hi
 
 
 def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i intervals of u and v intersect.
 
-    One ``_interval_rows`` sweep per track.
+    One ``_interval_rows`` sweep per track, in the family's right-end order.
     """
-    fam.validate()
     col = MultiColoring(fam.n, fam.t)
-    for i in range(fam.t):
+    for i, by_hi in enumerate(fam._by_hi):
         col.rows[i] = _interval_rows(
             [tracks[i][0] for tracks in fam.members],
             [tracks[i][1] for tracks in fam.members],
-        )[0]
+            by_hi,
+        )
     return col
 
 
@@ -615,7 +643,7 @@ def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
 
     One ``_subtree_rows`` sweep per track.
     """
-    h = len(fam._rooted()[0])
+    h = len(fam._depth)
     col = MultiColoring(fam.n, fam.t)
     for i in range(fam.t):
         col.rows[i] = _subtree_rows(h, [tracks[i] for tracks in fam.members])
@@ -625,24 +653,20 @@ def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
 def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
     """One perfect elimination ordering per color of a family's coloring.
 
-    Interval tracks: the members by right end (Fulkerson and Gross 1965);
-    a member's later neighbors all contain its right end, so they pairwise
-    meet.  Subtree tracks: the members by the depth of their subtree's top
-    vertex, deepest first, with the host rooted at 0 (Gavril 1974); a later
-    neighbor's top is no deeper, so it contains the member's top.  The
-    family is validated as ``coloring_from_*`` validate it.
+    Interval tracks: the members by right end (Fulkerson and Gross 1965),
+    the order the family holds; a member's later neighbors all contain its
+    right end, so they pairwise meet.  Subtree tracks: the members by the
+    depth of their subtree's top vertex, deepest first, with the host
+    rooted at 0 (Gavril 1974), from the rooting the family holds; a later
+    neighbor's top is no deeper, so it contains the member's top.
     """
     if isinstance(fam, TSubtreeFamily):
-        depth, tops = fam._rooted()
+        depth = fam._depth
         return [
-            sorted(range(fam.n), key=[-depth[top[i]] for top in tops].__getitem__)
+            sorted(range(fam.n), key=[-depth[top[i]] for top in fam._tops].__getitem__)
             for i in range(fam.t)
         ]
-    fam.validate()
-    return [
-        sorted(range(fam.n), key=[tracks[i][1] for tracks in fam.members].__getitem__)
-        for i in range(fam.t)
-    ]
+    return [list(by_hi) for by_hi in fam._by_hi]
 
 
 def is_tk_coloring(
@@ -730,7 +754,6 @@ def piercing_points(
     Returns (track, point) pairs sorted by track; empty assignments are
     skipped.
     """
-    fam.validate()
     for c, s in cov.assignments.items():
         if not (1 <= c <= fam.t):
             raise InputError(f"cover color {c} out of range 1..{fam.t}")

@@ -250,6 +250,30 @@ def is_peo(adj, order):
     return True
 
 
+def right_end_order(members, i):
+    """Members stably sorted by the right end of their track-i interval
+    (Fulkerson and Gross's PEO of an interval graph)."""
+    return sorted(range(len(members)), key=lambda v: members[v][i][1])
+
+
+def deepest_top_order(host_edges, members, i):
+    """Members by the distance from host vertex 0 of their track-i
+    subtree's vertex nearest 0, farthest first, ties by member (Gavril's
+    PEO of a subtree intersection graph)."""
+    neighbors = {}
+    for u, v in host_edges:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
+    dist = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v in neighbors.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return sorted(range(len(members)), key=lambda v: -min(dist[x] for x in members[v][i]))
+
+
 def first_k5star(col, red, blue):
     """First 5-subset whose edges each carry exactly one of red and blue,
     the red ones forming a 5-cycle (so the blue ones do too)."""

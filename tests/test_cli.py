@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongcover import _kernels as kernels
+from strongcover import cli
 from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
@@ -713,3 +717,60 @@ def test_gen_and_verify_keep_the_exit_code_contract(argv):
         assert again[1] == out
     else:
         assert without_times(again[1]) == without_times(out)
+
+
+class TestParserReuse:
+    """main() parses with one parser per process, built on first use."""
+
+    DOC = json.dumps({"t": 2, "members": [[[0, 2], [1, 1]], [[1, 3], [0, 4]],
+                                          [[2, 2], [5, 6]]]})
+
+    def test_one_build_over_every_command(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def spy():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            codes = [
+                invoke(["gen", "k5star"], "")[0],
+                invoke(["check", "-", "--tk", "2", "--chordal"], self.DOC)[0],
+                invoke(["cover", "greedy", "-", "--k", "2"], self.DOC)[0],
+                invoke(["verify", "lower", "--samples", "2"], "")[0],
+                invoke(["check", "-"], self.DOC)[0],
+            ]
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 0, 0, 0, 0]
+        assert builds == [1]
+
+    def test_usage_error_leaves_the_parser_as_a_fresh_process_has_it(self):
+        argv = ["cover", "greedy", "-", "--k", "2"]
+        code, out, err = invoke(["cover", "greedy", "-", "--k", "two"], self.DOC)
+        assert (code, out) == (2, "") and "invalid int value" in err
+        code, out, err = invoke(argv, self.DOC)
+        src = Path(cli.__file__).resolve().parent.parent
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from strongcover.cli import main; sys.exit(main())", *argv],
+            input=self.DOC, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=False,
+        )
+        assert (code, err) == (fresh.returncode, fresh.stderr) == (0, "")
+        assert without_times(out) == without_times(fresh.stdout)
+
+    def test_flags_do_not_leak_between_calls(self):
+        code, out, _err = invoke(["check", "-", "--chordal", "--tk", "2"], self.DOC)
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == ["tk", "chordal"]
+        code, out, _err = invoke(["check", "-"], self.DOC)
+        assert code == 0 and json.loads(out)["checks"] == []
+
+    def test_commands_are_looked_up_per_call(self, monkeypatch):
+        invoke(["check", "-"], self.DOC)  # the parser exists before the patch
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert invoke(["check", "-"], self.DOC)[0] == 7

@@ -354,7 +354,7 @@ class TestRandomStream:
                 n, t, seed, anchor, k, accepts
             )
             fam, got_ok, col, peos = _draw_intervals(n, t, seed, anchor, k)
-            assert (fam.t, fam.members, got_ok) == (t, members, ok)
+            assert (fam.t, fam.members, got_ok) == (t, tuple(map(tuple, members)), ok)
             if k is None:
                 assert col is None and peos is None
                 continue
@@ -389,7 +389,7 @@ class TestRandomStream:
             host_edges, members, ok = oracles.reference_subtree_draw(*args, accepts)
             fam, got_ok, col, peos = _draw_subtrees(*args)
             assert (fam.host_edges, fam.t, fam.members, got_ok) == (
-                host_edges, t, members, ok
+                tuple(host_edges), t, tuple(map(tuple, members)), ok
             )
             if k is None:
                 assert col is None and peos is None

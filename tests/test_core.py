@@ -345,7 +345,7 @@ class TestSweepBuilds:
                 max(n, 1), 1 + seed % 3, seed, host_size=2 + seed % 6
             )
             if n == 0:
-                fam.members = []
+                fam = TSubtreeFamily(fam.host_edges, fam.t, [])
             col = coloring_from_subtrees(fam)
             expected = oracles.family_color_adjacency(
                 fam.members, fam.t, lambda a, b: bool(a & b)

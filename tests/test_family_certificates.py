@@ -3,17 +3,20 @@ elimination orderings, the covers check a given ordering instead of
 searching for one, and a family document never runs maximum cardinality
 search or the induced-C4 scan."""
 
+import dataclasses
 import io
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpora
+import golden
 import oracles
 from strongcover import _kernels as kernels
-from strongcover import chordal, constructions, corpus
+from strongcover import chordal, constructions, corpus, covers
 from strongcover.cli import main
 from strongcover.constructions import random_interval_family, random_subtree_family
 from strongcover.core import (
@@ -111,9 +114,8 @@ class TestSubtreeSweepOrders:
             assert_peos(fam, coloring_from_subtrees(fam))
 
     def test_siblings_without_their_parent_are_not_connected(self):
-        fam = TSubtreeFamily([(0, 1), (0, 2)], 1, [[frozenset({1, 2})]])
         with pytest.raises(InputError, match="subtree vertices not connected"):
-            fam.validate()
+            TSubtreeFamily([(0, 1), (0, 2)], 1, [[frozenset({1, 2})]])
         doc = {"host_edges": [[0, 1], [0, 2]], "t": 1, "members": [[[1, 2]]]}
         with pytest.raises(InputError, match="member 0: subtree vertices not connected"):
             TSubtreeFamily.from_dict(doc)
@@ -464,3 +466,170 @@ class TestHolesOnlyWhereReported:
         assert code == 1 and sorted(chordal_check["witness"]) == ["1", "2"]
         assert c4_check == c4_only
         assert holes == [doc["n"], doc["n"]]
+
+
+class TestFamiliesCheckThemselves:
+    INTERVALS = {"t": 3, "members": [
+        [[0, 4], [1, 2], [5, 5]], [[2, 6], [0, 2], [3, 6]], [[3, 3], [2, 2], [4, 8]],
+        [[1, 3], [2, 7], [5, 9]],
+    ]}
+    SUBTREES = {"host_edges": [[0, 1], [1, 2], [1, 3]], "t": 3, "members": [
+        [[1, 2], [0], [3]], [[1], [0, 1], [1, 3]], [[1, 3, 0], [1], [3]],
+        [[2, 1], [1, 2], [1, 3]],
+    ]}
+    COMMANDS = [
+        ["cover", "greedy", "-", "--k", "2"],
+        ["cover", "exact", "-"],
+        ["cover", "t33", "-"],
+        ["cover", "tt", "-"],
+        ["cover", "c4free22", "-"],
+        ["check", "-", "--tk", "2", "--chordal", "--c4free", "--kfold", "1"],
+    ]
+
+    @pytest.mark.parametrize("kind", ["intervals", "subtrees"])
+    def test_one_check_per_document_per_operation(self, kind, monkeypatch, capsys):
+        calls = []
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counted(self):
+                calls.append(name)
+                return real(self)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(TIntervalFamily, "validate")
+        count(TSubtreeFamily, "validate")
+        count(TSubtreeFamily, "_rooted")
+        doc = getattr(self, kind.upper())
+        for argv in self.COMMANDS:
+            calls.clear()
+            code, _out, err = run(argv, doc, monkeypatch, capsys)
+            assert code in (0, 1) and err == "", argv
+            assert calls == ["validate" if kind == "intervals" else "_rooted"], argv
+
+    @pytest.mark.parametrize("kind", ["intervals", "subtrees"])
+    def test_every_received_order_is_checked(self, kind, monkeypatch, capsys):
+        checked = []
+        require = covers._require_peo
+
+        def counted(g, peo):
+            checked.append(peo)
+            return require(g, peo)
+
+        monkeypatch.setattr(covers, "_require_peo", counted)
+        doc = getattr(self, kind.upper())
+        for argv in self.COMMANDS[:1] + self.COMMANDS[2:4] + self.COMMANDS[5:]:
+            checked.clear()
+            code, _out, _err = run(argv, doc, monkeypatch, capsys)
+            assert code == 0, argv
+            assert len(checked) == 3, argv
+
+    def test_invalid_families_raise_when_built(self):
+        with pytest.raises(InputError, match="member 1: empty interval"):
+            TIntervalFamily(1, [[(0, 1)], [(3, 1)]])
+        with pytest.raises(InputError, match="has 1 interval"):
+            TIntervalFamily(2, [[(0, 1), (0, 0)], [(0, 1)]])
+        with pytest.raises(InputError, match="exceeds the limit"):
+            TIntervalFamily(MAX_COLORS + 1, [])
+        with pytest.raises(InputError, match="host is not a tree"):
+            TSubtreeFamily([(0, 1), (2, 3), (1, 2), (0, 3)], 1, [])
+        with pytest.raises(InputError, match="member 0: empty subtree"):
+            TSubtreeFamily([], 1, [[frozenset()]])
+
+    def test_fields_cannot_be_assigned(self):
+        fam = TIntervalFamily.from_dict(self.INTERVALS)
+        sfam = TSubtreeFamily.from_dict(self.SUBTREES)
+        for obj, name in ((fam, "t"), (fam, "members"), (sfam, "t"),
+                          (sfam, "members"), (sfam, "host_edges")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        assert {type(fam.members), type(fam.members[0]), type(fam.members[0][0]),
+                type(sfam.host_edges), type(sfam.members[0])} == {tuple}
+
+    def test_families_equal_by_their_fields(self):
+        fam = TIntervalFamily(1, [[(0, 1)], [(1, 2)]])
+        assert fam == TIntervalFamily(1, [((0, 1),), ((1, 2),)])
+        assert hash(fam) == hash(TIntervalFamily.from_dict(fam.to_dict()))
+        assert fam != TIntervalFamily(1, [[(0, 1)], [(1, 3)]])
+
+
+@st.composite
+def interval_families(draw):
+    """Intervals on a short range: ties in right ends, point intervals and
+    nesting are common."""
+    t = draw(st.integers(1, 3))
+    interval = st.tuples(st.integers(-4, 4), st.sampled_from((0, 0, 1, 2, 3, 8))).map(
+        lambda p: (p[0], p[0] + p[1])
+    )
+    members = draw(st.lists(st.lists(interval, min_size=t, max_size=t), max_size=9))
+    return TIntervalFamily(t, members)
+
+
+@st.composite
+def subtree_families(draw):
+    """A random host tree relabeled at random, so that the root 0 may be
+    any of its vertices, with subtrees grown down from a top vertex of the
+    unlabeled tree."""
+    h = draw(st.integers(1, 8))
+    parent = [-1] + [draw(st.integers(0, v - 1)) for v in range(1, h)]
+    label = draw(st.permutations(range(h)))
+    t = draw(st.integers(1, 3))
+
+    def subtree():
+        top = draw(st.integers(0, h - 1))
+        inside = {top}
+        for v in range(top + 1, h):
+            if parent[v] in inside and draw(st.booleans()):
+                inside.add(v)
+        return frozenset(label[v] for v in inside)
+
+    members = [[subtree() for _ in range(t)] for _ in range(draw(st.integers(0, 9)))]
+    host = [(label[parent[v]], label[v]) for v in range(1, h)]
+    return TSubtreeFamily(host, t, members)
+
+
+def _reference_orders(fam):
+    if isinstance(fam, TSubtreeFamily):
+        return [oracles.deepest_top_order(fam.host_edges, fam.members, i)
+                for i in range(fam.t)]
+    return [oracles.right_end_order(fam.members, i) for i in range(fam.t)]
+
+
+def assert_sweep_certificates(fam):
+    """The sweep's rows are the pairwise intersections, and each of its
+    orders is a PEO by definition and the reference order."""
+    if isinstance(fam, TSubtreeFamily):
+        col = coloring_from_subtrees(fam)
+        meet = frozenset.isdisjoint
+        expected = oracles.family_color_adjacency(
+            fam.members, fam.t, lambda a, b: not meet(a, b)
+        )
+    else:
+        col = coloring_from_intervals(fam)
+        expected = oracles.family_color_adjacency(
+            fam.members, fam.t, lambda a, b: max(a[0], b[0]) <= min(a[1], b[1])
+        )
+    assert col.rows == expected
+    peos = family_peos(fam)
+    assert peos == _reference_orders(fam)
+    for row, peo in zip(col.rows, peos):
+        assert oracles.is_peo(row, peo)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(fam=st.one_of(interval_families(), subtree_families()))
+def test_sweep_certificates(fam):
+    assert_sweep_certificates(fam)
+
+
+def test_sweep_certificates_of_the_golden_documents():
+    checked = 0
+    for name, doc in golden.family_documents().items():
+        if name.startswith("malformed"):
+            continue
+        parse = TSubtreeFamily if "host_edges" in doc else TIntervalFamily
+        assert_sweep_certificates(parse.from_dict(doc))
+        checked += 1
+    assert checked == 6 + 5 * 8 + 3 * 12
