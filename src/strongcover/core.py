@@ -337,8 +337,8 @@ class TIntervalFamily:
     """n members, each a tuple of t closed integer intervals (one per track).
 
     A family is checked when built and cannot change, so no later layer
-    checks it again.  It holds tuples, and each track's right-end order for
-    its coloring's sweep and ``family_peos``.
+    checks it again.  It holds its members and their tracks as tuples, and
+    each track's right-end order for its coloring's sweep and ``family_peos``.
     """
 
     t: int

@@ -602,9 +602,8 @@ def assert_sweep_certificates(fam):
     orders is a PEO by definition and the reference order."""
     if isinstance(fam, TSubtreeFamily):
         col = coloring_from_subtrees(fam)
-        meet = frozenset.isdisjoint
         expected = oracles.family_color_adjacency(
-            fam.members, fam.t, lambda a, b: not meet(a, b)
+            fam.members, fam.t, lambda a, b: not a.isdisjoint(b)
         )
     else:
         col = coloring_from_intervals(fam)
