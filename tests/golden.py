@@ -27,13 +27,24 @@ on family documents:
 * malformed variants of the above, each with one or two faults, which
   must exit 2 under every command line.
 
+``golden_edges.json`` pins ``check --chordal``, ``check --c4free``,
+``check --chordal --c4free --kfold 1``, ``cover greedy --k 2``,
+``cover t33``, ``cover tt`` and ``cover c4free22`` on edges documents:
+the documents of ``golden_cover_exact.json`` and the colorings of the
+well-formed family documents, derived here from the members (no package
+code builds them).  Many of them are not chordal, so these runs pin the
+holes that ``check --chordal`` reports.  It also pins command lines that
+read no document: ``gen intervals`` and ``gen subtrees`` over a grid of
+sizes, anchors, k and seeds, the named constructions, and every
+``verify`` suite on a small corpus.
+
 Each run is pinned by a truncated sha256 of its document, its exit code,
 a truncated sha256 of the report less ``times`` (the only part of a report
 that differs between identical runs) when there is a report, and a
 truncated sha256 of the standard error text when there is one.
-``test_golden.py`` checks them.  To print the cases whose digests moved,
-or to write new files after an intended output change, run from the
-repository root:
+``test_golden.py`` checks them.  To print the cases whose digests moved
+(the exit code is then 1), or to write new files after an intended output
+change, run from the repository root:
 
     PYTHONPATH=src python tests/golden.py          # list changed cases
     PYTHONPATH=src python tests/golden.py --write  # rewrite the digests
@@ -44,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -60,6 +72,16 @@ FAMILY_ARGV = {
     "cover-tt": ["cover", "tt", "-"],
     "cover-c4free22": ["cover", "c4free22", "-"],
     "check-tk2-chordal-c4free": ["check", "-", "--tk", "2", "--chordal", "--c4free"],
+}
+EDGES_DIGESTS = Path(__file__).with_name("golden_edges.json")
+EDGES_ARGV = {
+    "check-chordal": ["check", "-", "--chordal"],
+    "check-c4free": ["check", "-", "--c4free"],
+    "check-chordal-c4free-kfold1": ["check", "-", "--chordal", "--c4free", "--kfold", "1"],
+    "cover-greedy-k2": ["cover", "greedy", "-", "--k", "2"],
+    "cover-t33": ["cover", "t33", "-"],
+    "cover-tt": ["cover", "tt", "-"],
+    "cover-c4free22": ["cover", "c4free22", "-"],
 }
 
 
@@ -321,35 +343,94 @@ def family_documents() -> dict[str, dict]:
     return docs
 
 
+def family_coloring(doc: dict) -> dict:
+    """The edges document of a well-formed family document's coloring:
+    members u and v share color i when their track-i intervals meet, or
+    their track-i subtrees share a host vertex."""
+    members, t = doc["members"], doc["t"]
+
+    def meet(a: list[int], b: list[int]) -> bool:
+        if "host_edges" in doc:
+            return not set(a).isdisjoint(b)
+        return max(a[0], b[0]) <= min(a[1], b[1])
+
+    edges = []
+    for u, v in itertools.combinations(range(len(members)), 2):
+        cs = [i + 1 for i in range(t) if meet(members[u][i], members[v][i])]
+        if cs:
+            edges.append([u, v, cs])
+    return {"n": len(members), "t": t, "edges": edges}
+
+
+def edges_documents() -> dict[str, dict]:
+    """Every edges case's document, by case name: the ``cover exact``
+    documents and the colorings of the well-formed family documents."""
+    docs = documents()
+    for name, doc in family_documents().items():
+        if not name.startswith("malformed"):
+            docs[f"{name}-coloring"] = family_coloring(doc)
+    return docs
+
+
+def argv_cases() -> dict[str, list[str]]:
+    """Every command line that reads no document, by its text."""
+    cases = [
+        ["gen", kind, "--n", str(n), "--t", str(t), "--anchor", str(anchor),
+         "--seed", str(seed)] + ([] if k is None else ["--k", str(k)])
+        for kind, n, t, k, anchor, seed in itertools.product(
+            ("intervals", "subtrees"), (5, 12, 30), (2, 3), (None, 2, 3), (0, 0.85),
+            (0, 1),
+        )
+    ]
+    cases += [["gen", name] for name in
+              ("onefourth", "k5star", "k4paths", "k8c4free", "partition")]
+    cases += [
+        ["verify", suite, "--samples", "4", "--seed", str(seed)]
+        for suite in ("lower", "t33", "tt", "c4free22", "constructions")
+        for seed in (0, 1)
+    ]
+    return {" ".join(argv): argv for argv in cases}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_case(doc: dict, argv: list[str] = ARGV) -> dict:
-    """The pinned digests of one document under one command line."""
-    text = json.dumps(doc, sort_keys=True)
+def run_argv(argv: list[str], stdin: str = "") -> dict:
+    """The pinned digests of one command line reading ``stdin``."""
     out = io.StringIO()
     err = io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved
-    pinned = {"doc": _sha(text), "exit": code}
+    pinned = {"exit": code}
     if out.getvalue():
         report = json.loads(out.getvalue())
-        report.pop("times")
+        report.pop("times", None)  # a generated document has none
         pinned["report"] = _sha(json.dumps(report, sort_keys=True, separators=(",", ":")))
     if err.getvalue():
         pinned["stderr"] = _sha(err.getvalue())
     return pinned
 
 
+def run_case(doc: dict, argv: list[str] = ARGV) -> dict:
+    """The pinned digests of one document under one command line."""
+    text = json.dumps(doc, sort_keys=True)
+    return {"doc": _sha(text), **run_argv(argv, text)}
+
+
 def run_family_case(doc: dict) -> dict:
     """The pinned digests of one family document under every command line."""
     return {label: run_case(doc, argv) for label, argv in FAMILY_ARGV.items()}
+
+
+def run_edges_case(doc: dict) -> dict:
+    """The pinned digests of one edges document under every command line."""
+    return {label: run_case(doc, argv) for label, argv in EDGES_ARGV.items()}
 
 
 def compute() -> dict[str, dict]:
@@ -360,11 +441,25 @@ def compute_families() -> dict[str, dict]:
     return {name: run_family_case(doc) for name, doc in family_documents().items()}
 
 
+def compute_edges() -> dict[str, dict]:
+    got = {name: run_edges_case(doc) for name, doc in edges_documents().items()}
+    got.update((text, run_argv(argv)) for text, argv in argv_cases().items())
+    return got
+
+
 if __name__ == "__main__":
-    for path, got in ((DIGESTS, compute()), (FAMILY_DIGESTS, compute_families())):
+    moved = False
+    for path, compute_file in (
+        (DIGESTS, compute),
+        (FAMILY_DIGESTS, compute_families),
+        (EDGES_DIGESTS, compute_edges),
+    ):
+        got = compute_file()
         if "--write" in sys.argv[1:]:
             path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
             continue
         want = json.loads(path.read_text())
         changed = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+        moved = moved or bool(changed)
         print(f"{path.name}:", ", ".join(changed) or "no case changed")
+    sys.exit(1 if moved else 0)

@@ -1,18 +1,29 @@
 """Reports equal the golden digests recorded in ``golden_cover_exact.json``
-(``cover exact`` on edges documents) and ``golden_families.json`` (the
-family covers and checks on family documents); documents and regeneration
-in ``golden.py``."""
+(``cover exact`` on edges documents), ``golden_families.json`` (the
+family covers and checks on family documents) and ``golden_edges.json``
+(the covers and checks on edges documents, and ``gen`` and ``verify``
+outputs); documents and regeneration in ``golden.py``."""
 
 import json
 
 import pytest
 
 import golden
+from strongcover.core import (
+    MultiColoring,
+    TIntervalFamily,
+    TSubtreeFamily,
+    coloring_from_intervals,
+    coloring_from_subtrees,
+)
 
 WANT = json.loads(golden.DIGESTS.read_text())
 DOCS = golden.documents()
 FAMILY_WANT = json.loads(golden.FAMILY_DIGESTS.read_text())
 FAMILY_DOCS = golden.family_documents()
+EDGES_WANT = json.loads(golden.EDGES_DIGESTS.read_text())
+EDGES_DOCS = golden.edges_documents()
+ARGV_CASES = golden.argv_cases()
 
 
 def test_every_document_is_pinned():
@@ -40,3 +51,38 @@ def test_malformed_family_documents_exit_2():
 @pytest.mark.parametrize("name", sorted(FAMILY_WANT))
 def test_family_reports_are_golden(name):
     assert golden.run_family_case(FAMILY_DOCS[name]) == FAMILY_WANT[name]
+
+
+def test_every_edges_case_is_pinned_under_every_command():
+    assert sorted(EDGES_WANT) == sorted(EDGES_DOCS.keys() | ARGV_CASES.keys())
+    for name in EDGES_DOCS:
+        assert sorted(EDGES_WANT[name]) == sorted(golden.EDGES_ARGV)
+
+
+def test_family_colorings_are_the_package_colorings():
+    derived = {name[: -len("-coloring")] for name in EDGES_DOCS if name.endswith("-coloring")}
+    assert derived == {name for name in FAMILY_DOCS if not name.startswith("malformed")}
+    for name in derived:
+        doc = FAMILY_DOCS[name]
+        if "host_edges" in doc:
+            col = coloring_from_subtrees(TSubtreeFamily.from_dict(doc))
+        else:
+            col = coloring_from_intervals(TIntervalFamily.from_dict(doc))
+        assert MultiColoring.from_dict(EDGES_DOCS[f"{name}-coloring"]) == col, name
+
+
+# One test per command line over all of its cases keeps the per-test
+# overhead small; a failure lists the cases that moved.
+@pytest.mark.parametrize("label", sorted(golden.EDGES_ARGV))
+def test_edges_reports_are_golden(label):
+    argv = golden.EDGES_ARGV[label]
+    moved = [name for name, doc in EDGES_DOCS.items()
+             if golden.run_case(doc, argv) != EDGES_WANT[name][label]]
+    assert moved == []
+
+
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_gen_and_verify_outputs_are_golden(command):
+    moved = [text for text, argv in ARGV_CASES.items()
+             if argv[0] == command and golden.run_argv(argv) != EDGES_WANT[text]]
+    assert moved == []
