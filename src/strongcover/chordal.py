@@ -10,7 +10,8 @@ as negative certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _kernels as kernels
 from .errors import InputError
@@ -19,14 +20,32 @@ from .graphs import Graph, bits, lex_key, mask_of
 
 @dataclass
 class ChordalCertificate:
-    """Either a perfect elimination ordering or a hole (induced cycle >= 4)."""
+    """A perfect elimination ordering or, for a graph that is not chordal,
+    a hole (an induced cycle of length four or more).
 
-    peo: list[int] | None = None
-    hole: list[int] | None = None
+    ``is_chordal`` and ``color_certificates`` build it.  A failed search
+    leaves a copy of the graph it searched, so that later edits of the
+    graph do not reach the certificate, and the order that failed; the hole
+    is closed from them when ``hole`` is first read, and kept.  A caller
+    that needs only the verdict builds no hole.
+    """
+
+    peo: list[int] | None
+    _failed: tuple[Graph, list[int]] | None = field(default=None, repr=False)
 
     @property
     def is_chordal(self) -> bool:
         return self.peo is not None
+
+    @cached_property
+    def hole(self) -> list[int] | None:
+        if self._failed is None:
+            return None
+        g, order = self._failed
+        hole = _hole_from_triple(g, *_check_peo(g, order))
+        if hole is None or not _verify_hole(g, hole):
+            raise AssertionError("ordering check failed but no hole found")
+        return hole
 
 
 @dataclass
@@ -172,23 +191,13 @@ def _verify_hole(g: Graph, hole: list[int]) -> bool:
 
 
 def is_chordal(g: Graph) -> ChordalCertificate:
-    """Recognize chordality; returns a PEO or a hole as certificate."""
-    order = mcs_order(g)
-    peo = order[::-1]
-    triple = _check_peo(g, peo)
-    if triple is None:
-        return ChordalCertificate(peo=peo)
-    hole = _hole_from_triple(g, *triple)
-    if hole is None or not _verify_hole(g, hole):
-        raise AssertionError("ordering check failed but no hole found")
-    return ChordalCertificate(hole=hole)
-
-
-def chordal_peo(g: Graph) -> list[int] | None:
-    """Decide chordality without building a hole: the reverse maximum
-    cardinality search order when it is a PEO, else None."""
+    """Recognize chordality by one maximum cardinality search: the
+    certificate is the reversed visit order when it is a PEO, else a hole
+    built from that order when it is read."""
     peo = mcs_order(g)[::-1]
-    return peo if _is_peo(g.adj, peo) else None
+    if _is_peo(g.adj, peo):
+        return ChordalCertificate(peo)
+    return ChordalCertificate(None, (g.copy(), peo))
 
 
 def _require_peo(g: Graph, peo: list[int]) -> None:

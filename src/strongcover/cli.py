@@ -38,7 +38,6 @@ from .core import (
 from .covers import (
     Peos,
     color_certificates,
-    color_peos,
     counting_chain_check,
     exact_cover_and_theta,
     greedy_strong_cover,
@@ -206,13 +205,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             ok,
             witness=sorted(witness) if witness else None,
         )
-    certs = None
+    # one certificate per color, searched by the first check that needs it
+    certificates = functools.cache(lambda: list(color_certificates(col, peos)))
     if args.chordal:
         with _Timed(report, "chordal"):
-            certs = list(color_certificates(col, peos))
             holes = {
                 i: cert.hole
-                for i, (_g, cert) in enumerate(certs, start=1)
+                for i, (_g, cert) in enumerate(certificates(), start=1)
                 if not cert.is_chordal
             }
         report.add_check(
@@ -225,13 +224,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     if args.c4free:
         with _Timed(report, "c4free"):
-            if certs is None:
-                colors = color_peos(col, peos)
-            else:
-                colors = ((g, cert.peo) for g, cert in certs)
             squares = {
                 i: list(square)
-                for i, square in induced_c4s(colors)
+                for i, square in induced_c4s(certificates())
                 if square is not None
             }
         report.add_check(

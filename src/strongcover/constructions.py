@@ -21,9 +21,9 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
-    _interval_rows,
+    _interval_coloring,
     _right_end_order,
-    _subtree_rows,
+    _subtree_coloring,
     check_size,
     family_peos,
     is_tk_coloring,
@@ -306,15 +306,6 @@ def random_interval_family(
     return fam, ok
 
 
-def _interval_coloring(los: list[list[int]], his: list[list[int]]) -> MultiColoring:
-    """The coloring of one drawn interval family, given per track as
-    left-end and right-end arrays."""
-    col = MultiColoring(len(los[0]), len(los))
-    for i, (track_los, track_his) in enumerate(zip(los, his)):
-        col.rows[i] = _interval_rows(track_los, track_his, _right_end_order(track_his))
-    return col
-
-
 def _draw_intervals(
     n: int, t: int, seed: int, anchor: float, k: int | None
 ) -> tuple[TIntervalFamily, bool, MultiColoring | None, list[list[int]] | None]:
@@ -362,7 +353,7 @@ def _draw_intervals(
             his.append(track_his)
         if k is None:
             break
-        col = _interval_coloring(los, his)
+        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
         ok = is_tk_coloring(col, k)[0]
         if ok:
             break
@@ -392,15 +383,6 @@ def random_subtree_family(
         n, t, seed, host_size, max_size, anchor, k
     )
     return fam, ok
-
-
-def _subtree_coloring(h: int, subtrees: list[list[list[int]]]) -> MultiColoring:
-    """The coloring of one drawn subtree family, given per track as one
-    host-vertex list per member."""
-    col = MultiColoring(len(subtrees[0]), len(subtrees))
-    for i, track in enumerate(subtrees):
-        col.rows[i] = _subtree_rows(h, track)
-    return col
 
 
 def _draw_subtrees(

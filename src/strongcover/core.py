@@ -416,6 +416,7 @@ class TSubtreeFamily:
         object.__setattr__(self, "host_edges", tuple(map(tuple, self.host_edges)))
         object.__setattr__(self, "members", tuple(map(tuple, self.members)))
         depth, tops = self._rooted()
+        check_size(len(self.members), self.t)
         object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "_tops", tops)
 
@@ -603,19 +604,26 @@ def _interval_rows(los: list[int], his: list[int], by_hi: list[int]) -> list[int
     ]
 
 
-def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
-    """Edge (u, v) gets color i when track-i intervals of u and v intersect.
-
-    One ``_interval_rows`` sweep per track, in the family's right-end order.
-    """
-    col = MultiColoring(fam.n, fam.t)
-    for i, by_hi in enumerate(fam._by_hi):
-        col.rows[i] = _interval_rows(
-            [tracks[i][0] for tracks in fam.members],
-            [tracks[i][1] for tracks in fam.members],
-            by_hi,
-        )
+def _interval_coloring(
+    los: list[list[int]], his: list[list[int]], by_his: Sequence[list[int]]
+) -> MultiColoring:
+    """The coloring of an interval family given per track as left-end and
+    right-end arrays and ``_right_end_order``: one ``_interval_rows`` sweep
+    per track."""
+    col = MultiColoring(len(los[0]), len(los))
+    for i, by_hi in enumerate(by_his):
+        col.rows[i] = _interval_rows(los[i], his[i], by_hi)
     return col
+
+
+def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
+    """Edge (u, v) gets color i when track-i intervals of u and v intersect,
+    swept in the family's right-end order."""
+    return _interval_coloring(
+        [[tracks[i][0] for tracks in fam.members] for i in range(fam.t)],
+        [[tracks[i][1] for tracks in fam.members] for i in range(fam.t)],
+        fam._by_hi,
+    )
 
 
 def _subtree_rows(h: int, subtrees: Sequence[Iterable[int]]) -> list[int]:
@@ -638,16 +646,21 @@ def _subtree_rows(h: int, subtrees: Sequence[Iterable[int]]) -> list[int]:
     return rows
 
 
-def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
-    """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex.
-
-    One ``_subtree_rows`` sweep per track.
-    """
-    h = len(fam._depth)
-    col = MultiColoring(fam.n, fam.t)
-    for i in range(fam.t):
-        col.rows[i] = _subtree_rows(h, [tracks[i] for tracks in fam.members])
+def _subtree_coloring(h: int, subtrees: list[list[Iterable[int]]]) -> MultiColoring:
+    """The coloring of a subtree family given per track as one subtree (host
+    vertices below h) per member: one ``_subtree_rows`` sweep per track."""
+    col = MultiColoring(len(subtrees[0]), len(subtrees))
+    for i, track in enumerate(subtrees):
+        col.rows[i] = _subtree_rows(h, track)
     return col
+
+
+def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
+    """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex."""
+    return _subtree_coloring(
+        len(fam._depth),
+        [[tracks[i] for tracks in fam.members] for i in range(fam.t)],
+    )
 
 
 def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:

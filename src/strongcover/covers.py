@@ -19,7 +19,6 @@ from .chordal import (
     ChordalCertificate,
     _max_clique_within,
     _require_peo,
-    chordal_peo,
     clique_cutset,
     induced_c4_free,
     is_chordal,
@@ -62,42 +61,25 @@ class GreedyTrace:
 Peos = list[list[int]]
 
 
-def color_peos(
+def color_certificates(
     col: MultiColoring, peos: Peos | None = None
-) -> Iterator[tuple[Graph, list[int] | None]]:
-    """Each color graph with a PEO, or None where it is not chordal, in
-    color order 1..t.
+) -> Iterator[tuple[Graph, ChordalCertificate]]:
+    """Each color graph with its chordality certificate, in color order 1..t.
 
     Given orderings (one per color, as ``family_peos`` makes them) are
     checked in O(n) mask steps, InputError if one is not a PEO; without
-    them maximum cardinality search decides each color and builds no hole.
+    them ``is_chordal`` searches each color, and the hole of a color that
+    is not chordal is built only if a caller reads it.
     """
     if peos is not None and len(peos) != col.t:
         raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
         if peos is None:
-            yield g, chordal_peo(g)
+            yield g, is_chordal(g)
         else:
             _require_peo(g, peos[i - 1])
-            yield g, peos[i - 1]
-
-
-def color_certificates(
-    col: MultiColoring, peos: Peos | None = None
-) -> Iterator[tuple[Graph, ChordalCertificate]]:
-    """Each color graph with its chordality certificate, in color order 1..t:
-    a PEO as ``color_peos`` gives it, or for a color that is not chordal the
-    hole ``is_chordal`` builds from its search.  Only a caller that reports
-    holes needs them; ``color_peos`` decides chordality without them.
-    """
-    if peos is not None:
-        for g, peo in color_peos(col, peos):
-            yield g, ChordalCertificate(peo=peo)
-        return
-    for i in range(1, col.t + 1):
-        g = col.color_graph(i)
-        yield g, is_chordal(g)
+            yield g, ChordalCertificate(peos[i - 1])
 
 
 def _chordal_certificates(
@@ -118,13 +100,13 @@ def _chordal_certificates(
 
 
 def induced_c4s(
-    colors: Iterable[tuple[Graph, list[int] | None]],
+    colors: Iterable[tuple[Graph, ChordalCertificate]],
 ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Each color of ``color_peos`` with the lexicographically first
-    induced 4-cycle of its graph, or None.  A color with a PEO is chordal,
-    so it has no induced 4-cycle and only colors without one are scanned."""
-    for i, (g, peo) in enumerate(colors, start=1):
-        yield i, None if peo is not None else induced_c4_free(g)[1]
+    """Each color of ``color_certificates`` with the lexicographically first
+    induced 4-cycle of its graph, or None.  A chordal color has no induced
+    4-cycle, so only the others are scanned, and no hole is read."""
+    for i, (g, cert) in enumerate(colors, start=1):
+        yield i, None if cert.is_chordal else induced_c4_free(g)[1]
 
 
 def greedy_strong_cover(
@@ -632,7 +614,7 @@ def strong_cover_c4free_22(
             raise PreconditionError(
                 f"not a (2,2)-coloring; witness {witness}", witness=witness
             )
-    for i, witness in induced_c4s(color_peos(col, peos)):
+    for i, witness in induced_c4s(color_certificates(col, peos)):
         if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",

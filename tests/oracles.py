@@ -88,6 +88,18 @@ def first_hole(n, adj):
     return None
 
 
+def is_hole(adj, cycle):
+    """True if ``cycle`` lists distinct vertices, four or more, each adjacent
+    exactly to the ones before and after it (cyclically)."""
+    m = len(cycle)
+    if m < 4 or len(set(cycle)) != m:
+        return False
+    return all(
+        bool(adj[cycle[i]] >> cycle[j] & 1) == ((j - i) % m in (1, m - 1))
+        for i, j in combinations(range(m), 2)
+    )
+
+
 def color_adjacency(col):
     """Bitmask rows per color, built straight from the edge dictionary."""
     rows = [[0] * col.n for _ in range(col.t)]

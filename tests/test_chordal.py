@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from strongcover import chordal
 from strongcover.chordal import (
     chordal_edge_bound_check,
     clique_cutset,
@@ -17,7 +18,12 @@ from strongcover.chordal import (
     mcs_order,
 )
 from strongcover.constructions import random_interval_family, random_subtree_family
-from strongcover.core import coloring_from_intervals, coloring_from_subtrees
+from strongcover.core import (
+    MultiColoring,
+    coloring_from_intervals,
+    coloring_from_subtrees,
+)
+from strongcover.covers import greedy_strong_cover, strong_cover_33, strong_cover_tt
 from strongcover.errors import InputError, PreconditionError
 from strongcover.graphs import Graph, mask_of
 
@@ -296,3 +302,93 @@ class TestBucketedSearch:
                 orders.append(order)
             for order in orders:
                 assert (_check_peo(g, order) is None) == oracles.is_peo(g.adj, order)
+
+
+def non_chordal_coloring(seed):
+    """A coloring on 5..9 vertices with one complete color, so a
+    (t,t)-coloring, and random other colors, at least one not chordal."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(5, 9)
+        t = rng.randint(2, 4)
+        full = rng.randint(1, t)
+        edges = [
+            (u, v, [c for c in range(1, t + 1) if c == full or rng.random() < 0.5])
+            for u, v in combinations(range(n), 2)
+        ]
+        col = MultiColoring.from_edges(n, t, edges)
+        if any(oracles.first_hole(n, row) for row in col.rows):
+            return col
+
+
+class TestCertificates:
+    """A certificate searches once, builds its hole on the first read of
+    ``hole`` from what the search saw, and keeps it."""
+
+    def test_hole_ignores_edits_after_the_search(self):
+        checked = 0
+        for seed in range(60):
+            g = perturbed_family_graph(seed, max_n=20)
+            before = g.copy()
+            cert = is_chordal(g)
+            if cert.is_chordal:
+                continue
+            want = is_chordal(before).hole
+            rng = random.Random(seed)
+            a, b = want[0], want[2]  # a chord of the hole
+            g.adj[a] ^= 1 << b
+            g.adj[b] ^= 1 << a
+            for _ in range(3):
+                u, v = rng.sample(range(g.n), 2)
+                g.adj[u] ^= 1 << v
+                g.adj[v] ^= 1 << u
+            assert cert.hole == want
+            assert oracles.is_hole(before.adj, cert.hole)
+            checked += 1
+        assert checked > 20
+
+    def test_hole_is_built_once_and_only_when_read(self, monkeypatch):
+        built = []
+        real = chordal._hole_from_triple
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chordal, "_hole_from_triple", counted)
+        cert = is_chordal(cycle(7))
+        assert not cert.is_chordal and built == []
+        first = cert.hole
+        assert cert.hole is first and len(built) == 1
+        assert oracles.is_hole(cycle(7).adj, first)
+
+    @pytest.mark.parametrize(
+        "cover", [greedy_strong_cover, strong_cover_33, strong_cover_tt]
+    )
+    def test_precondition_witness_is_the_first_hole(self, cover, monkeypatch):
+        searched = []
+        real = chordal.mcs_order
+
+        def counted(g):
+            searched.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(chordal, "mcs_order", counted)
+        checked = 0
+        for seed in range(40):
+            col = non_chordal_coloring(seed)
+            if cover is strong_cover_33 and col.t != 3:
+                continue
+            checked += 1
+            first = next(
+                i for i, row in enumerate(col.rows, start=1)
+                if oracles.first_hole(col.n, row)
+            )
+            searched.clear()
+            with pytest.raises(PreconditionError) as err:
+                cover(col)
+            assert searched == [col.n] * first
+            i, hole = err.value.witness
+            assert (i, hole) == (first, is_chordal(col.color_graph(first)).hole)
+            assert oracles.is_hole(col.rows[first - 1], hole)
+        assert checked >= 10

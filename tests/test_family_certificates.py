@@ -318,6 +318,23 @@ class TestSizeLimits:
         assert MultiColoring(MAX_VERTICES, 1).n == MAX_VERTICES
         assert MultiColoring(MAX_SLOTS // MAX_COLORS, MAX_COLORS).t == MAX_COLORS
 
+    def test_subtree_families_check_their_size_when_built(self):
+        point = frozenset({0})
+        assert 1417 * 185 == MAX_SLOTS + 1  # n and t each within their limit
+        for n, t in ((0, MAX_COLORS + 1), (1417, 185)):
+            with pytest.raises(InputError, match="exceeds the limit"):
+                TSubtreeFamily([], t, [(point,) * t] * n)
+        assert TSubtreeFamily([], 185, [(point,) * 185] * 1416).n == 1416
+        # a family that fails another check keeps that message
+        with pytest.raises(InputError, match="member 0 has 1 subtree"):
+            TSubtreeFamily([], MAX_COLORS + 1, [(point,)])
+
+    def test_oversized_subtree_document_message(self, monkeypatch, capsys):
+        doc = {"host_edges": [], "t": 10**9, "members": []}
+        code, out, err = run(["check", "-", "--tk", "2"], doc, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: t=1000000000 exceeds the limit of 1024 colors\n"
+
     @pytest.mark.parametrize(
         "doc",
         [
