@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, lex_key, mask_of
+from .graphs import Graph, bits, lex_key
 
 
 @dataclass
@@ -254,14 +254,19 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     the earliest of its vertices, so filtering these n candidates suffices.
     """
     _require_peo(g, peo)
+    return [frozenset(bits(c)) for c in _maximal_clique_masks(g.adj, peo)]
+
+
+def _maximal_clique_masks(adj: list[int], peo: list[int]) -> list[int]:
+    """``maximal_cliques_chordal`` as masks, for a PEO already checked."""
     cands = set()
     later = 0
     for v in reversed(peo):
-        cands.add(g.adj[v] & later | 1 << v)
+        cands.add(adj[v] & later | 1 << v)
         later |= 1 << v
     maximal = [c for c in cands if not any(c != o and c & o == c for o in cands)]
     maximal.sort(key=lex_key)
-    return [frozenset(bits(c)) for c in maximal]
+    return maximal
 
 
 def greedy_color_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
@@ -298,11 +303,16 @@ def clique_cutset(
     """
     if not g.is_connected():
         raise InputError("graph is disconnected")
-    cliques = maximal_cliques_chordal(g, peo)
-    if len(cliques) <= 1:
+    _require_peo(g, peo)
+    return _clique_cutset(g, peo)
+
+
+def _clique_cutset(g: Graph, peo: list[int]) -> CliqueCutsetDecomposition | None:
+    """``clique_cutset`` of a connected graph with a PEO already checked."""
+    masks = _maximal_clique_masks(g.adj, peo)
+    k = len(masks)
+    if k <= 1:
         return None
-    k = len(cliques)
-    masks = [mask_of(c) for c in cliques]
     pairs = sorted(
         ((i, j) for i in range(k) for j in range(i + 1, k)),
         key=lambda ij: (-(masks[ij[0]] & masks[ij[1]]).bit_count(), ij),

@@ -27,9 +27,7 @@ from .core import (
     StrongCover,
     TIntervalFamily,
     TSubtreeFamily,
-    coloring_from_intervals,
-    coloring_from_subtrees,
-    family_peos,
+    family_sweep,
     is_tk_coloring,
     kfold_min_colors,
     piercing_points,
@@ -110,9 +108,9 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None
     """Parse a coloring, interval family, or subtree family document.
 
     A family document gives its derived coloring, the family itself (an
-    interval family translates covers back into piercing points) and one
-    PEO per color (``family_peos``); an edges document has no PEOs, and
-    its colors are searched.
+    interval family translates covers back into piercing points) and the
+    sweep orders minted with that coloring (``family_sweep``), taken
+    unchecked; an edges document has no orders, and its colors are searched.
     """
     try:
         if path == "-":
@@ -129,11 +127,12 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None
         return MultiColoring.from_dict(data), None, None
     if "host_edges" in data:
         fam = TSubtreeFamily.from_dict(data)
-        return coloring_from_subtrees(fam), fam, family_peos(fam)
-    if "members" in data:
+    elif "members" in data:
         fam = TIntervalFamily.from_dict(data)
-        return coloring_from_intervals(fam), fam, family_peos(fam)
-    raise InputError("unrecognized instance document")
+    else:
+        raise InputError("unrecognized instance document")
+    orders = family_sweep(fam)
+    return orders.coloring, fam, orders
 
 
 def _emit_instance(doc: dict, meta: dict) -> None:

@@ -21,6 +21,7 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    _SweepOrders,
     _interval_coloring,
     _right_end_order,
     _subtree_coloring,
@@ -302,16 +303,15 @@ def random_interval_family(
     intersecting; the second return value reports whether the final family
     passed (an exhausted budget is reported, not raised).
     """
-    fam, ok, _col, _peos = _draw_intervals(n, t, seed, anchor, k)
-    return fam, ok
+    return _draw_intervals(n, t, seed, anchor, k)[:2]
 
 
 def _draw_intervals(
     n: int, t: int, seed: int, anchor: float, k: int | None
-) -> tuple[TIntervalFamily, bool, MultiColoring | None, list[list[int]] | None]:
-    """``random_interval_family`` plus the coloring its last draw was
-    tested on and that coloring's PEOs (both None when ``k`` is None and
-    no draw was tested), so an accepted family is built once.
+) -> tuple[TIntervalFamily, bool, _SweepOrders | None]:
+    """``random_interval_family`` plus its last tested draw's coloring with
+    the family's sweep orders (``family_sweep``'s value; None when ``k`` is
+    None and no draw was tested), so an accepted family is built once.
 
     Every draw makes the random calls ``random_interval_family`` has always
     made, in the same order: per track ``randint(0, 3n)`` for the anchor
@@ -359,7 +359,7 @@ def _draw_intervals(
             break
     tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
     fam = TIntervalFamily(t, list(zip(*tracks)))
-    return fam, ok, col, None if col is None else family_peos(fam)
+    return fam, ok, None if col is None else _SweepOrders(col, family_peos(fam))
 
 
 def random_subtree_family(
@@ -379,10 +379,7 @@ def random_subtree_family(
     a shared vertex.  Rejection sampling against the induced coloring as in
     ``random_interval_family``.
     """
-    fam, ok, _col, _peos = _draw_subtrees(
-        n, t, seed, host_size, max_size, anchor, k
-    )
-    return fam, ok
+    return _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)[:2]
 
 
 def _draw_subtrees(
@@ -393,9 +390,9 @@ def _draw_subtrees(
     max_size: int | None,
     anchor: float,
     k: int | None,
-) -> tuple[TSubtreeFamily, bool, MultiColoring | None, list[list[int]] | None]:
+) -> tuple[TSubtreeFamily, bool, _SweepOrders | None]:
     """``random_subtree_family`` plus the coloring its last draw was tested
-    on and that coloring's PEOs, as ``_draw_intervals``.
+    on with the family's sweep orders, as ``_draw_intervals``.
 
     Every draw makes the random calls ``random_subtree_family`` has always
     made, in the same order: ``randrange(v)`` for the parent of each host
@@ -471,4 +468,4 @@ def _draw_subtrees(
         t,
         [[frozenset(track[v]) for track in subtrees] for v in range(n)],
     )
-    return fam, ok, col, None if col is None else family_peos(fam)
+    return fam, ok, None if col is None else _SweepOrders(col, family_peos(fam))

@@ -682,6 +682,31 @@ def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
     return [list(by_hi) for by_hi in fam._by_hi]
 
 
+class _SweepOrders(tuple):
+    """``family_peos(fam)`` as tuples, minted with the family's ``coloring``
+    and a copy of its rows; a slice is a plain list."""
+
+    def __new__(cls, coloring: MultiColoring, orders: Iterable[Sequence[int]]):
+        self = super().__new__(cls, map(tuple, orders))
+        self.coloring, self._rows = coloring, [row.copy() for row in coloring.rows]
+        return self
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        return list(got) if isinstance(i, slice) else got
+
+    def minted_for(self, col: MultiColoring) -> bool:
+        """True for the coloring minted with, if its rows are unchanged."""
+        return self.coloring is col and self._rows == col.rows
+
+
+def family_sweep(fam: TIntervalFamily | TSubtreeFamily) -> _SweepOrders:
+    """A family's coloring (``coloring_from_*``) with its sweep orders."""
+    subtrees = isinstance(fam, TSubtreeFamily)
+    col = coloring_from_subtrees(fam) if subtrees else coloring_from_intervals(fam)
+    return _SweepOrders(col, family_peos(fam))
+
+
 def is_tk_coloring(
     col: MultiColoring, k: int
 ) -> tuple[bool, tuple[int, ...] | None]:

@@ -11,21 +11,22 @@ integer checks on the greedy trace.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import _kernels as kernels
 from .chordal import (
     ChordalCertificate,
+    _clique_cutset,
     _max_clique_within,
     _require_peo,
-    clique_cutset,
     induced_c4_free,
     is_chordal,
 )
 from .core import (
     MultiColoring,
     StrongCover,
+    _SweepOrders,
     count_layers,
     is_tk_coloring,
     verify_cover,
@@ -58,7 +59,7 @@ class GreedyTrace:
         }
 
 
-Peos = list[list[int]]
+Peos = Sequence[Sequence[int]]
 
 
 def color_certificates(
@@ -66,19 +67,22 @@ def color_certificates(
 ) -> Iterator[tuple[Graph, ChordalCertificate]]:
     """Each color graph with its chordality certificate, in color order 1..t.
 
-    Given orderings (one per color, as ``family_peos`` makes them) are
-    checked in O(n) mask steps, InputError if one is not a PEO; without
-    them ``is_chordal`` searches each color, and the hole of a color that
-    is not chordal is built only if a caller reads it.
+    Given orderings are one per color: sweep orders minted with ``col``
+    itself, its rows unchanged since, are PEOs by construction and taken as
+    they are, others are checked in O(n) mask steps, InputError if one is
+    not a PEO.  Without them ``is_chordal`` searches each color, and the
+    hole of a color that is not chordal is built only if a caller reads it.
     """
     if peos is not None and len(peos) != col.t:
         raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
+    trusted = isinstance(peos, _SweepOrders) and peos.minted_for(col)
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
         if peos is None:
             yield g, is_chordal(g)
         else:
-            _require_peo(g, peos[i - 1])
+            if not trusted:
+                _require_peo(g, peos[i - 1])
             yield g, ChordalCertificate(peos[i - 1])
 
 
@@ -120,9 +124,9 @@ def greedy_strong_cover(
 
     Every color graph must be chordal.  On a (t,k)-coloring the total
     covered is at least (k-1) n / (k+1) whatever the order.  Each color's
-    PEO, given in ``peos`` (checked) or else found by maximum cardinality
-    search, is the chordality certificate and is reused by every step; the
-    cover does not depend on which PEO a color has.
+    PEO, from ``peos`` or else maximum cardinality search, is the
+    chordality certificate and is reused by every step; the cover does not
+    depend on which PEO a color has.
     """
     t = col.t
     if order is None:
@@ -362,7 +366,7 @@ def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     clique does it, otherwise a clique cutset Q splits the rest into A and B
     with no single-color-1 edge inside either, so A u B is two-clique
     coverable in the other two colors and Q rides along as the third clique.
-    Given ``peos`` are checked and stand in for the chordality search.
+    Given ``peos`` stand in for the chordality search.
     """
     if col.t != 3:
         raise PreconditionError(f"need exactly 3 colors, got t={col.t}")
@@ -396,8 +400,8 @@ def _cover_33(
     if col.is_clique_mask((1 << col.n) - 1, 1):
         return StrongCover({1: all_vertices})
     # a color-1-only edge xy makes every triangle xyz color 1, so color 1
-    # is connected and has a clique cutset
-    dec = clique_cutset(*certs[0])
+    # is connected and has a clique cutset; its PEO is certified already
+    dec = _clique_cutset(*certs[0])
     rest = dec.a | dec.b
     sub_cover = two_clique_cover_exact(col, (2, 3), vertices=rest)
     if sub_cover is None:
@@ -420,8 +424,8 @@ def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     Some color pair must cover every edge when t is even; the pair scan
     runs first for odd t too, then a color triple whose restriction is a
     (3,3)-coloring is delegated to the three-color algorithm with the
-    triple's chordality certificates, which are computed (or, with
-    ``peos``, checked) once up front.
+    triple's chordality certificates, which are computed (or taken from
+    ``peos``) once up front.
     """
     t = col.t
     if t < 2:
@@ -602,9 +606,9 @@ def strong_cover_c4free_22(
     into a red part R and a blue part B, and dropping the smallest class X_i
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
     X_{i+1} u X_{i+4} u B.  Each color's chordality is decided first, by
-    ``peos`` (checked) or maximum cardinality search; a color with a PEO is
-    chordal, so its induced-C4 scan is skipped, and no hole is built for
-    one without.
+    ``peos`` or maximum cardinality search; a color with a PEO is chordal,
+    so its induced-C4 scan is skipped, and no hole is built for one
+    without.
     """
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")

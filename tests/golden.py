@@ -38,6 +38,12 @@ read no document: ``gen intervals`` and ``gen subtrees`` over a grid of
 sizes, anchors, k and seeds, the named constructions, and every
 ``verify`` suite on a small corpus.
 
+``golden_kernels.json`` pins, for every edges document, the order in
+which the pivoted Bron-Kerbosch kernel (``_kernels.maximal_cliques``)
+emits each color's maximal cliques.  Every caller sorts the cliques or
+takes their largest, so no report shows that order, but the pivot rule
+(most candidates, ties to the smallest index) fixes it.
+
 Each run is pinned by a truncated sha256 of its document, its exit code,
 a truncated sha256 of the report less ``times`` (the only part of a report
 that differs between identical runs) when there is a report, and a
@@ -61,7 +67,9 @@ import random
 import sys
 from pathlib import Path
 
+from strongcover import _kernels as kernels
 from strongcover.cli import main
+from strongcover.core import MultiColoring
 
 DIGESTS = Path(__file__).with_name("golden_cover_exact.json")
 ARGV = ["cover", "exact", "-"]
@@ -74,6 +82,7 @@ FAMILY_ARGV = {
     "check-tk2-chordal-c4free": ["check", "-", "--tk", "2", "--chordal", "--c4free"],
 }
 EDGES_DIGESTS = Path(__file__).with_name("golden_edges.json")
+KERNEL_DIGESTS = Path(__file__).with_name("golden_kernels.json")
 EDGES_ARGV = {
     "check-chordal": ["check", "-", "--chordal"],
     "check-c4free": ["check", "-", "--c4free"],
@@ -433,6 +442,13 @@ def run_edges_case(doc: dict) -> dict:
     return {label: run_case(doc, argv) for label, argv in EDGES_ARGV.items()}
 
 
+def run_kernel_case(doc: dict) -> str:
+    """The digest of each color's maximal cliques in the kernel's order."""
+    col = MultiColoring.from_dict(doc)
+    cliques = [kernels.maximal_cliques(col.n, row) for row in col.rows]
+    return _sha(json.dumps(cliques))
+
+
 def compute() -> dict[str, dict]:
     return {name: run_case(doc) for name, doc in documents().items()}
 
@@ -447,12 +463,17 @@ def compute_edges() -> dict[str, dict]:
     return got
 
 
+def compute_kernels() -> dict[str, str]:
+    return {name: run_kernel_case(doc) for name, doc in edges_documents().items()}
+
+
 if __name__ == "__main__":
     moved = False
     for path, compute_file in (
         (DIGESTS, compute),
         (FAMILY_DIGESTS, compute_families),
         (EDGES_DIGESTS, compute_edges),
+        (KERNEL_DIGESTS, compute_kernels),
     ):
         got = compute_file()
         if "--write" in sys.argv[1:]:

@@ -22,14 +22,14 @@ from strongcover.constructions import (
     construct_onefourth,
     random_interval_family,
 )
-from strongcover.chordal import clique_cutset, is_chordal
+from strongcover.chordal import is_chordal
 from strongcover.core import (
     MultiColoring,
     coloring_from_intervals,
     is_tk_coloring,
     verify_cover,
 )
-from strongcover import covers
+from strongcover import chordal, covers
 from strongcover.covers import (
     counting_chain_check,
     exact_max_strong_cover,
@@ -371,9 +371,9 @@ class TestStrongCoverTT:
 
         def counted(g, peo):
             cutsets.append(g)
-            return clique_cutset(g, peo)
+            return chordal._clique_cutset(g, peo)
 
-        monkeypatch.setattr(covers, "clique_cutset", counted)
+        monkeypatch.setattr(covers, "_clique_cutset", counted)
         for sizes in itertools.product((1, 2, 3), repeat=base.n):
             col = blow_up(base, BlowupSpec(list(sizes)))
             cutsets.clear()
@@ -382,6 +382,27 @@ class TestStrongCoverTT:
             rep = verify_cover(col, cover)
             assert rep.valid and rep.covered == col.n and cover.size() <= 3
             assert strong_cover_tt(col).to_dict() == cover.to_dict(), sizes
+
+    def test_cutset_branch_checks_each_given_order_once(self, monkeypatch):
+        """The clique cutset reuses color 1's certificate: a searched PEO
+        is not checked, and each given order is checked once."""
+        col = blow_up(_tt3_without_covering_pair(), BlowupSpec([2, 1, 3, 1, 2, 1]))
+        checked = []
+        require = chordal._require_peo
+
+        def counted(g, peo):
+            checked.append(list(peo))
+            return require(g, peo)
+
+        monkeypatch.setattr(chordal, "_require_peo", counted)
+        monkeypatch.setattr(covers, "_require_peo", counted)
+        searched = strong_cover_33(col)
+        assert checked == []
+        peos = [is_chordal(col.color_graph(i)).peo for i in (1, 2, 3)]
+        assert strong_cover_33(col, peos=peos) == searched
+        assert checked == peos
+        cutset = chordal.clique_cutset(col.color_graph(1), peos[0])
+        assert cutset is not None and checked == peos + peos[:1]
 
     def test_corpus(self):
         for inst in chordal_tt_corpus():

@@ -5,6 +5,7 @@ search or the induced-C4 scan."""
 
 import dataclasses
 import io
+import itertools
 import json
 import random
 import sys
@@ -26,9 +27,11 @@ from strongcover.core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    _SweepOrders,
     coloring_from_intervals,
     coloring_from_subtrees,
     family_peos,
+    family_sweep,
 )
 from strongcover.covers import (
     greedy_strong_cover,
@@ -241,6 +244,14 @@ def test_c4_scan_skips_only_certified_colors(monkeypatch, capsys):
     assert code == 0 and scans == [4]
 
 
+def _toggled(adj, u, v):
+    """A copy of adjacency masks with the edge uv flipped."""
+    adj = list(adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return adj
+
+
 class TestGivenOrders:
     def setup_method(self):
         inst = corpus.seeded_tk_instance("interval", 12, 3, 3, 0)  # a (3,3)-coloring
@@ -268,6 +279,96 @@ class TestGivenOrders:
             strong_cover_33(self.col, peos=peos)
         with pytest.raises(InputError):
             strong_cover_tt(self.col, peos=peos)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        require = covers._require_peo
+
+        def counted(g, peo):
+            seen.append(list(peo))
+            return require(g, peo)
+
+        monkeypatch.setattr(covers, "_require_peo", counted)
+        return seen
+
+    def test_sweep_orders_of_their_coloring_are_not_checked(self, checked):
+        assert isinstance(self.peos, _SweepOrders) and self.peos.coloring is self.col
+        assert all(type(order) is tuple for order in self.peos)
+        assert type(self.peos[1:]) is list
+        given, _ = greedy_strong_cover(self.col, peos=self.peos)
+        certs = list(covers.color_certificates(self.col, self.peos))
+        assert checked == []
+        assert [cert.peo for _g, cert in certs] == list(self.peos)
+        assert given == greedy_strong_cover(self.col)[0]
+
+    def test_plain_orders_are_checked_once_per_color(self, checked):
+        plain = [list(order) for order in self.peos]
+        given, _ = greedy_strong_cover(self.col, peos=plain)
+        assert checked == plain
+        assert given == greedy_strong_cover(self.col)[0]
+        checked.clear()
+        fam = corpus.seeded_tk_instance("interval", 12, 3, 3, 0).family
+        strong_cover_33(self.col, peos=family_peos(fam))
+        assert checked == family_peos(fam)
+
+    def test_sweep_orders_of_another_coloring_are_checked(self, checked):
+        copy = self.col.select_colors([1, 2, 3])
+        assert copy == self.col and copy is not self.col
+        given, _ = greedy_strong_cover(copy, peos=self.peos)
+        assert checked == [list(order) for order in self.peos]
+        assert given == greedy_strong_cover(self.col)[0]
+        # the orders of one color are not those of another
+        swapped = self.col.select_colors([2, 1, 3])
+        assert not oracles.is_peo(swapped.rows[0], self.peos[0])
+        with pytest.raises(InputError, match="not a perfect elimination"):
+            greedy_strong_cover(swapped, peos=self.peos)
+        with pytest.raises(InputError, match="not a perfect elimination"):
+            strong_cover_33(swapped, peos=self.peos)
+
+    def test_edited_coloring_does_not_take_the_orders(self, checked):
+        """Rows edited after the orders were minted are noticed: the orders
+        are checked again, and one that is no longer a PEO is refused."""
+        col, peos = self.col, self.peos
+        pairs = list(itertools.combinations(range(col.n), 2))
+        u, v = next(
+            (u, v)
+            for u, v in pairs
+            if not col.rows[0][u] >> v & 1
+            and not oracles.is_peo(_toggled(col.rows[0], u, v), peos[0])
+        )
+        col.add_colors(u, v, [1])
+        with pytest.raises(InputError, match="not a perfect elimination"):
+            greedy_strong_cover(col, peos=peos)
+        assert checked == [list(peos[0])]
+        # undone through the live view, the rows are those minted again
+        col.edge_colors[(u, v)] = col.colors_of(u, v) - {1}
+        checked.clear()
+        assert greedy_strong_cover(col, peos=peos)[0] == greedy_strong_cover(col)[0]
+        assert checked == []
+        # a hand edit of the rows that keeps every order a PEO is checked too
+        x, y = next(
+            (x, y) for x, y in pairs if oracles.is_peo(_toggled(col.rows[2], x, y), peos[2])
+        )
+        col.rows[2][x] ^= 1 << y
+        col.rows[2][y] ^= 1 << x
+        list(covers.color_certificates(col, peos))
+        assert checked == [list(order) for order in peos]
+
+    def test_relabeled_coloring_does_not_take_the_orders(self):
+        label = list(range(self.col.n))
+        random.Random(5).shuffle(label)
+        edges = [
+            (label[u], label[v], cs) for (u, v), cs in self.col.edge_colors.items()
+        ]
+        relabeled = MultiColoring.from_edges(self.col.n, self.col.t, edges)
+        assert not all(
+            oracles.is_peo(row, peo) for row, peo in zip(relabeled.rows, self.peos)
+        )
+        with pytest.raises(InputError):
+            greedy_strong_cover(relabeled, peos=self.peos)
+        with pytest.raises(InputError):
+            strong_cover_tt(relabeled, peos=self.peos)
 
     def test_wrong_order_in_c4free22_is_an_input_error(self):
         fam = TIntervalFamily(2, [[(0, 1), (0, 0)], [(1, 2), (0, 0)], [(2, 3), (0, 0)]])
@@ -300,7 +401,8 @@ class TestOneBuildPerDraw:
         derive = coloring_from_intervals if kind == "interval" else coloring_from_subtrees
         assert inst.coloring == derive(fam)
         assert_peos(fam, inst.coloring)
-        assert inst.peos == family_peos(fam)
+        assert inst.peos.coloring is inst.coloring
+        assert [list(order) for order in inst.peos] == family_peos(fam)
 
 
 class TestSizeLimits:
@@ -412,7 +514,8 @@ class TestCertifyOnce:
             ["check", "-", "--chordal", "--c4free"], _docs()[kind], monkeypatch, capsys
         )
         assert code == 0 and json.loads(out)["pass"] is True
-        assert calls == {"mcs": [], "peo": [40, 40, 40], "c4": []}
+        # the sweep orders are minted with the coloring: none is checked
+        assert calls == {"mcs": [], "peo": [], "c4": []}
 
     @pytest.mark.parametrize("name", ["square", "k5star-blowup"])
     def test_non_chordal_colors_keep_their_witness(self, name, calls, monkeypatch, capsys):
@@ -536,12 +639,16 @@ class TestFamiliesCheckThemselves:
             return require(g, peo)
 
         monkeypatch.setattr(covers, "_require_peo", counted)
+        monkeypatch.setattr(chordal, "_require_peo", counted)
         doc = getattr(self, kind.upper())
-        for argv in self.COMMANDS[:1] + self.COMMANDS[2:4] + self.COMMANDS[5:]:
+        # a family document's orders are minted with its coloring, not
+        # received from a caller, so no command line checks one
+        for argv in self.COMMANDS:
             checked.clear()
             code, _out, _err = run(argv, doc, monkeypatch, capsys)
-            assert code == 0, argv
-            assert len(checked) == 3, argv
+            # c4free22 refuses t = 3 before any certificate
+            assert code == (1 if "c4free22" in argv else 0), argv
+            assert checked == [], argv
 
     def test_invalid_families_raise_when_built(self):
         with pytest.raises(InputError, match="member 1: empty interval"):
@@ -616,7 +723,8 @@ def _reference_orders(fam):
 
 def assert_sweep_certificates(fam):
     """The sweep's rows are the pairwise intersections, and each of its
-    orders is a PEO by definition and the reference order."""
+    orders is a PEO by definition and the reference order.  The covers take
+    ``family_sweep``'s orders unchecked, so this is their only check."""
     if isinstance(fam, TSubtreeFamily):
         col = coloring_from_subtrees(fam)
         expected = oracles.family_color_adjacency(
@@ -628,9 +736,11 @@ def assert_sweep_certificates(fam):
             fam.members, fam.t, lambda a, b: max(a[0], b[0]) <= min(a[1], b[1])
         )
     assert col.rows == expected
+    swept = family_sweep(fam)
+    assert swept.coloring.rows == expected and len(swept) == fam.t
     peos = family_peos(fam)
-    assert peos == _reference_orders(fam)
-    for row, peo in zip(col.rows, peos):
+    assert peos == [list(order) for order in swept] == _reference_orders(fam)
+    for row, peo in zip(col.rows, swept):
         assert oracles.is_peo(row, peo)
 
 

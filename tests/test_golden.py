@@ -2,7 +2,8 @@
 (``cover exact`` on edges documents), ``golden_families.json`` (the
 family covers and checks on family documents) and ``golden_edges.json``
 (the covers and checks on edges documents, and ``gen`` and ``verify``
-outputs); documents and regeneration in ``golden.py``."""
+outputs) and ``golden_kernels.json`` (the Bron-Kerbosch kernel's clique
+order on edges documents); documents and regeneration in ``golden.py``."""
 
 import json
 
@@ -24,6 +25,7 @@ FAMILY_DOCS = golden.family_documents()
 EDGES_WANT = json.loads(golden.EDGES_DIGESTS.read_text())
 EDGES_DOCS = golden.edges_documents()
 ARGV_CASES = golden.argv_cases()
+KERNEL_WANT = json.loads(golden.KERNEL_DIGESTS.read_text())
 
 
 def test_every_document_is_pinned():
@@ -78,6 +80,13 @@ def test_edges_reports_are_golden(label):
     argv = golden.EDGES_ARGV[label]
     moved = [name for name, doc in EDGES_DOCS.items()
              if golden.run_case(doc, argv) != EDGES_WANT[name][label]]
+    assert moved == []
+
+
+def test_kernel_clique_orders_are_golden():
+    assert sorted(KERNEL_WANT) == sorted(EDGES_DOCS)
+    moved = [name for name, doc in EDGES_DOCS.items()
+             if golden.run_kernel_case(doc) != KERNEL_WANT[name]]
     assert moved == []
 
 
