@@ -8,6 +8,8 @@ as bitsets; every kernel has a deterministic output order.
 
 from __future__ import annotations
 
+from operator import or_
+
 BACKEND = "pure"
 
 
@@ -36,27 +38,35 @@ def first_tk_violation(n, k, color_adj):
     every completion is a clique in that color.  ``start[c]`` is the least
     s such that {s, ..., n-1} is a clique in color c (one backward pass per
     color), so a color qualifies only when ``start[c] <= v``, and nodes
-    with v below every ``start`` skip the test (at k = 2 the pass is
-    skipped and no node is tested).  Skipped subtrees hold no violation, so
-    the visit order and the witness are those of the unpruned scan; on a
-    passing input the scan no longer walks every (k-1)-prefix.
+    with v below every ``start`` skip the test.  Skipped subtrees hold no
+    violation, so the visit order and the witness are those of the unpruned
+    scan; on a passing input the scan no longer walks every (k-1)-prefix.
+
+    At k = 2 the scan reads one union row per vertex, the OR of its rows
+    over all colors: the first v whose union row misses a later vertex,
+    with the lowest such vertex, is the first violating pair.
     """
     if k > n:
         return None
     full = (1 << n) - 1
-    start = []
-    lo = n
-    # at k = 2 the root is the only level above the last, where a skip
-    # can only end the scan early: the O(t*n) pass would cost what it saves
-    if k > 2:
+    if k == 2:
+        union = [0] * n
         for rows in color_adj:
-            s = n
-            pool = 0
-            while s and rows[s - 1] & pool == pool:
-                s -= 1
-                pool |= 1 << s
-            start.append(s)
-        lo = min(start, default=n)
+            union = list(map(or_, union, rows))
+        for v, row in enumerate(union):
+            free = (full & ~row) >> (v + 1)
+            if free:
+                return (v, v + (free & -free).bit_length())
+        return None
+    start = []
+    for rows in color_adj:
+        s = n
+        pool = 0
+        while s and rows[s - 1] & pool == pool:
+            s -= 1
+            pool |= 1 << s
+        start.append(s)
+    lo = min(start, default=n)
     alive = list(range(len(color_adj)))
     common = [full] * len(alive)
     chosen = []

@@ -81,8 +81,7 @@ class RunReport:
             "times": self.times,
             "pass": self.ok,
         }
-        json.dump(doc, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 class _Timed:
@@ -138,8 +137,7 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None
 def _emit_instance(doc: dict, meta: dict) -> None:
     doc = dict(doc)
     doc["meta"] = meta
-    json.dump(doc, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -12,10 +12,10 @@ point piercing all track-i objects of the clique.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
+from operator import or_
 
 from . import _kernels as kernels
 from .errors import InputError
@@ -578,30 +578,39 @@ class CoverReport:
     covered: int
 
 
-def _interval_rows(los: list[int], his: list[int], by_hi: list[int]) -> list[int]:
-    """One track's rows from its members' left ends, right ends and
-    ``_right_end_order``.
+def _interval_rows(
+    los: list[int], his: list[int], by_hi: list[int], singles: list[int]
+) -> list[int]:
+    """One track's rows from its members' left ends, right ends,
+    ``_right_end_order`` and the table ``singles[v] == 1 << v``.
 
     Member u meets exactly the members whose left end is at most u's right
     end (a prefix of the members sorted by left end) and whose right end is
     at least u's left end (a suffix of the members sorted by right end), so
-    each row is one prefix mask AND one suffix mask.
+    each row is one prefix mask AND one suffix mask.  One pointer per order
+    finds each: by right end the prefix grows, by left end the suffix shrinks.
     """
     n = len(los)
     by_lo = sorted(range(n), key=los.__getitem__)
-    sorted_los = [los[v] for v in by_lo]
-    sorted_his = [his[v] for v in by_hi]
-    prefix = [0] * (n + 1)  # prefix[j]: the j members with least left ends
-    for j, v in enumerate(by_lo):
-        prefix[j + 1] = prefix[j] | 1 << v
-    suffix = [0] * (n + 1)  # suffix[j]: by_hi[j:], the latest right ends
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] | 1 << by_hi[j]
-    return [
-        (prefix[bisect_right(sorted_los, hi)] & suffix[bisect_left(sorted_his, lo)])
-        ^ 1 << v
-        for v, lo, hi in zip(range(n), los, his)
-    ]
+    sorted_los = list(map(los.__getitem__, by_lo))
+    sorted_his = list(map(his.__getitem__, by_hi))
+    # prefix[j]: the j members with least left ends
+    prefix = list(accumulate(map(singles.__getitem__, by_lo), or_, initial=0))
+    # suffix[j]: by_hi[j:], the members with the latest right ends
+    suffix = list(accumulate(map(singles.__getitem__, reversed(by_hi)), or_, initial=0))
+    suffix.reverse()
+    rows = [0] * n
+    j = 0
+    for v, hi in zip(by_hi, sorted_his):
+        while j < n and sorted_los[j] <= hi:
+            j += 1
+        rows[v] = prefix[j]
+    j = 0
+    for v, lo in zip(by_lo, sorted_los):
+        while sorted_his[j] < lo:  # stops at v's own right end at the latest
+            j += 1
+        rows[v] = rows[v] & suffix[j] ^ singles[v]
+    return rows
 
 
 def _interval_coloring(
@@ -611,8 +620,9 @@ def _interval_coloring(
     right-end arrays and ``_right_end_order``: one ``_interval_rows`` sweep
     per track."""
     col = MultiColoring(len(los[0]), len(los))
+    singles = [1 << v for v in range(col.n)]
     for i, by_hi in enumerate(by_his):
-        col.rows[i] = _interval_rows(los[i], his[i], by_hi)
+        col.rows[i] = _interval_rows(los[i], his[i], by_hi, singles)
     return col
 
 
@@ -626,23 +636,24 @@ def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     )
 
 
-def _subtree_rows(h: int, subtrees: Sequence[Iterable[int]]) -> list[int]:
+def _subtree_rows(
+    h: int, subtrees: Sequence[Iterable[int]], singles: list[int]
+) -> list[int]:
     """One track's rows from its members' subtrees (host vertices below h).
 
     Each host vertex gets the mask of members whose subtree holds it; a
     member's row is the OR of those masks over its subtree.
     """
     holders = [0] * h
-    for v, s in enumerate(subtrees):
-        bit = 1 << v
+    for bit, s in zip(singles, subtrees):
         for x in s:
             holders[x] |= bit
     rows = []
-    for v, s in enumerate(subtrees):
+    for bit, s in zip(singles, subtrees):
         meets = 0
         for x in s:
             meets |= holders[x]
-        rows.append(meets ^ 1 << v)
+        rows.append(meets ^ bit)
     return rows
 
 
@@ -650,8 +661,9 @@ def _subtree_coloring(h: int, subtrees: list[list[Iterable[int]]]) -> MultiColor
     """The coloring of a subtree family given per track as one subtree (host
     vertices below h) per member: one ``_subtree_rows`` sweep per track."""
     col = MultiColoring(len(subtrees[0]), len(subtrees))
+    singles = [1 << v for v in range(col.n)]
     for i, track in enumerate(subtrees):
-        col.rows[i] = _subtree_rows(h, track)
+        col.rows[i] = _subtree_rows(h, track, singles)
     return col
 
 

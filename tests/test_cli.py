@@ -437,6 +437,73 @@ class TestVerify:
         ]
 
 
+class TestEmitText:
+    """Every command writes its report or document with one ``json.dumps``,
+    and the text is what ``json.dump`` streams through the pure-Python
+    encoder: keys sorted, non-ASCII escaped, floats in their shortest
+    repr, one newline after."""
+
+    def emit(self, capsys, monkeypatch, argv):
+        docs = []
+        dumps = json.dumps
+
+        def spy(obj, **kwargs):
+            docs.append(obj)
+            return dumps(obj, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.json, "dumps", spy)
+            code, out, _err = run(capsys, argv)
+        (doc,) = docs
+        streamed = io.StringIO()
+        json.dump(doc, streamed, sort_keys=True)
+        assert out == streamed.getvalue() + "\n"
+        return code, doc, out
+
+    def test_gen(self, capsys, monkeypatch):
+        code, doc, _ = self.emit(capsys, monkeypatch, ["gen", "onefourth", "--t", "3"])
+        assert code == 0 and len(doc["members"]) == 7
+        code, doc, out = self.emit(capsys, monkeypatch, [
+            "gen", "intervals", "--n", "6", "--t", "2",
+            "--seed", "5", "--anchor", "0.9", "--k", "2",
+        ])
+        assert code == 0 and doc["meta"]["anchor"] == 0.9 and '"anchor": 0.9' in out
+
+    def path(self, capsys, tmp_path):
+        main(["gen", "onefourth", "--t", "3"])
+        p = tmp_path / "t\u00e9st-\u2713.json"
+        p.write_text(capsys.readouterr().out, encoding="utf-8")
+        return str(p)
+
+    def test_check_reads_a_non_ascii_path(self, capsys, monkeypatch, tmp_path):
+        path = self.path(capsys, tmp_path)
+        code, doc, out = self.emit(
+            capsys, monkeypatch, ["check", path, "--tk", "2", "--chordal"]
+        )
+        assert code == 0 and doc["meta"]["source"] == path
+        assert "\\u00e9st-\\u2713.json" in out and out.isascii()
+        assert doc["times"] and all(isinstance(s, float) for s in doc["times"].values())
+
+    def test_cover(self, capsys, monkeypatch, tmp_path):
+        path = self.path(capsys, tmp_path)
+        code, doc, _ = self.emit(
+            capsys, monkeypatch, ["cover", "greedy", path, "--k", "2"]
+        )
+        assert code == 0 and doc["results"]["piercing_points"]
+        assert all(isinstance(s, float) for s in doc["times"].values())
+        star = tmp_path / "star.json"
+        star.write_text(json.dumps(construct_k5star().to_dict()))
+        code, doc, _ = self.emit(capsys, monkeypatch, ["cover", "t33", str(star)])
+        assert code == 1 and doc["results"]["error"].startswith("PreconditionError")
+
+    def test_verify(self, capsys, monkeypatch):
+        code, doc, _ = self.emit(
+            capsys, monkeypatch, ["verify", "lower", "--samples", "2", "--seed", "1"]
+        )
+        assert code == 0 and len(doc["results"]["instances"]) == 2
+        assert all(isinstance(s, float) for s in doc["times"].values())
+
+
 class TestVerifyFailures:
     @pytest.mark.parametrize(
         "suite, target, error",

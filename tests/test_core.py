@@ -2,7 +2,7 @@
 connecting them."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from corpora import complete_coloring
@@ -17,6 +17,8 @@ from strongcover.core import (
     StrongCover,
     TIntervalFamily,
     TSubtreeFamily,
+    _interval_coloring,
+    _right_end_order,
     coloring_from_intervals,
     coloring_from_subtrees,
     is_kwise_intersecting,
@@ -299,6 +301,28 @@ def _intervals_meet(a, b):
     return max(a[0], b[0]) <= min(a[1], b[1])
 
 
+# a short range, so ends are shared and intervals repeat and nest
+_INTERVAL = st.builds(
+    lambda lo, length: (lo, lo + length),
+    st.integers(min_value=-4, max_value=4),
+    st.sampled_from((0, 0, 1, 2, 9)),
+)
+
+
+@st.composite
+def _interval_members(draw):
+    """(t, members): n in {1, 2} half the time, and each track interval
+    either drawn afresh or repeated from a small pool."""
+    n = draw(st.sampled_from((1, 2)) | st.integers(min_value=1, max_value=12))
+    t = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.lists(_INTERVAL, min_size=1, max_size=3))
+    track = st.sampled_from(pool) | _INTERVAL
+    members = draw(st.lists(
+        st.lists(track, min_size=t, max_size=t), min_size=n, max_size=n
+    ))
+    return t, members
+
+
 class TestSweepBuilds:
     """The sorted-sweep and holder-mask builds against pairwise tests."""
 
@@ -337,6 +361,27 @@ class TestSweepBuilds:
             expected = oracles.family_color_adjacency(members, t, _intervals_meet)
             assert col.rows == expected
             assert oracles.color_adjacency(col) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_interval_members())
+    @example((1, [[(3, 3)]]))
+    @example((1, [[(0, 2)], [(2, 5)]]))
+    @example((1, [[(2, 5)], [(0, 2)]]))
+    @example((2, [[(-3, -1), (0, 0)], [(-1, 4), (0, 0)]]))
+    def test_pointer_walk_boundaries(self, drawn):
+        """Both pointer walks of the interval sweep, as ``coloring_from_intervals``
+        and the draws (``_interval_coloring`` on per-track lists) call it: a
+        right end equal to another member's left end meets it (the ``<=``
+        walk), and a left end one past a right end does not (the ``<``
+        walk), with points, negative ends, repeated and nested intervals
+        and ties in both orders."""
+        t, members = drawn
+        expected = oracles.family_color_adjacency(members, t, _intervals_meet)
+        assert coloring_from_intervals(TIntervalFamily(t, members)).rows == expected
+        los = [[tracks[i][0] for tracks in members] for i in range(t)]
+        his = [[tracks[i][1] for tracks in members] for i in range(t)]
+        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
+        assert col.rows == expected
 
     def test_subtree_families(self):
         for seed in range(60):

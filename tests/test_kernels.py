@@ -346,3 +346,55 @@ class TestTwinQuotient:
         assert witness == oracles.first_induced_c4(800, rows)
         # {0}, {1}, the rest of their class and the four other classes
         assert scanned == [7]
+
+
+class TestUnionRowScan:
+    """At k = 2 the scan reads one union row per vertex (the OR of its rows
+    over all colors); the witness is still the oracle's first pair."""
+
+    def oracle(self, n, rows):
+        col = MultiColoring(n, len(rows))
+        col.rows = rows
+        return oracles.first_tk_violation(col, 2)
+
+    def test_no_colors_violate_at_the_first_pair(self):
+        for n in range(2, 7):
+            assert first_tk_violation(n, 2, []) == (0, 1)
+
+    def test_k_above_n_has_no_violation(self):
+        for n in range(4):
+            for k in range(max(2, n + 1), n + 3):
+                assert first_tk_violation(n, k, [[0] * n]) is None
+                assert first_tk_violation(n, k, []) is None
+
+    def test_every_coloring_of_two_and_three_vertices(self):
+        """Each pair of n in {2, 3} takes every subset of t in {1, 2, 3}
+        colors."""
+        from itertools import combinations, product
+
+        for n in (2, 3):
+            pairs = list(combinations(range(n), 2))
+            for t in (1, 2, 3):
+                for masks in product(range(1 << t), repeat=len(pairs)):
+                    rows = [[0] * n for _ in range(t)]
+                    for (u, v), mask in zip(pairs, masks):
+                        for c in range(t):
+                            if mask >> c & 1:
+                                rows[c][u] |= 1 << v
+                                rows[c][v] |= 1 << u
+                    assert first_tk_violation(n, 2, rows) == self.oracle(n, rows)
+
+    def test_sparse_rows_of_many_colors(self):
+        """Up to 48 sparse colors whose union is near complete, so the first
+        uncovered pair sits anywhere, or nowhere."""
+        rng = random.Random(48)
+        found = set()
+        for _ in range(200):
+            n = rng.randint(2, 14)
+            t = rng.randint(1, 48)
+            p = rng.choice((0.02, 0.05, 0.1))
+            rows = [random_adj(rng, n, p) for _ in range(t)]
+            expected = self.oracle(n, rows)
+            assert first_tk_violation(n, 2, rows) == expected, (n, t, rows)
+            found.add(None if expected is None else expected[0] > 0)
+        assert found == {None, False, True}
