@@ -16,7 +16,6 @@ from .chordal import (
     EdgeBoundReport,
     chordal_edge_bound_check,
     clique_cutset,
-    greedy_color_chordal,
     induced_c4_free,
     is_chordal,
     max_clique_chordal,
@@ -106,7 +105,6 @@ __all__ = [
     "exact_cover_and_theta",
     "exact_max_strong_cover",
     "find_k5star",
-    "greedy_color_chordal",
     "greedy_strong_cover",
     "grow_blowup",
     "hamilton_decomposition_bipartite",

@@ -269,28 +269,6 @@ def _maximal_clique_masks(adj: list[int], peo: list[int]) -> list[int]:
     return maximal
 
 
-def greedy_color_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
-    """Proper vertex coloring with exactly clique-number many classes.
-
-    Colors vertices along the reverse PEO with the smallest free color;
-    previously colored neighbors of each vertex form a clique, so the count
-    never exceeds the clique number.
-    """
-    _require_peo(g, peo)
-    color = [-1] * g.n
-    classes: list[set[int]] = []
-    for v in reversed(peo):
-        used = {color[u] for u in bits(g.adj[v]) if color[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-        if c == len(classes):
-            classes.append(set())
-        classes[c].add(v)
-    return [frozenset(cl) for cl in classes]
-
-
 def clique_cutset(
     g: Graph, peo: list[int]
 ) -> CliqueCutsetDecomposition | None:

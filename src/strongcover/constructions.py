@@ -14,7 +14,10 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, product
 from math import ceil, log
+from operator import and_
 
 from .core import (
     MAX_VERTICES,
@@ -284,6 +287,21 @@ def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
     return picks
 
 
+def _endpoint_witness(
+    missers: list[list[int]], apart: Callable[[int, set[int]], bool], n: int, k: int
+) -> bool:
+    """True when some S of one member per track's ``missers`` (the first n
+    in ``product`` order) has at most k members and ``apart(i, S)``, no
+    point shared, on every track i.  By Helly S then spans a clique in no
+    color, nor do any k of the n >= k members holding it: no (t,k)-coloring.
+    """
+    for pick in islice(product(*missers), n):
+        s = set(pick)
+        if len(s) <= k and all(apart(i, s) for i in range(len(missers))):
+            return True
+    return False
+
+
 def random_interval_family(
     n: int,
     t: int,
@@ -309,8 +327,8 @@ def random_interval_family(
 def _draw_intervals(
     n: int, t: int, seed: int, anchor: float, k: int | None
 ) -> tuple[TIntervalFamily, bool, _SweepOrders | None]:
-    """``random_interval_family`` plus its last tested draw's coloring with
-    the family's sweep orders (``family_sweep``'s value; None when ``k`` is
+    """``random_interval_family`` plus its last draw's coloring with the
+    family's sweep orders (``family_sweep``'s value; None when ``k`` is
     None and no draw was tested), so an accepted family is built once.
 
     Every draw makes the random calls ``random_interval_family`` has always
@@ -318,8 +336,12 @@ def _draw_intervals(
     point, ``sample(range(n), round(anchor * n))`` for the anchored members,
     then two ``randint`` per member; the ``randint`` calls go through
     ``_below`` and the ``sample`` call through ``_sample``.  A draw is
-    held as endpoint arrays, which the sweep and the (t,k) verdict read; a
-    ``TIntervalFamily`` is built only for the draw that is returned.
+    held as endpoint arrays.  When 2 <= k <= n, a draw is refused with no
+    coloring built on an ``_endpoint_witness``: members missing their
+    track's anchor point whose intervals share no point on any track.  Only
+    a draw with no witness is swept, and only its (t,k) verdict accepts.
+    The returned draw's coloring is built once (after the loop if a witness
+    refused it), and a ``TIntervalFamily`` only for that draw.
     """
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
@@ -333,30 +355,45 @@ def _draw_intervals(
     getrandbits = rng.getrandbits
     col = None
     ok = True
+
+    def apart(i: int, s: set[int]) -> bool:  # on track i of the current draw
+        return max(map(los[i].__getitem__, s)) > min(map(his[i].__getitem__, s))
+
     for _ in range(_RETRIES if k is not None else 1):
         los = []
         his = []
+        missers = []
         for _i in range(t):
             anchor_pt = _below(getrandbits, span)
             anchored = set(_sample(getrandbits, n, n_anchored))
             track_los = []
             track_his = []
+            track_missers = []
             for v in range(n):
                 if v in anchored:
                     track_los.append(anchor_pt - _below(getrandbits, reach))
                     track_his.append(anchor_pt + _below(getrandbits, reach))
                 else:
                     lo = _below(getrandbits, span)
+                    hi = lo + _below(getrandbits, reach)
                     track_los.append(lo)
-                    track_his.append(lo + _below(getrandbits, reach))
+                    track_his.append(hi)
+                    if not lo <= anchor_pt <= hi:
+                        track_missers.append(v)
             los.append(track_los)
             his.append(track_his)
+            missers.append(track_missers)
         if k is None:
             break
+        if 2 <= k <= n and _endpoint_witness(missers, apart, n, k):
+            col, ok = None, False
+            continue
         col = _interval_coloring(los, his, list(map(_right_end_order, his)))
         ok = is_tk_coloring(col, k)[0]
         if ok:
             break
+    if k is not None and col is None:  # the last draw was refused on a witness
+        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
     tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
     fam = TIntervalFamily(t, list(zip(*tracks)))
     return fam, ok, None if col is None else _SweepOrders(col, family_peos(fam))
@@ -391,8 +428,10 @@ def _draw_subtrees(
     anchor: float,
     k: int | None,
 ) -> tuple[TSubtreeFamily, bool, _SweepOrders | None]:
-    """``random_subtree_family`` plus the coloring its last draw was tested
-    on with the family's sweep orders, as ``_draw_intervals``.
+    """``random_subtree_family`` plus its last draw's coloring with the
+    family's sweep orders, as ``_draw_intervals``, whose draws are refused
+    on an ``_endpoint_witness`` in the same way: members missing their
+    track's hub whose subtrees share no host vertex on any track.
 
     Every draw makes the random calls ``random_subtree_family`` has always
     made, in the same order: ``randrange(v)`` for the parent of each host
@@ -437,6 +476,8 @@ def _draw_subtrees(
             adj[v] |= 1 << p
         hubs = [_below(getrandbits, h) for _ in range(t)]
         subtrees = [[[]] * n for _ in range(t)]
+        masks = [[0] * n for _ in range(t)]
+        missers = [[] for _ in range(t)]
         for v in range(n):
             for i in range(t):
                 if rand() < anchor:
@@ -457,12 +498,22 @@ def _draw_subtrees(
                     frontier = (frontier | adj[x]) & ~chosen
                     size -= 1
                 subtrees[i][v] = grown
+                masks[i][v] = chosen
+                if not chosen >> hubs[i] & 1:
+                    missers[i].append(v)
         if k is None:
             break
+        if 2 <= k <= n and _endpoint_witness(
+            missers, lambda i, s: reduce(and_, map(masks[i].__getitem__, s)) == 0, n, k
+        ):
+            col, ok = None, False
+            continue
         col = _subtree_coloring(h, subtrees)
         ok = is_tk_coloring(col, k)[0]
         if ok:
             break
+    if k is not None and col is None:  # the last draw was refused on a witness
+        col = _subtree_coloring(h, subtrees)
     fam = TSubtreeFamily(
         [(p, v) for v, p in enumerate(parents, start=1)],
         t,

@@ -10,7 +10,6 @@ from strongcover import chordal
 from strongcover.chordal import (
     chordal_edge_bound_check,
     clique_cutset,
-    greedy_color_chordal,
     induced_c4_free,
     is_chordal,
     max_clique_chordal,
@@ -183,23 +182,6 @@ class TestCliques:
         g = cycle(4)
         with pytest.raises((InputError, PreconditionError)):
             max_clique_chordal(g, [0, 1, 2, 3])
-
-    def test_greedy_coloring_uses_omega_classes(self):
-        for seed in range(60):
-            g = random_chordal(seed)
-            if g.n == 0:
-                continue
-            peo = is_chordal(g).peo
-            classes = greedy_color_chordal(g, peo)
-            omega = len(oracles.max_clique(g.n, g.adj))
-            assert len(classes) == omega
-            union = set()
-            for cls in classes:
-                assert not union & cls
-                union |= cls
-                for a, b in combinations(sorted(cls), 2):
-                    assert not g.has_edge(a, b)
-            assert union == set(range(g.n))
 
 
 class TestCliqueCutset:

@@ -83,6 +83,11 @@ class TestGen:
         code, out, err = run(capsys, ["gen", construction, "--anchor", anchor])
         assert code == 2 and out == "" and "anchor fraction must be in [0,1]" in err
 
+    @pytest.mark.parametrize("construction", ["intervals", "subtrees"])
+    def test_k_below_two_is_usage_error(self, capsys, construction):
+        code, out, err = run(capsys, ["gen", construction, "--n", "5", "--k", "1"])
+        assert code == 2 and out == "" and "need 2 <= k <= n, got k=1, n=5" in err
+
 
 class TestCheck:
     def write(self, tmp_path, doc):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from strongcover import constructions
 from strongcover.chordal import induced_c4_free, is_chordal
 from strongcover.constructions import (
     BlowupSpec,
@@ -401,6 +402,100 @@ class TestRandomStream:
             assert [list(order) for order in peos] == family_peos(fam)
         if n >= 10:
             assert outcomes == {True, False}
+
+
+class TestEndpointWitness:
+    """A draw refused on an endpoint witness (``_endpoint_witness``) builds
+    no coloring; every such refusal is one the brute-force oracles make
+    too, and a used-up budget still returns its last draw's coloring."""
+
+    def spy(self, monkeypatch, name):
+        """One entry per call of ``constructions.<name>``: what it returned,
+        or None while it has not returned."""
+        results = []
+        real = getattr(constructions, name)
+
+        def spied(*args):
+            results.append(None)
+            results[-1] = real(*args)
+            return results[-1]
+
+        monkeypatch.setattr(constructions, name, spied)
+        return results
+
+    @pytest.mark.parametrize("kind", ["interval", "subtree"])
+    def test_refusals_are_sound_and_used(self, kind, monkeypatch):
+        witnessed = self.spy(monkeypatch, "_endpoint_witness")
+        built = self.spy(monkeypatch, f"_{kind}_coloring")
+        refusals = rebuilt = 0
+        for n, t, k, anchor, seed in itertools.product(
+            (3, 6, 12), range(1, 5), (2, 3), (0.0, 0.5, 0.85, 1.0), range(3)
+        ):
+            draws = []
+            if kind == "interval":
+
+                def accepts(members):
+                    draws.append(members)
+                    col = coloring_from_intervals(TIntervalFamily(t, members))
+                    return is_tk_coloring(col, k)[0]
+
+                def refused(members):
+                    return not oracles.kwise_intersecting(TIntervalFamily(t, members), k)
+
+                members, ok = oracles.reference_interval_draw(
+                    n, t, seed, anchor, k, accepts
+                )
+                fam, got_ok, peos = _draw_intervals(n, t, seed, anchor, k)
+                meet = intervals_meet
+            else:
+                args = (n, t, seed, 6, 4, anchor, k)
+
+                def accepts(host_edges, members):
+                    draws.append((host_edges, members))
+                    fam = TSubtreeFamily(host_edges, t, members)
+                    return is_tk_coloring(coloring_from_subtrees(fam), k)[0]
+
+                def refused(draw):
+                    col = coloring_from_subtrees(TSubtreeFamily(draw[0], t, draw[1]))
+                    return oracles.first_tk_violation(col, k) is not None
+
+                _, members, ok = oracles.reference_subtree_draw(*args, accepts)
+                fam, got_ok, peos = _draw_subtrees(*args)
+                meet = subtrees_meet
+            assert (fam.members, got_ok) == (tuple(map(tuple, members)), ok)
+            # the witness is tried once on every draw, and is sound
+            assert len(witnessed) == len(draws)
+            for hit, draw in zip(witnessed, draws):
+                if hit:
+                    assert refused(draw)
+                    refusals += 1
+            # a coloring for each swept draw, and for a last draw a witness
+            # refused (after a swept draw, the case ``rebuilt`` counts)
+            assert len(built) == witnessed.count(False) + witnessed[-1]
+            if not ok and witnessed[-1] and not all(witnessed):
+                rebuilt += 1
+            assert peos.coloring.rows == oracles.family_color_adjacency(
+                members, t, meet
+            )
+            assert [list(order) for order in peos] == family_peos(fam)
+            witnessed.clear()
+            built.clear()
+        assert refusals > 0 and rebuilt > 0
+
+    @pytest.mark.parametrize("kind", ["interval", "subtree"])
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_k_outside_its_range_raises_on_the_first_draw(
+        self, kind, k, monkeypatch
+    ):
+        witnessed = self.spy(monkeypatch, "_endpoint_witness")
+        scanned = self.spy(monkeypatch, "is_tk_coloring")
+        with pytest.raises(InputError, match=rf"need 2 <= k <= n, got k={k}, n=5$"):
+            if kind == "interval":
+                _draw_intervals(5, 3, 1, 0.5, k)
+            else:
+                _draw_subtrees(5, 3, 1, 6, 4, 0.5, k)
+        # no witness was tried, and the first draw's scan raised
+        assert (witnessed, scanned) == ([], [None])
 
 
 def test_all_cross_pairs_once_matches_pair_count():
