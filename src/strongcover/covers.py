@@ -193,8 +193,37 @@ def counting_chain_check(
 
 def _maximal_cliques(adj: list[int], within: int = -1) -> list[int]:
     """Maximal clique masks of the graph induced on ``within`` (all vertices
-    by default), sorted by vertex tuple."""
-    masks = kernels.maximal_cliques(len(adj), adj, within)
+    by default), sorted by vertex tuple.
+
+    The kernel runs on the least vertex of each twin class of the induced
+    graph: equal closed neighborhoods (true twins, a clique) or equal open
+    ones (false twins, an independent set); no vertex has both kinds.  A
+    maximal clique holds a true class whole or not at all and one member of
+    a false class or none, so it is exactly one lift of a quotient clique,
+    and the sorted list is the kernel's on ``within`` itself.
+    """
+    within &= (1 << len(adj)) - 1
+    closed: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    for v in bits(within):
+        nb = adj[v] & within
+        closed[nb | 1 << v] = closed.get(nb | 1 << v, 0) | 1 << v
+        opened[nb] = opened.get(nb, 0) | 1 << v
+    reps = within
+    lifts: dict[int, list[int]] = {}  # least member -> masks XORed into a lift
+    for joins, classes in ((True, closed), (False, opened)):
+        for cls in classes.values():
+            if rest := cls & cls - 1:
+                reps ^= rest
+                low = cls ^ rest
+                lifts[low] = [rest] if joins else [low ^ 1 << v for v in bits(cls)]
+    masks = kernels.maximal_cliques(len(adj), adj, reps)
+    if lifts:
+        masks = [
+            q ^ sum(pick)
+            for q in masks
+            for pick in itertools.product(*(c for r, c in lifts.items() if q & r))
+        ]
     masks.sort(key=lex_key)
     return masks
 

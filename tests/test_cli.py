@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from strongcover import _kernels as kernels
 from strongcover import cli
 from strongcover._kernels import first_tk_violation
@@ -247,6 +248,23 @@ class TestCover:
         assert names["tk-precondition"]["pass"] is False
         assert names["tk-precondition"]["witness"] is not None
 
+    @pytest.mark.parametrize("past", [False, True])
+    @pytest.mark.parametrize("construction, n", [("k5star", 5), ("onefourth", 7)])
+    def test_greedy_k_outside_two_to_n_is_usage_error(
+        self, capsys, monkeypatch, construction, n, past
+    ):
+        """On an edges document (whose greedy precondition fails) as on a
+        family document, before greedy runs."""
+        main(["gen", construction])
+        doc = capsys.readouterr().out
+        monkeypatch.setattr(cli, "greedy_strong_cover", None)
+        k = n + 1 if past else 0
+        code, out, err = run(
+            capsys, ["cover", "greedy", "-", "--k", str(k)], doc, monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert f"need 2 <= k <= n, got k={k}, n={n}" in err
+
     def test_exact_reports_theta_null(self, capsys, tmp_path):
         p = tmp_path / "star.json"
         p.write_text(json.dumps(construct_k5star().to_dict()))
@@ -357,6 +375,50 @@ class TestCover:
         assert code == 0 and enumerations == [9] * t
         assert report["results"]["cover"] == exact_max_strong_cover(col).to_dict()
         assert report["results"]["theta"] == theta(col)
+
+    @pytest.fixture
+    def quotients(self, monkeypatch):
+        """Vertex masks of the maximal-clique enumerations made."""
+        calls = []
+        real = kernels.maximal_cliques
+
+        def counted(n, adj, within=-1):
+            calls.append(within & (1 << n) - 1)
+            return real(n, adj, within)
+
+        monkeypatch.setattr(kernels, "maximal_cliques", counted)
+        return calls
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_exact_enumerates_multipartite_colors_on_seven_classes(
+        self, capsys, tmp_path, quotients, size
+    ):
+        """K_{size x 7} with every cross edge in both colors: each color's
+        parts are false twins, so each enumeration runs on 7 vertices."""
+        n = 7 * size
+        edges = [
+            [u, v, [1, 2]] for u in range(n) for v in range(u + 1, n)
+            if u % 7 != v % 7
+        ]
+        col = MultiColoring.from_dict({"n": n, "t": 2, "edges": edges})
+        p = tmp_path / "multipartite.json"
+        p.write_text(json.dumps(col.to_dict()))
+        code, report = run_json(capsys, ["cover", "exact", str(p)])
+        assert code == 0 and [m.bit_count() for m in quotients] == [7, 7]
+        if size == 2:
+            want = oracles.max_strong_cover_size(col), oracles.theta(col)
+        else:
+            # the oracles walk all 2^21 vertex subsets, too slow here; a
+            # clique holds at most one vertex per part, so two cover 14 of 21
+            want = 14, None
+        assert (report["results"]["covered"], report["results"]["theta"]) == want
+
+    def test_exact_passes_a_twin_free_color_whole(self, capsys, tmp_path, quotients):
+        """Each color of K5* is a 5-cycle, which has no twin pair."""
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps(construct_k5star().to_dict()))
+        code, _report = run_json(capsys, ["cover", "exact", str(p)])
+        assert code == 0 and quotients == [0b11111] * 2
 
     @pytest.mark.parametrize("limit", ["0", "4"])
     def test_exact_over_its_limit_enumerates_nothing(

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -55,6 +56,18 @@ def oracles_bits(mask):
     return out
 
 
+def induced_oracle(adj, within):
+    """``oracles.maximal_cliques`` of the subgraph induced on the mask
+    ``within``, in the original labels."""
+    keep = oracles_bits(within)
+    sub = [0] * len(keep)
+    for i, v in enumerate(keep):
+        for j, w in enumerate(keep):
+            if adj[v] >> w & 1:
+                sub[i] |= 1 << j
+    return [tuple(keep[i] for i in c) for c in oracles.maximal_cliques(len(keep), sub)]
+
+
 def test_maximal_cliques_within_match_oracle_on_induced_subgraph():
     """``within`` restricts the enumeration to the induced subgraph and
     keeps the original labels."""
@@ -64,19 +77,9 @@ def test_maximal_cliques_within_match_oracle_on_induced_subgraph():
         adj = random_adj(rng, n, rng.choice((0.2, 0.5, 0.8)))
         full = (1 << n) - 1
         for within in (0, full, rng.getrandbits(n) if n else 0):
-            keep = oracles_bits(within)
-            sub = [0] * len(keep)
-            for i, v in enumerate(keep):
-                for j, w in enumerate(keep):
-                    if adj[v] >> w & 1:
-                        sub[i] |= 1 << j
-            expected = [
-                tuple(keep[i] for i in c)
-                for c in oracles.maximal_cliques(len(keep), sub)
-            ]
             got = maximal_cliques(n, adj, within)
             got = sorted(tuple(oracles_bits(m)) for m in got)
-            assert got == expected, (n, adj, within)
+            assert got == induced_oracle(adj, within), (n, adj, within)
         assert maximal_cliques(n, adj, full) == maximal_cliques(n, adj)
 
 
@@ -398,3 +401,114 @@ class TestUnionRowScan:
             assert first_tk_violation(n, 2, rows) == expected, (n, t, rows)
             found.add(None if expected is None else expected[0] > 0)
         assert found == {None, False, True}
+
+
+def substituted(adj, sizes, true):
+    """``adj`` with vertex v replaced by ``sizes[v]`` twins: a clique where
+    ``true[v]`` holds (true twins), an independent set elsewhere (false
+    twins)."""
+    owner = [v for v, size in enumerate(sizes) for _ in range(size)]
+    rows = [0] * len(owner)
+    for x, u in enumerate(owner):
+        for y, w in enumerate(owner):
+            if x != y and (adj[u] >> w & 1 or u == w and true[u]):
+                rows[x] |= 1 << y
+    return rows
+
+
+def complete_adj(n):
+    return [((1 << n) - 1) ^ 1 << v for v in range(n)]
+
+
+def twin_pairs(adj, within):
+    """Pairs (as masks) of vertices of ``within`` with the same closed or
+    the same open neighborhood in the subgraph induced on it."""
+    vs = oracles_bits(within)
+    return {
+        1 << u | 1 << v
+        for i, u in enumerate(vs)
+        for v in vs[i + 1 :]
+        if adj[u] & within in (adj[v] & within, adj[v] & within ^ 1 << u ^ 1 << v)
+    }
+
+
+class TestCliqueTwinQuotient:
+    """``covers._maximal_cliques`` runs the kernel on one vertex per twin
+    class of the induced graph and lifts each clique; the sorted list must
+    be the kernel's on ``within`` and the oracle's."""
+
+    def graphs(self, rng):
+        """Twin-rich graphs on at most 14 vertices, relabeled at random: the
+        colors of K5* blow-ups (true twins), complete multipartite graphs
+        (false twins) and random graphs with both kinds substituted in."""
+        for _ in range(12):
+            sizes = [rng.randint(1, 2) for _ in range(5)]
+            sizes[rng.randrange(5)] += rng.randint(0, 4)
+            yield from blow_up(construct_k5star(), BlowupSpec(sizes)).rows
+        for _ in range(16):
+            parts = rng.randint(2, 5)
+            sizes = [rng.randint(1, 14 // parts) for _ in range(parts)]
+            yield substituted(complete_adj(parts), sizes, [False] * parts)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            sizes = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+            true = [rng.random() < 0.5 for _ in range(n)]
+            adj = substituted(random_adj(rng, n, rng.choice((0.3, 0.6))), sizes, true)
+            if len(adj) <= 14:
+                yield adj
+
+    @pytest.fixture
+    def quotients(self, monkeypatch):
+        """Vertex masks the kernel enumerates on."""
+        calls = []
+
+        def counted(n, adj, within=-1):
+            calls.append(within)
+            return maximal_cliques(n, adj, within)
+
+        monkeypatch.setattr(kernels, "maximal_cliques", counted)
+        return calls
+
+    def test_matches_the_kernel_and_the_oracle(self, quotients):
+        """The kernel sees the least vertex of each twin class of the induced
+        graph; ``within`` masks split twin classes of the whole graph and make
+        twins of vertices that are none in the whole graph."""
+        rng = random.Random(18)
+        split = fresh = 0
+        for rows in self.graphs(rng):
+            n = len(rows)
+            label = list(range(n))
+            rng.shuffle(label)
+            adj = relabeled(rows, label)
+            full = (1 << n) - 1
+            whole = twin_pairs(adj, full)
+            assert whole
+            for within in (full, rng.getrandbits(n), rng.getrandbits(n)):
+                got = _maximal_cliques(adj, within)
+                want = maximal_cliques(n, adj, within)
+                assert got == sorted(want, key=lambda m: tuple(oracles_bits(m)))
+                assert [tuple(oracles_bits(m)) for m in got] == induced_oracle(
+                    adj, within
+                )
+                pairs = twin_pairs(adj, within)
+                least = within
+                for p in pairs:
+                    least &= ~(p & p - 1)
+                assert quotients.pop() == least
+                split += any((p & within).bit_count() == 1 for p in whole)
+                fresh += bool(pairs - whole)
+        assert split > 100 and fresh > 50
+
+    def test_complete_multipartite_3x7_has_3_to_the_7_cliques(self, quotients):
+        """One vertex per part: 2,187 cliques lifted from one clique of the
+        7-vertex quotient."""
+        label = list(range(21))
+        random.Random(37).shuffle(label)
+        adj = relabeled(substituted(complete_adj(7), [3] * 7, [False] * 7), label)
+        got = _maximal_cliques(adj)
+        assert [m.bit_count() for m in quotients] == [7]
+        assert len(got) == 3**7
+        parts = [sum(1 << label[3 * p + i] for i in range(3)) for p in range(7)]
+        assert all((m & part).bit_count() == 1 for m in got for part in parts)
+        want = maximal_cliques(21, adj)
+        assert got == sorted(want, key=lambda m: tuple(oracles_bits(m)))
