@@ -263,7 +263,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
             "k": args.k,
         }
     )
-    if args.algorithm == "greedy" and args.k is not None and not 2 <= args.k <= col.n:
+    if args.k is not None and not 2 <= args.k <= col.n:
         raise InputError(f"need 2 <= k <= n, got k={args.k}, n={col.n}")
     try:
         cover = _run_cover(args, col, peos, report)

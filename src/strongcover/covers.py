@@ -191,7 +191,7 @@ def counting_chain_check(
     )
 
 
-def _maximal_cliques(adj: list[int], within: int = -1) -> list[int]:
+def _maximal_cliques(adj: Sequence[int], within: int = -1) -> list[int]:
     """Maximal clique masks of the graph induced on ``within`` (all vertices
     by default), sorted by vertex tuple.
 
@@ -234,15 +234,18 @@ SearchSpace = tuple[list[list[int]], list[int]]
 def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
     """Per-color maximal clique masks for the exhaustive searches, and
     ``suffix_best[i]``, the sum of the largest clique sizes of the colors
-    after the first i: a bound on what those colors can still cover."""
+    after the first i: a bound on what those colors can still cover.
+    Colors with equal rows share one list, enumerated and sorted once."""
     if col.n > max_n:
         raise SizeLimitError(
             f"n={col.n} exceeds the exhaustive search bound {max_n}"
         )
-    per_color = [_maximal_cliques(row) for row in col.rows]
+    keys = [tuple(row) for row in col.rows]
+    shared = {key: _maximal_cliques(key) for key in dict.fromkeys(keys)}
+    per_color = [shared[key] for key in keys]
     suffix_best = [0] * (col.t + 1)
     for i in range(col.t - 1, -1, -1):
-        biggest = max((m.bit_count() for m in per_color[i]), default=0)
+        biggest = max(map(int.bit_count, per_color[i]), default=0)
         suffix_best[i] = suffix_best[i + 1] + biggest
     return per_color, suffix_best
 
@@ -264,7 +267,8 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
 
     Returns None when no strong cover covers every vertex.  Exhaustive over
     per-color maximal cliques with memoized pruning; a branch stops once
-    the largest clique of every remaining color cannot cover what is left.
+    the largest clique of every remaining color cannot cover what is left,
+    or once one more clique cannot beat the fewest found.
     """
     return _min_cover_size(col.n, _search_space(col, max_n))
 
@@ -272,8 +276,9 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
 def exact_cover_and_theta(
     col: MultiColoring, max_n: int = 40
 ) -> tuple[StrongCover, int | None]:
-    """``exact_max_strong_cover`` and ``theta`` from one search space: each
-    color's maximal cliques are enumerated and sorted once for both."""
+    """``exact_max_strong_cover`` and ``theta`` from one search space: the
+    maximal cliques of each distinct color graph are enumerated and sorted
+    once, for every color with that graph and for both searches."""
     space = _search_space(col, max_n)
     return _max_cover(space), _min_cover_size(col.n, space)
 
@@ -300,6 +305,8 @@ def _max_cover(space: SearchSpace) -> StrongCover:
         for m in per_color[idx]:
             choice[idx] = m
             descend(idx + 1, covered | m)
+            if cnt + suffix_best[idx] <= best_count:
+                break  # the entry prune: no later choice beats the best
         choice[idx] = 0
 
     descend(0, 0)
@@ -333,6 +340,8 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
             return
         seen[key] = used
         for m in per_color[idx]:
+            if best is not None and used + 1 >= best:
+                break  # each child would return on entry
             if m & ~covered:
                 descend(idx + 1, covered | m, used + 1)
         descend(idx + 1, covered, used)

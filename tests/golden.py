@@ -50,10 +50,10 @@ that differs between identical runs) when there is a report, and a
 truncated sha256 of the standard error text when there is one.
 ``test_golden.py`` checks them.  To print the cases whose digests moved
 (the exit code is then 1), or to write new files after an intended output
-change, run from the repository root:
+change, run (it imports the package from this checkout's ``src``):
 
-    PYTHONPATH=src python tests/golden.py          # list changed cases
-    PYTHONPATH=src python tests/golden.py --write  # rewrite the digests
+    python tests/golden.py          # list changed cases
+    python tests/golden.py --write  # rewrite the digests
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ import json
 import random
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":  # a script imports the package of this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from strongcover import _kernels as kernels
 from strongcover.cli import main

@@ -10,7 +10,7 @@ random stream the generators consume.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 
 def is_clique(adj, vertices):
@@ -173,6 +173,19 @@ def max_strong_cover_size(col):
         return memo[key]
 
     return best_from(0, 0)
+
+
+def lex_first_max_strong_cover(col):
+    """First maximum strong cover met walking the product, color by color,
+    of [no clique] + the color's maximal cliques sorted by vertex tuple,
+    with no pruning; as a map color -> vertex set of the colors it uses."""
+    options = [[()] + maximal_cliques(col.n, adj) for adj in color_adjacency(col)]
+    best, best_count = (), -1
+    for pick in product(*options):
+        count = len(set().union(*pick))
+        if count > best_count:
+            best, best_count = pick, count
+    return {c: frozenset(vs) for c, vs in enumerate(best, 1) if vs}
 
 
 def theta(col):

@@ -265,6 +265,31 @@ class TestCover:
         assert code == 2 and out == ""
         assert f"need 2 <= k <= n, got k={k}, n={n}" in err
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "exact", "t33", "tt", "c4free22"])
+    def test_k_outside_two_to_n_is_usage_error_on_every_algorithm(
+        self, capsys, monkeypatch, algorithm
+    ):
+        """--k is only reported by the other algorithms, but its range is
+        checked for each one before it runs; a k inside it runs it."""
+        if algorithm == "c4free22":
+            n = 5
+            main(["gen", "k5star"])
+        else:
+            n = 7
+            main(["gen", "intervals", "--n", "7", "--t", "3", "--seed", "1",
+                  "--anchor", "1.0", "--k", "3"])
+        doc = capsys.readouterr().out
+        for k in (0, n + 1):
+            code, out, err = run(
+                capsys, ["cover", algorithm, "-", "--k", str(k)], doc, monkeypatch
+            )
+            assert code == 2 and out == ""
+            assert f"need 2 <= k <= n, got k={k}, n={n}" in err
+        code, report = run_json(
+            capsys, ["cover", algorithm, "-", "--k", "3"], doc, monkeypatch
+        )
+        assert code == 0 and report["meta"]["k"] == 3
+
     def test_exact_reports_theta_null(self, capsys, tmp_path):
         p = tmp_path / "star.json"
         p.write_text(json.dumps(construct_k5star().to_dict()))
@@ -359,20 +384,29 @@ class TestCover:
         monkeypatch.setattr(kernels, "maximal_cliques", counted)
         return calls
 
-    @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_exact_enumerates_each_color_once(self, capsys, tmp_path, enumerations, t):
-        """The cover and theta share one enumeration per color and equal
-        what the two library searches give on their own."""
-        # K_{3,3,3} with cross edge (u, v) in colors 1 + (u + v + c) % t
+    @pytest.mark.parametrize(
+        "t, merged, calls",
+        [(1, set(), [9]), (2, set(), [9]), (3, set(), [9] * 3), (3, {1, 2}, [9] * 2)],
+        ids=["1", "2", "3", "3-merged"],
+    )
+    def test_exact_enumerates_each_color_once(
+        self, capsys, tmp_path, enumerations, t, merged, calls
+    ):
+        """The cover and theta share one enumeration per distinct color
+        graph and equal what the two library searches give on their own."""
+        # K_{3,3,3} with cross edge (u, v) in colors 1 + (u + v + c) % t,
+        # c = 0, 1 (for t = 2 both colors are the whole graph), and in the
+        # colors of merged: with {1, 2}, colors 1 and 2 are the whole graph
+        # and color 3 differs
         edges = [
-            [u, v, sorted({1 + (u + v + c) % t for c in range(2)})]
+            [u, v, sorted({1 + (u + v + c) % t for c in range(2)} | merged)]
             for u in range(9) for v in range(u + 1, 9) if u % 3 != v % 3
         ]
         col = MultiColoring.from_dict({"n": 9, "t": t, "edges": edges})
         p = tmp_path / "multipartite.json"
         p.write_text(json.dumps(col.to_dict()))
         code, report = run_json(capsys, ["cover", "exact", str(p)])
-        assert code == 0 and enumerations == [9] * t
+        assert code == 0 and enumerations == calls
         assert report["results"]["cover"] == exact_max_strong_cover(col).to_dict()
         assert report["results"]["theta"] == theta(col)
 
@@ -404,7 +438,7 @@ class TestCover:
         p = tmp_path / "multipartite.json"
         p.write_text(json.dumps(col.to_dict()))
         code, report = run_json(capsys, ["cover", "exact", str(p)])
-        assert code == 0 and [m.bit_count() for m in quotients] == [7, 7]
+        assert code == 0 and [m.bit_count() for m in quotients] == [7]
         if size == 2:
             want = oracles.max_strong_cover_size(col), oracles.theta(col)
         else:

@@ -175,6 +175,35 @@ class TestExactSearch:
             assert rep.valid
             assert rep.covered == oracles.max_strong_cover_size(col)
 
+    def test_matches_the_unpruned_walk_on_shared_color_graphs(self):
+        """The lexicographically least maximum cover and theta, on colorings
+        where some colors have the same graph and share one clique list."""
+        rng = random.Random(19)
+        shared = 0
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            t = rng.randint(1, 3)
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs = []
+            for _ in range(rng.randint(1, t)):
+                density = rng.uniform(0.2, 0.9)
+                graphs.append({e for e in pairs if rng.random() < density})
+            # each graph goes to one color or more, in a random order
+            picks = list(range(len(graphs)))
+            picks += rng.choices(picks, k=t - len(graphs))
+            rng.shuffle(picks)
+            edges = {}
+            for c, g in enumerate(picks, 1):
+                for e in graphs[g]:
+                    edges.setdefault(e, set()).add(c)
+            col = MultiColoring(n, t, {e: frozenset(cs) for e, cs in edges.items()})
+            shared += len(set(map(tuple, oracles.color_adjacency(col)))) < t
+            assert exact_max_strong_cover(col).assignments == (
+                oracles.lex_first_max_strong_cover(col)
+            )
+            assert theta(col) == oracles.theta(col)
+        assert shared >= 100
+
     def test_greedy_never_beats_exact(self):
         for inst in tk_sample(25, lambda x: x.coloring.n <= 10):
             col = inst.coloring
