@@ -27,14 +27,14 @@ from .core import (
     StrongCover,
     TIntervalFamily,
     TSubtreeFamily,
-    family_sweep,
+    coloring_from_intervals,
+    coloring_from_subtrees,
     is_tk_coloring,
     kfold_min_colors,
     piercing_points,
     verify_cover,
 )
 from .covers import (
-    Peos,
     color_certificates,
     counting_chain_check,
     exact_cover_and_theta,
@@ -103,13 +103,12 @@ class _Timed:
 Family = TIntervalFamily | TSubtreeFamily
 
 
-def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None]:
+def _load_instance(path: str) -> tuple[MultiColoring, Family | None]:
     """Parse a coloring, interval family, or subtree family document.
 
-    A family document gives its derived coloring, the family itself (an
-    interval family translates covers back into piercing points) and the
-    sweep orders minted with that coloring (``family_sweep``), taken
-    unchecked; an edges document has no orders, and its colors are searched.
+    A family document gives its derived coloring, which keeps the family's
+    PEOs, and the family itself (an interval family translates covers back
+    into piercing points); an edges document has no family.
     """
     try:
         if path == "-":
@@ -118,20 +117,22 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None, Peos | None
             with open(path, encoding="utf-8") as f:
                 text = f.read()
         data = json.loads(text)
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError:
+        raise  # reported by ``main`` as it is
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, or an integer past Python's int-to-str digit limit
         raise InputError(f"unreadable instance document: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("instance document must be a JSON object")
     if "edges" in data:
-        return MultiColoring.from_dict(data), None, None
+        return MultiColoring.from_dict(data), None
     if "host_edges" in data:
         fam = TSubtreeFamily.from_dict(data)
-    elif "members" in data:
+        return coloring_from_subtrees(fam), fam
+    if "members" in data:
         fam = TIntervalFamily.from_dict(data)
-    else:
-        raise InputError("unrecognized instance document")
-    orders = family_sweep(fam)
-    return orders.coloring, fam, orders
+        return coloring_from_intervals(fam), fam
+    raise InputError("unrecognized instance document")
 
 
 def _emit_instance(doc: dict, meta: dict) -> None:
@@ -189,7 +190,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    col, _fam, peos = _load_instance(args.instance)
+    col, _fam = _load_instance(args.instance)
     report = RunReport(meta={"source": args.instance, "n": col.n, "t": col.t})
     if args.tk is not None:
         with _Timed(report, "tk"):
@@ -203,7 +204,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             witness=sorted(witness) if witness else None,
         )
     # one certificate per color, searched by the first check that needs it
-    certificates = functools.cache(lambda: list(color_certificates(col, peos)))
+    certificates = functools.cache(lambda: list(color_certificates(col)))
     if args.chordal:
         with _Timed(report, "chordal"):
             holes = {
@@ -253,7 +254,7 @@ def _greedy_lower_bound_ok(covered: int, n: int, k: int) -> bool:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    col, fam, peos = _load_instance(args.instance)
+    col, fam = _load_instance(args.instance)
     report = RunReport(
         meta={
             "source": args.instance,
@@ -266,7 +267,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.k is not None and not 2 <= args.k <= col.n:
         raise InputError(f"need 2 <= k <= n, got k={args.k}, n={col.n}")
     try:
-        cover = _run_cover(args, col, peos, report)
+        cover = _run_cover(args, col, report)
     except (PreconditionError, GuaranteeError, SizeLimitError, InputError) as exc:
         report.results["error"] = f"{type(exc).__name__}: {exc}"
         report.add_check("precondition", "algorithm precondition holds", True, False, False)
@@ -292,15 +293,12 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _run_cover(
-    args: argparse.Namespace,
-    col: MultiColoring,
-    peos: Peos | None,
-    report: RunReport,
+    args: argparse.Namespace, col: MultiColoring, report: RunReport
 ) -> StrongCover:
     algorithm = args.algorithm
     if algorithm == "greedy":
         with _Timed(report, "greedy"):
-            cover, trace = greedy_strong_cover(col, peos=peos)
+            cover, trace = greedy_strong_cover(col)
         report.results["uncovered"] = sorted(trace.uncovered)
         return cover
     if algorithm == "exact":
@@ -311,13 +309,13 @@ def _run_cover(
         return cover
     if algorithm == "t33":
         with _Timed(report, "t33"):
-            return strong_cover_33(col, peos=peos)
+            return strong_cover_33(col)
     if algorithm == "tt":
         with _Timed(report, "tt"):
-            return strong_cover_tt(col, peos=peos)
+            return strong_cover_tt(col)
     if algorithm == "c4free22":
         with _Timed(report, "c4free22"):
-            return strong_cover_c4free_22(col, peos=peos)
+            return strong_cover_c4free_22(col)
     raise InputError(f"unknown algorithm {algorithm!r}")  # pragma: no cover
 
 
@@ -370,18 +368,18 @@ def _add_bound_checks(
 
 
 def _run_suite(args, report, inequality, make, check) -> None:
-    """One row per sample: ``make(i, seed)`` gives (name, coloring, PEOs or
-    None) and ``check(coloring, peos)`` the row's findings, ``pass``
-    included.  A failed precondition, guarantee or size limit marks its row
-    failed with the error and the suite goes on."""
+    """One row per sample: ``make(i, seed)`` gives (name, coloring) and
+    ``check(coloring)`` the row's findings, ``pass`` included.  A failed
+    precondition, guarantee or size limit marks its row failed with the
+    error and the suite goes on."""
     rows = []
     for i in range(args.samples):
         seed = args.seed + i
         row = {"name": f"{args.suite}-seed{seed}", "seed": seed}
         try:
-            row["name"], col, peos = make(i, seed)
+            row["name"], col = make(i, seed)
             row["n"] = col.n
-            row.update(check(col, peos))
+            row.update(check(col))
         except (PreconditionError, GuaranteeError, SizeLimitError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["pass"] = False
@@ -395,14 +393,14 @@ def _alternating(n: int, t: int, k: int):
     def make(i, seed):
         kind = "interval" if i % 2 == 0 else "subtree"
         inst = corpus.seeded_tk_instance(kind, n, t, k, seed)
-        return inst.name, inst.coloring, inst.peos
+        return inst.name, inst.coloring
 
     return make
 
 
 def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col, peos):
-        cover, trace = greedy_strong_cover(col, peos=peos)
+    def check(col):
+        cover, trace = greedy_strong_cover(col)
         rep = verify_cover(col, cover)
         chain = counting_chain_check(col, trace, args.k)
         ok = (
@@ -423,8 +421,8 @@ def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
 
 
 def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col, peos):
-        cover = strong_cover_33(col, peos=peos)
+    def check(col):
+        cover = strong_cover_33(col)
         rep = verify_cover(col, cover)
         ok = rep.valid and rep.covered == col.n and cover.size() <= 3
         return {"cliques": cover.size(), "pass": ok}
@@ -438,8 +436,8 @@ def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
 def _verify_tt(args: argparse.Namespace, report: RunReport) -> None:
     limit = 2 if args.t % 2 == 0 else 3
 
-    def check(col, peos):
-        cover = strong_cover_tt(col, peos=peos)
+    def check(col):
+        cover = strong_cover_tt(col)
         rep = verify_cover(col, cover)
         ok = rep.valid and rep.covered == col.n and cover.size() <= limit
         return {"cliques": cover.size(), "pass": ok}
@@ -458,12 +456,12 @@ def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
             rng = Random(seed)
             sizes = [1 + rng.randrange(3) for _ in range(5)]
             col = constructions.blow_up(star, constructions.BlowupSpec(sizes))
-            return "k5star-blowup-" + "".join(map(str, sizes)), col, None
+            return "k5star-blowup-" + "".join(map(str, sizes)), col
         inst = corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
-        return inst.name, inst.coloring, inst.peos
+        return inst.name, inst.coloring
 
-    def check(col, peos):
-        cover = strong_cover_c4free_22(col, peos=peos)
+    def check(col):
+        cover = strong_cover_c4free_22(col)
         rep = verify_cover(col, cover)
         bound = ceil(4 * col.n / 5)
         ok = rep.valid and rep.covered >= bound

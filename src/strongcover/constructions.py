@@ -24,7 +24,6 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
-    _SweepOrders,
     _interval_coloring,
     _right_end_order,
     _subtree_coloring,
@@ -326,10 +325,11 @@ def random_interval_family(
 
 def _draw_intervals(
     n: int, t: int, seed: int, anchor: float, k: int | None
-) -> tuple[TIntervalFamily, bool, _SweepOrders | None]:
-    """``random_interval_family`` plus its last draw's coloring with the
-    family's sweep orders (``family_sweep``'s value; None when ``k`` is
-    None and no draw was tested), so an accepted family is built once.
+) -> tuple[TIntervalFamily, bool, MultiColoring | None]:
+    """``random_interval_family`` plus its last draw's coloring, which keeps
+    ``family_peos`` of the family as ``coloring_from_intervals`` does (None
+    when ``k`` is None and no draw was tested), so an accepted family is
+    built once.
 
     Every draw makes the random calls ``random_interval_family`` has always
     made, in the same order: per track ``randint(0, 3n)`` for the anchor
@@ -396,7 +396,7 @@ def _draw_intervals(
         col = _interval_coloring(los, his, list(map(_right_end_order, his)))
     tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
     fam = TIntervalFamily(t, list(zip(*tracks)))
-    return fam, ok, None if col is None else _SweepOrders(col, family_peos(fam))
+    return fam, ok, None if col is None else col._keep_peos(family_peos(fam))
 
 
 def random_subtree_family(
@@ -427,9 +427,9 @@ def _draw_subtrees(
     max_size: int | None,
     anchor: float,
     k: int | None,
-) -> tuple[TSubtreeFamily, bool, _SweepOrders | None]:
+) -> tuple[TSubtreeFamily, bool, MultiColoring | None]:
     """``random_subtree_family`` plus its last draw's coloring with the
-    family's sweep orders, as ``_draw_intervals``, whose draws are refused
+    family's PEOs, as ``_draw_intervals``, whose draws are refused
     on an ``_endpoint_witness`` in the same way: members missing their
     track's hub whose subtrees share no host vertex on any track.
 
@@ -517,6 +517,6 @@ def _draw_subtrees(
     fam = TSubtreeFamily(
         [(p, v) for v, p in enumerate(parents, start=1)],
         t,
-        [[frozenset(track[v]) for track in subtrees] for v in range(n)],
+        [[track[v] for track in subtrees] for v in range(n)],
     )
-    return fam, ok, None if col is None else _SweepOrders(col, family_peos(fam))
+    return fam, ok, None if col is None else col._keep_peos(family_peos(fam))

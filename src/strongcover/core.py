@@ -42,13 +42,8 @@ def check_size(n: int, t: int) -> None:
         raise InputError(f"n*t={n * t} exceeds the limit of {MAX_SLOTS} row slots")
 
 
-def edge_key(u: int, v: int) -> Edge:
-    if u == v:
-        raise InputError(f"self-loop at {u}")
-    return (u, v) if u < v else (v, u)
-
-
 _SEQ = (list, tuple)
+_SUBTREE = (*_SEQ, set, frozenset)  # what a family member's subtree may be
 
 
 def _list(value, what: str, size: int = 0):
@@ -142,12 +137,14 @@ class MultiColoring:
     """Multicolored K_n stored as per-color adjacency rows.
 
     ``rows[c - 1][v]`` is the bitmask of vertices joined to v by an edge
-    carrying color c; colors are 1-based, 1..t.  The rows are the only
-    state: ``edge_colors`` is a live mapping view over them, and color
-    graphs and documents are read off them.
+    carrying color c; colors are 1-based, 1..t.  ``edge_colors`` is a live
+    mapping view over the rows, and color graphs and documents are read off
+    them.  A coloring built from a family (``coloring_from_*``) also keeps
+    one perfect elimination ordering per color, valid while its rows are
+    unchanged (``_peos``).
     """
 
-    __slots__ = ("n", "t", "rows")
+    __slots__ = ("n", "t", "rows", "_orders")
 
     def __init__(
         self, n: int, t: int, edge_colors: Mapping[Edge, Iterable[int]] | None = None
@@ -160,6 +157,7 @@ class MultiColoring:
         self.n = n
         self.t = t
         self.rows: list[list[int]] = [[0] * n for _ in range(t)]
+        self._orders = None  # (PEOs, the rows they were kept for): _keep_peos
         if edge_colors:
             view = self.edge_colors
             for edge, cs in edge_colors.items():
@@ -250,6 +248,18 @@ class MultiColoring:
         for row in self.rows:
             union |= row[u]
         return union >> u + 1 << u + 1
+
+    def _keep_peos(self, orders: Iterable[Sequence[int]]) -> "MultiColoring":
+        """Keep ``orders``, one PEO per color of the rows as they are now,
+        with a copy of those rows; returns the coloring."""
+        self._orders = (tuple(map(tuple, orders)), [row.copy() for row in self.rows])
+        return self
+
+    def _peos(self) -> tuple[tuple[int, ...], ...] | None:
+        """The PEOs kept by ``_keep_peos`` while the rows still equal the
+        ones they were kept for, else None."""
+        kept = self._orders
+        return kept[0] if kept is not None and kept[1] == self.rows else None
 
     def color_graph(self, i: int) -> Graph:
         """Graph of edges carrying color i."""
@@ -346,9 +356,8 @@ class TIntervalFamily:
     _by_hi: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        members = tuple(map(tuple, self.members))
+        members = self.validate()
         object.__setattr__(self, "members", members)
-        self.validate()
         check_size(len(members), self.t)
         object.__setattr__(self, "_by_hi", tuple(
             _right_end_order([tracks[i][1] for tracks in members])
@@ -359,20 +368,37 @@ class TIntervalFamily:
     def n(self) -> int:
         return len(self.members)
 
-    def validate(self) -> None:
-        """The checks the constructor runs."""
-        if self.t < 1:
-            raise InputError(f"t must be positive, got {self.t}")
+    def validate(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The checks the constructor runs, in one pass; returns the members
+        as tuples.  A member or interval of the wrong shape raises at once,
+        the first other fault (t, an interval count, an endpoint's type or
+        order) after the pass, so a shape fault anywhere is reported first."""
+        t = self.t
+        fault = None if t >= 1 else f"t must be positive, got {t}"
+        members = []
+        # the checks are inlined so that the messages are formatted (by
+        # ``_list``) only for a member that fails them
         for idx, tracks in enumerate(self.members):
-            if len(tracks) != self.t:
-                raise InputError(
-                    f"member {idx} has {len(tracks)} interval(s), expected {self.t}"
-                )
-            for lo, hi in tracks:
-                if type(lo) is not int or type(hi) is not int:
-                    raise InputError(f"member {idx}: endpoints must be integers")
-                if lo > hi:
-                    raise InputError(f"member {idx}: empty interval [{lo},{hi}]")
+            if not isinstance(tracks, _SEQ):
+                _list(tracks, f"member {idx}")
+            if fault is None and len(tracks) != t:
+                fault = f"member {idx} has {len(tracks)} interval(s), expected {t}"
+            member = []
+            for iv in tracks:
+                if not isinstance(iv, _SEQ) or len(iv) != 2:
+                    _list(iv, f"member {idx}: an interval [lo, hi]", 2)
+                lo, hi = iv
+                if fault is None and not (type(lo) is type(hi) is int and lo <= hi):
+                    fault = (
+                        f"member {idx}: empty interval [{lo},{hi}]"
+                        if type(lo) is type(hi) is int
+                        else f"member {idx}: endpoints must be integers"
+                    )
+                member.append((lo, hi))
+            members.append(tuple(member))
+        if fault:
+            raise InputError(fault)
+        return tuple(members)
 
     def to_dict(self) -> dict:
         return {
@@ -384,26 +410,17 @@ class TIntervalFamily:
     def from_dict(cls, data: Mapping) -> "TIntervalFamily":
         """Parse ``{"t": t, "members": [[[lo, hi], ...], ...]}``; the
         constructor requires plain int endpoints."""
-        t, raw = _fields(data, "interval family", t=int, members=list)
-        members = []
-        # the checks are inlined so that the messages are formatted (by
-        # ``_list``) only for a member that fails them
-        for idx, tracks in enumerate(raw):
-            if not isinstance(tracks, _SEQ):
-                _list(tracks, f"member {idx}")
-            for iv in tracks:
-                if not isinstance(iv, _SEQ) or len(iv) != 2:
-                    _list(iv, f"member {idx}: an interval [lo, hi]", 2)
-            members.append(tuple(map(tuple, tracks)))
-        return cls(t, members)
+        return cls(*_fields(data, "interval family", t=int, members=list))
 
 
 @dataclass(frozen=True)
 class TSubtreeFamily:
     """n members, each a tuple of t vertex sets inducing subtrees of a host tree.
 
-    Checked when built, as ``TIntervalFamily``, by one rooting of the host
-    (``_rooted``), whose depths and subtree tops it keeps.
+    Checked when built, as ``TIntervalFamily``: one pass over the host edges
+    and the members checks their shapes and vertex types, then one rooting
+    of the host (``_rooted``) checks the tree and the subtrees and gives the
+    depths and subtree tops the family keeps.
     """
 
     host_edges: tuple[Edge, ...]
@@ -413,8 +430,34 @@ class TSubtreeFamily:
     _tops: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "host_edges", tuple(map(tuple, self.host_edges)))
-        object.__setattr__(self, "members", tuple(map(tuple, self.members)))
+        host_edges = []
+        for e in self.host_edges:
+            if not isinstance(e, _SEQ) or len(e) != 2:
+                _list(e, "a host edge [u, v]", 2)
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"host edge ends must be integers, got {u!r}, {v!r}")
+            if u == v:
+                raise InputError(f"self-loop at {u}")
+            host_edges.append((u, v) if u < v else (v, u))
+        members = []
+        # as in TIntervalFamily.validate, a message is formatted only for a
+        # member that fails a check
+        for idx, tracks in enumerate(self.members):
+            if not isinstance(tracks, _SEQ):
+                _list(tracks, f"member {idx}")
+            for s in tracks:
+                if not isinstance(s, _SUBTREE):
+                    _list(s, f"member {idx}: a subtree")
+            for s in tracks:  # subtrees are small: a plain loop beats a set of types
+                for x in s:
+                    if type(x) is not int:
+                        raise InputError(
+                            f"member {idx}: subtree vertices must be integers"
+                        )
+            members.append(tuple(map(frozenset, tracks)))
+        object.__setattr__(self, "host_edges", tuple(host_edges))
+        object.__setattr__(self, "members", tuple(members))
         depth, tops = self._rooted()
         check_size(len(self.members), self.t)
         object.__setattr__(self, "_depth", depth)
@@ -432,7 +475,7 @@ class TSubtreeFamily:
         return max(0, 1 + max(chain(ends, vertices), default=-1))
 
     def validate(self) -> None:
-        """The checks the constructor runs."""
+        """The tree and subtree checks the constructor runs (``_rooted``)."""
         self._rooted()
 
     def _rooted(self) -> tuple[list[int], list[list[int]]]:
@@ -503,28 +546,9 @@ class TSubtreeFamily:
     def from_dict(cls, data: Mapping) -> "TSubtreeFamily":
         """Parse ``{"host_edges": [[u, v], ...], "t": t, "members": [[[vertex,
         ...], ...], ...]}``; every number must be a plain int."""
-        raw_edges, t, raw = _fields(
-            data, "subtree family", host_edges=list, t=int, members=list
+        return cls(
+            *_fields(data, "subtree family", host_edges=list, t=int, members=list)
         )
-        host_edges = []
-        for e in raw_edges:
-            u, v = _list(e, "a host edge [u, v]", 2)
-            if type(u) is not int or type(v) is not int:
-                raise InputError(f"host edge ends must be integers, got {u!r}, {v!r}")
-            host_edges.append(edge_key(u, v))
-        members = []
-        # as in TIntervalFamily.from_dict, a message is formatted only for a
-        # member that fails a check
-        for idx, tracks in enumerate(raw):
-            if not isinstance(tracks, _SEQ):
-                _list(tracks, f"member {idx}")
-            for s in tracks:
-                if not isinstance(s, _SEQ):
-                    _list(s, f"member {idx}: a subtree")
-            if not set(map(type, chain.from_iterable(tracks))) <= {int}:
-                raise InputError(f"member {idx}: subtree vertices must be integers")
-            members.append(tuple(map(frozenset, tracks)))
-        return cls(host_edges, t, members)
 
 
 @dataclass
@@ -628,12 +652,13 @@ def _interval_coloring(
 
 def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i intervals of u and v intersect,
-    swept in the family's right-end order."""
+    swept in the family's right-end order, which the coloring keeps as its
+    PEOs (``family_peos``)."""
     return _interval_coloring(
         [[tracks[i][0] for tracks in fam.members] for i in range(fam.t)],
         [[tracks[i][1] for tracks in fam.members] for i in range(fam.t)],
         fam._by_hi,
-    )
+    )._keep_peos(fam._by_hi)
 
 
 def _subtree_rows(
@@ -668,11 +693,12 @@ def _subtree_coloring(h: int, subtrees: list[list[Iterable[int]]]) -> MultiColor
 
 
 def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
-    """Edge (u, v) gets color i when track-i subtrees of u and v share a vertex."""
+    """Edge (u, v) gets color i when track-i subtrees of u and v share a
+    vertex; the coloring keeps ``family_peos(fam)`` as its PEOs."""
     return _subtree_coloring(
         len(fam._depth),
         [[tracks[i] for tracks in fam.members] for i in range(fam.t)],
-    )
+    )._keep_peos(family_peos(fam))
 
 
 def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
@@ -692,31 +718,6 @@ def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
             for i in range(fam.t)
         ]
     return [list(by_hi) for by_hi in fam._by_hi]
-
-
-class _SweepOrders(tuple):
-    """``family_peos(fam)`` as tuples, minted with the family's ``coloring``
-    and a copy of its rows; a slice is a plain list."""
-
-    def __new__(cls, coloring: MultiColoring, orders: Iterable[Sequence[int]]):
-        self = super().__new__(cls, map(tuple, orders))
-        self.coloring, self._rows = coloring, [row.copy() for row in coloring.rows]
-        return self
-
-    def __getitem__(self, i):
-        got = super().__getitem__(i)
-        return list(got) if isinstance(i, slice) else got
-
-    def minted_for(self, col: MultiColoring) -> bool:
-        """True for the coloring minted with, if its rows are unchanged."""
-        return self.coloring is col and self._rows == col.rows
-
-
-def family_sweep(fam: TIntervalFamily | TSubtreeFamily) -> _SweepOrders:
-    """A family's coloring (``coloring_from_*``) with its sweep orders."""
-    subtrees = isinstance(fam, TSubtreeFamily)
-    col = coloring_from_subtrees(fam) if subtrees else coloring_from_intervals(fam)
-    return _SweepOrders(col, family_peos(fam))
 
 
 def is_tk_coloring(

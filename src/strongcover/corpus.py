@@ -20,7 +20,6 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
-    _SweepOrders,
     coloring_from_intervals,
     coloring_from_subtrees,
 )
@@ -31,44 +30,43 @@ from .graphs import Graph
 class ColoringInstance(NamedTuple):
     """A named coloring together with the k level it is guaranteed to meet.
 
-    A family-derived instance also carries its family and the sweep orders
-    its draw minted with the coloring (one PEO per color), which the covers
-    take as its chordality certificates without a search or a check.
+    A family-derived instance also carries its family; its coloring keeps
+    the family's PEOs, which the covers take as its chordality certificates
+    without a search or a check.
     """
 
     name: str
     coloring: MultiColoring
     t: int
     k: int
-    peos: _SweepOrders | None = None
     family: TIntervalFamily | TSubtreeFamily | None = None
 
 
 def _interval_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float
 ) -> ColoringInstance:
-    fam, ok, orders = _draw_intervals(n, t, seed, anchor, k)
+    fam, ok, col = _draw_intervals(n, t, seed, anchor, k)
     if not ok:
-        fam, ok, orders = _draw_intervals(n, t, seed, 1.0, k)
+        fam, ok, col = _draw_intervals(n, t, seed, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored interval family failed k-wise intersection", name
         )
-    return ColoringInstance(name, orders.coloring, t, k, orders, fam)
+    return ColoringInstance(name, col, t, k, fam)
 
 
 def _subtree_instance(
     name: str, n: int, t: int, k: int, seed: int, anchor: float, host_size: int
 ) -> ColoringInstance:
     max_size = min(4, host_size)
-    fam, ok, orders = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
+    fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
     if not ok:
-        fam, ok, orders = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
+        fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
     if not ok:
         raise GuaranteeError(
             "fully anchored subtree family failed k-wise intersection", name
         )
-    return ColoringInstance(name, orders.coloring, t, k, orders, fam)
+    return ColoringInstance(name, col, t, k, fam)
 
 
 def seeded_tk_instance(

@@ -26,7 +26,6 @@ from .chordal import (
 from .core import (
     MultiColoring,
     StrongCover,
-    _SweepOrders,
     count_layers,
     is_tk_coloring,
     verify_cover,
@@ -67,23 +66,23 @@ def color_certificates(
 ) -> Iterator[tuple[Graph, ChordalCertificate]]:
     """Each color graph with its chordality certificate, in color order 1..t.
 
-    Given orderings are one per color: sweep orders minted with ``col``
-    itself, its rows unchanged since, are PEOs by construction and taken as
-    they are, others are checked in O(n) mask steps, InputError if one is
-    not a PEO.  Without them ``is_chordal`` searches each color, and the
-    hole of a color that is not chordal is built only if a caller reads it.
+    Given orderings are one per color, each checked in O(n) mask steps,
+    InputError if one is not a PEO.  Without them, a coloring built from a
+    family with its rows unchanged since brings its own PEOs, taken as they
+    are; other colorings are searched by ``is_chordal``, and the hole of a
+    color that is not chordal is built only if a caller reads it.
     """
     if peos is not None and len(peos) != col.t:
         raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
-    trusted = isinstance(peos, _SweepOrders) and peos.minted_for(col)
+    orders = col._peos() if peos is None else peos
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
-        if peos is None:
+        if orders is None:
             yield g, is_chordal(g)
         else:
-            if not trusted:
+            if peos is not None:
                 _require_peo(g, peos[i - 1])
-            yield g, ChordalCertificate(peos[i - 1])
+            yield g, ChordalCertificate(orders[i - 1])
 
 
 def _chordal_certificates(
@@ -124,9 +123,10 @@ def greedy_strong_cover(
 
     Every color graph must be chordal.  On a (t,k)-coloring the total
     covered is at least (k-1) n / (k+1) whatever the order.  Each color's
-    PEO, from ``peos`` or else maximum cardinality search, is the
-    chordality certificate and is reused by every step; the cover does not
-    depend on which PEO a color has.
+    PEO, from ``color_certificates`` (``peos`` checked, else the
+    coloring's own, else a search), is the chordality certificate and is
+    reused by every step; the cover does not depend on which PEO a color
+    has.
     """
     t = col.t
     if order is None:
@@ -404,7 +404,7 @@ def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     clique does it, otherwise a clique cutset Q splits the rest into A and B
     with no single-color-1 edge inside either, so A u B is two-clique
     coverable in the other two colors and Q rides along as the third clique.
-    Given ``peos`` stand in for the chordality search.
+    The PEOs come from ``color_certificates``, as in the greedy cover.
     """
     if col.t != 3:
         raise PreconditionError(f"need exactly 3 colors, got t={col.t}")
@@ -462,8 +462,8 @@ def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
     Some color pair must cover every edge when t is even; the pair scan
     runs first for odd t too, then a color triple whose restriction is a
     (3,3)-coloring is delegated to the three-color algorithm with the
-    triple's chordality certificates, which are computed (or taken from
-    ``peos``) once up front.
+    triple's chordality certificates, which ``color_certificates`` gives
+    once up front.
     """
     t = col.t
     if t < 2:
@@ -644,9 +644,8 @@ def strong_cover_c4free_22(
     into a red part R and a blue part B, and dropping the smallest class X_i
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
     X_{i+1} u X_{i+4} u B.  Each color's chordality is decided first, by
-    ``peos`` or maximum cardinality search; a color with a PEO is chordal,
-    so its induced-C4 scan is skipped, and no hole is built for one
-    without.
+    ``color_certificates``; a color with a PEO is chordal, so its
+    induced-C4 scan is skipped, and no hole is built for one without.
     """
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")

@@ -165,6 +165,26 @@ class TestCheck:
         code, out, err = run(capsys, ["check", path, "--tk", "2"])
         assert code == 2 and out == "" and "host is not a tree" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["check", "-", "--kfold", "1"], ["cover", "greedy", "-"]]
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": ' + "1" * 5000 + ', "t": 1, "edges": []}',
+            '{"t": 1, "members": [[[0, ' + "9" * 4301 + "]]]}",
+        ],
+        ids=["edges", "intervals"],
+    )
+    def test_integer_past_the_digit_limit_is_exit_2(
+        self, capsys, monkeypatch, argv, text
+    ):
+        # Python converts no integer literal of more than 4,300 digits
+        code, out, err = run(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unreadable instance document: Exceeds the limit")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_tk5_on_anchored_family(self, capsys, monkeypatch):
         # every color is complete, so the (5,5) scan stops at its root
         # instead of walking C(100, 4) prefixes per color

@@ -27,6 +27,7 @@ from strongcover.constructions import (
     random_subtree_family,
 )
 from strongcover.core import (
+    MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
     coloring_from_intervals,
@@ -354,16 +355,16 @@ class TestRandomStream:
             members, ok = oracles.reference_interval_draw(
                 n, t, seed, anchor, k, accepts
             )
-            fam, got_ok, peos = _draw_intervals(n, t, seed, anchor, k)
+            fam, got_ok, col = _draw_intervals(n, t, seed, anchor, k)
             assert (fam.t, fam.members, got_ok) == (t, tuple(map(tuple, members)), ok)
             if k is None:
-                assert peos is None
+                assert col is None
                 continue
             outcomes.add(ok)
-            assert peos.coloring.rows == oracles.family_color_adjacency(
+            assert col.rows == oracles.family_color_adjacency(
                 members, t, intervals_meet
             )
-            assert [list(order) for order in peos] == family_peos(fam)
+            assert [list(order) for order in col._peos()] == family_peos(fam)
         if n >= 10:
             assert outcomes == {True, False}
 
@@ -388,18 +389,18 @@ class TestRandomStream:
                 return is_tk_coloring(coloring_from_subtrees(fam), k)[0]
 
             host_edges, members, ok = oracles.reference_subtree_draw(*args, accepts)
-            fam, got_ok, peos = _draw_subtrees(*args)
+            fam, got_ok, col = _draw_subtrees(*args)
             assert (fam.host_edges, fam.t, fam.members, got_ok) == (
                 tuple(host_edges), t, tuple(map(tuple, members)), ok
             )
             if k is None:
-                assert peos is None
+                assert col is None
                 continue
             outcomes.add(ok)
-            assert peos.coloring.rows == oracles.family_color_adjacency(
+            assert col.rows == oracles.family_color_adjacency(
                 members, t, subtrees_meet
             )
-            assert [list(order) for order in peos] == family_peos(fam)
+            assert [list(order) for order in col._peos()] == family_peos(fam)
         if n >= 10:
             assert outcomes == {True, False}
 
@@ -427,7 +428,14 @@ class TestEndpointWitness:
     def test_refusals_are_sound_and_used(self, kind, monkeypatch):
         witnessed = self.spy(monkeypatch, "_endpoint_witness")
         built = self.spy(monkeypatch, f"_{kind}_coloring")
-        refusals = rebuilt = 0
+        kept = []
+        keep = MultiColoring._keep_peos
+        monkeypatch.setattr(
+            MultiColoring,
+            "_keep_peos",
+            lambda col, orders: kept.append(col) or keep(col, orders),
+        )
+        refusals = rebuilt = swept_refusals = 0
         for n, t, k, anchor, seed in itertools.product(
             (3, 6, 12), range(1, 5), (2, 3), (0.0, 0.5, 0.85, 1.0), range(3)
         ):
@@ -445,7 +453,8 @@ class TestEndpointWitness:
                 members, ok = oracles.reference_interval_draw(
                     n, t, seed, anchor, k, accepts
                 )
-                fam, got_ok, peos = _draw_intervals(n, t, seed, anchor, k)
+                kept.clear()  # the oracle's colorings keep orders too
+                fam, got_ok, col = _draw_intervals(n, t, seed, anchor, k)
                 meet = intervals_meet
             else:
                 args = (n, t, seed, 6, 4, anchor, k)
@@ -460,9 +469,12 @@ class TestEndpointWitness:
                     return oracles.first_tk_violation(col, k) is not None
 
                 _, members, ok = oracles.reference_subtree_draw(*args, accepts)
-                fam, got_ok, peos = _draw_subtrees(*args)
+                kept.clear()
+                fam, got_ok, col = _draw_subtrees(*args)
                 meet = subtrees_meet
             assert (fam.members, got_ok) == (tuple(map(tuple, members)), ok)
+            # only the returned coloring keeps its orders and a copy of its rows
+            assert kept == [col]
             # the witness is tried once on every draw, and is sound
             assert len(witnessed) == len(draws)
             for hit, draw in zip(witnessed, draws):
@@ -474,13 +486,14 @@ class TestEndpointWitness:
             assert len(built) == witnessed.count(False) + witnessed[-1]
             if not ok and witnessed[-1] and not all(witnessed):
                 rebuilt += 1
-            assert peos.coloring.rows == oracles.family_color_adjacency(
+            assert col.rows == oracles.family_color_adjacency(
                 members, t, meet
             )
-            assert [list(order) for order in peos] == family_peos(fam)
+            assert [list(order) for order in col._peos()] == family_peos(fam)
+            swept_refusals += len(built) > 1
             witnessed.clear()
             built.clear()
-        assert refusals > 0 and rebuilt > 0
+        assert refusals > 0 and rebuilt > 0 and swept_refusals > 0
 
     @pytest.mark.parametrize("kind", ["interval", "subtree"])
     @pytest.mark.parametrize("k", [0, 1, 6])

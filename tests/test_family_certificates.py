@@ -27,11 +27,9 @@ from strongcover.core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
-    _SweepOrders,
     coloring_from_intervals,
     coloring_from_subtrees,
     family_peos,
-    family_sweep,
 )
 from strongcover.covers import (
     greedy_strong_cover,
@@ -253,15 +251,45 @@ def _toggled(adj, u, v):
 
 
 class TestGivenOrders:
+    """A family's coloring keeps its PEOs: taken unchecked while its rows
+    are unchanged, dropped by any edit of the rows, never carried to
+    another coloring.  Orders given as ``peos=`` are always checked."""
+
     def setup_method(self):
         inst = corpus.seeded_tk_instance("interval", 12, 3, 3, 0)  # a (3,3)-coloring
-        self.col, self.peos = inst.coloring, inst.peos
+        self.col, self.peos = inst.coloring, family_peos(inst.family)
+        self.plain = MultiColoring.from_dict(self.col.to_dict())  # no own orders
         assert not oracles.is_peo(self.col.rows[0], self.peos[0][::-1])
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        require = covers._require_peo
+
+        def counted(g, peo):
+            seen.append(list(peo))
+            return require(g, peo)
+
+        monkeypatch.setattr(covers, "_require_peo", counted)
+        return seen
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        seen = []
+        search = covers.is_chordal
+
+        def counted(g):
+            seen.append(g.n)
+            return search(g)
+
+        monkeypatch.setattr(covers, "is_chordal", counted)
+        return seen
 
     def test_right_orders_give_the_searched_cover(self):
         given, _ = greedy_strong_cover(self.col, peos=self.peos)
-        searched, _ = greedy_strong_cover(self.col)
-        assert given == searched
+        own, _ = greedy_strong_cover(self.col)
+        searched, _ = greedy_strong_cover(self.plain)
+        assert given == own == searched
 
     @pytest.mark.parametrize(
         "bad",
@@ -280,43 +308,33 @@ class TestGivenOrders:
         with pytest.raises(InputError):
             strong_cover_tt(self.col, peos=peos)
 
-    @pytest.fixture
-    def checked(self, monkeypatch):
-        seen = []
-        require = covers._require_peo
+    def test_sweep_orders_of_their_coloring_are_not_checked(self, checked, searched):
+        own = self.col._peos()
+        assert all(type(order) is tuple for order in own)
+        assert [list(order) for order in own] == self.peos
+        given, _ = greedy_strong_cover(self.col)
+        certs = list(covers.color_certificates(self.col))
+        assert checked == [] and searched == []
+        assert [cert.peo for _g, cert in certs] == list(own)
+        assert given == greedy_strong_cover(self.plain)[0]
 
-        def counted(g, peo):
-            seen.append(list(peo))
-            return require(g, peo)
-
-        monkeypatch.setattr(covers, "_require_peo", counted)
-        return seen
-
-    def test_sweep_orders_of_their_coloring_are_not_checked(self, checked):
-        assert isinstance(self.peos, _SweepOrders) and self.peos.coloring is self.col
-        assert all(type(order) is tuple for order in self.peos)
-        assert type(self.peos[1:]) is list
+    def test_plain_orders_are_checked_once_per_color(self, checked, searched):
         given, _ = greedy_strong_cover(self.col, peos=self.peos)
-        certs = list(covers.color_certificates(self.col, self.peos))
-        assert checked == []
-        assert [cert.peo for _g, cert in certs] == list(self.peos)
-        assert given == greedy_strong_cover(self.col)[0]
-
-    def test_plain_orders_are_checked_once_per_color(self, checked):
-        plain = [list(order) for order in self.peos]
-        given, _ = greedy_strong_cover(self.col, peos=plain)
-        assert checked == plain
-        assert given == greedy_strong_cover(self.col)[0]
+        assert checked == self.peos and searched == []
+        assert given == greedy_strong_cover(self.plain)[0]
+        # the coloring's own orders, given explicitly, are checked too
         checked.clear()
-        fam = corpus.seeded_tk_instance("interval", 12, 3, 3, 0).family
-        strong_cover_33(self.col, peos=family_peos(fam))
-        assert checked == family_peos(fam)
+        own = self.col._peos()
+        strong_cover_33(self.col, peos=own)
+        assert checked == [list(order) for order in own]
 
-    def test_sweep_orders_of_another_coloring_are_checked(self, checked):
+    def test_sweep_orders_of_another_coloring_are_checked(self, checked, searched):
         copy = self.col.select_colors([1, 2, 3])
-        assert copy == self.col and copy is not self.col
+        assert copy == self.col and copy is not self.col and copy._peos() is None
+        assert greedy_strong_cover(copy)[0] == greedy_strong_cover(self.col)[0]
+        assert checked == [] and searched == [self.col.n] * 3
         given, _ = greedy_strong_cover(copy, peos=self.peos)
-        assert checked == [list(order) for order in self.peos]
+        assert checked == self.peos
         assert given == greedy_strong_cover(self.col)[0]
         # the orders of one color are not those of another
         swapped = self.col.select_colors([2, 1, 3])
@@ -326,10 +344,12 @@ class TestGivenOrders:
         with pytest.raises(InputError, match="not a perfect elimination"):
             strong_cover_33(swapped, peos=self.peos)
 
-    def test_edited_coloring_does_not_take_the_orders(self, checked):
-        """Rows edited after the orders were minted are noticed: the orders
-        are checked again, and one that is no longer a PEO is refused."""
+    def test_edited_coloring_does_not_take_the_orders(self, checked, searched):
+        """Rows edited after the orders were kept are noticed: each color is
+        searched, a stale order given explicitly is refused, and undoing the
+        edit restores the orders."""
         col, peos = self.col, self.peos
+        own = col._peos()
         pairs = list(itertools.combinations(range(col.n), 2))
         u, v = next(
             (u, v)
@@ -338,22 +358,33 @@ class TestGivenOrders:
             and not oracles.is_peo(_toggled(col.rows[0], u, v), peos[0])
         )
         col.add_colors(u, v, [1])
+        assert col._peos() is None
+        list(covers.color_certificates(col))
+        assert searched == [col.n] * 3 and checked == []
         with pytest.raises(InputError, match="not a perfect elimination"):
             greedy_strong_cover(col, peos=peos)
-        assert checked == [list(peos[0])]
-        # undone through the live view, the rows are those minted again
+        assert checked == [peos[0]]
+        # undone through the live view, the rows are those kept again
         col.edge_colors[(u, v)] = col.colors_of(u, v) - {1}
+        assert col._peos() == own
         checked.clear()
-        assert greedy_strong_cover(col, peos=peos)[0] == greedy_strong_cover(col)[0]
-        assert checked == []
-        # a hand edit of the rows that keeps every order a PEO is checked too
+        searched.clear()
+        assert greedy_strong_cover(col)[0] == greedy_strong_cover(self.plain)[0]
+        assert checked == [] and searched == [col.n] * 3  # the plain copy's
+        # a hand edit of the rows that keeps every order a PEO drops them too
         x, y = next(
             (x, y) for x, y in pairs if oracles.is_peo(_toggled(col.rows[2], x, y), peos[2])
         )
         col.rows[2][x] ^= 1 << y
         col.rows[2][y] ^= 1 << x
+        assert col._peos() is None
+        searched.clear()
+        list(covers.color_certificates(col))
+        assert searched == [col.n] * 3
         list(covers.color_certificates(col, peos))
-        assert checked == [list(order) for order in peos]
+        assert checked == peos
+        col.rows[2] = _toggled(col.rows[2], x, y)
+        assert col._peos() == own
 
     def test_relabeled_coloring_does_not_take_the_orders(self):
         label = list(range(self.col.n))
@@ -362,6 +393,7 @@ class TestGivenOrders:
             (label[u], label[v], cs) for (u, v), cs in self.col.edge_colors.items()
         ]
         relabeled = MultiColoring.from_edges(self.col.n, self.col.t, edges)
+        assert relabeled._peos() is None
         assert not all(
             oracles.is_peo(row, peo) for row, peo in zip(relabeled.rows, self.peos)
         )
@@ -376,6 +408,40 @@ class TestGivenOrders:
         assert strong_cover_c4free_22(col, peos=family_peos(fam)).covered() == 3
         with pytest.raises(InputError):
             strong_cover_c4free_22(col, peos=[[1, 0, 2], [0, 1, 2]])
+
+
+def test_quick_start_runs_no_search_and_no_check(monkeypatch):
+    """The README's ``greedy_strong_cover(coloring_from_intervals(fam))``,
+    and the same on a subtree family, take the coloring's own orders."""
+
+    def refuse(*args):
+        raise AssertionError("searched or checked a family coloring")
+
+    monkeypatch.setattr(chordal, "mcs_order", refuse)
+    monkeypatch.setattr(chordal, "_check_peo", refuse)
+    fam = constructions.construct_onefourth(3)
+    cover, _ = greedy_strong_cover(coloring_from_intervals(fam))
+    assert cover.covered() == 6
+    sfam, ok = random_subtree_family(12, 3, 4, host_size=6, anchor=0.95, k=3)
+    assert ok
+    col = coloring_from_subtrees(sfam)
+    for run_cover in (strong_cover_33, strong_cover_tt):
+        assert run_cover(col).covered() == 12
+    greedy_strong_cover(col)
+
+
+def test_derived_colorings_carry_no_orders():
+    fam = constructions.construct_onefourth(3)
+    col = coloring_from_intervals(fam)
+    assert [list(order) for order in col._peos()] == family_peos(fam)
+    spec = constructions.BlowupSpec([2] * col.n)
+    for derived in (
+        MultiColoring.from_dict(col.to_dict()),
+        col.select_colors([1, 2, 3]),
+        col.select_colors([2]),
+        constructions.blow_up(col, spec),
+    ):
+        assert derived._orders is None and derived._peos() is None
 
 
 class TestOneBuildPerDraw:
@@ -395,14 +461,23 @@ class TestOneBuildPerDraw:
         build = "_interval_coloring" if kind == "interval" else "_subtree_coloring"
         builds = self.count(monkeypatch, build)
         draws = self.count(monkeypatch, "is_tk_coloring")
+        kept = []
+        keep = MultiColoring._keep_peos
+
+        def counted_keep(col, orders):
+            kept.append(col)
+            return keep(col, orders)
+
+        monkeypatch.setattr(MultiColoring, "_keep_peos", counted_keep)
         inst = corpus.seeded_tk_instance(kind, 12, 3, 3, 11)
         assert len(builds) == len(draws) >= 1
+        # only the returned draw's coloring keeps orders and a copy of its rows
+        assert kept == [inst.coloring]
         fam = inst.family
         derive = coloring_from_intervals if kind == "interval" else coloring_from_subtrees
         assert inst.coloring == derive(fam)
         assert_peos(fam, inst.coloring)
-        assert inst.peos.coloring is inst.coloring
-        assert [list(order) for order in inst.peos] == family_peos(fam)
+        assert [list(order) for order in inst.coloring._peos()] == family_peos(fam)
 
 
 class TestSizeLimits:
@@ -641,7 +716,7 @@ class TestFamiliesCheckThemselves:
         monkeypatch.setattr(covers, "_require_peo", counted)
         monkeypatch.setattr(chordal, "_require_peo", counted)
         doc = getattr(self, kind.upper())
-        # a family document's orders are minted with its coloring, not
+        # a family document's orders are kept by its coloring, not
         # received from a caller, so no command line checks one
         for argv in self.COMMANDS:
             checked.clear()
@@ -661,6 +736,46 @@ class TestFamiliesCheckThemselves:
             TSubtreeFamily([(0, 1), (2, 3), (1, 2), (0, 3)], 1, [])
         with pytest.raises(InputError, match="member 0: empty subtree"):
             TSubtreeFamily([], 1, [[frozenset()]])
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (TIntervalFamily, (1, [5])),
+            (TIntervalFamily, (1, [[5]])),
+            (TIntervalFamily, (1, [[(1, 2, 3)]])),
+            (TIntervalFamily, (1, [[(0, "1")]])),
+            # a shape fault is reported before a count fault of an earlier
+            # member, and before t itself
+            (TIntervalFamily, (2, [[(0, 1), (0, 1)], [(0, 1)], [(0, 1), 7]])),
+            (TIntervalFamily, (0, [[(0, 1)], [[0]]])),
+            (TSubtreeFamily, ([], 1, [5])),
+            (TSubtreeFamily, ([], 1, [[5]])),
+            (TSubtreeFamily, ([], 1, [[{"x"}]])),
+            (TSubtreeFamily, ([(0, 1, 2)], 1, [])),
+            (TSubtreeFamily, ([(0, 1.0)], 1, [])),
+            (TSubtreeFamily, ([(1, 1)], 1, [[{1}]])),
+        ],
+    )
+    def test_constructor_refuses_malformed_members_as_from_dict(self, cls, args):
+        with pytest.raises(InputError) as built:
+            cls(*args)
+        fields = ("t", "members") if cls is TIntervalFamily else (
+            "host_edges", "t", "members"
+        )
+        doc = json.loads(json.dumps(dict(zip(fields, args)), default=sorted))
+        with pytest.raises(InputError) as parsed:
+            cls.from_dict(doc)
+        assert str(built.value) == str(parsed.value)
+
+    def test_constructor_takes_what_from_dict_takes(self):
+        sfam = TSubtreeFamily([[1, 0]], 1, [[[0, 1]], ({1},)])
+        assert sfam.host_edges == ((0, 1),)
+        assert sfam.members == ((frozenset({0, 1}),), (frozenset({1}),))
+        assert sfam == TSubtreeFamily.from_dict(sfam.to_dict())
+        fam = TIntervalFamily(1, [[[0, 1]]])
+        assert fam.members == (((0, 1),),) and hash(fam) == hash(
+            TIntervalFamily.from_dict(fam.to_dict())
+        )
 
     def test_fields_cannot_be_assigned(self):
         fam = TIntervalFamily.from_dict(self.INTERVALS)
@@ -722,9 +837,10 @@ def _reference_orders(fam):
 
 
 def assert_sweep_certificates(fam):
-    """The sweep's rows are the pairwise intersections, and each of its
-    orders is a PEO by definition and the reference order.  The covers take
-    ``family_sweep``'s orders unchecked, so this is their only check."""
+    """The sweep's rows are the pairwise intersections, and each of the
+    orders its coloring keeps is a PEO by definition and the reference
+    order.  The covers take these orders unchecked, so this is their only
+    check."""
     if isinstance(fam, TSubtreeFamily):
         col = coloring_from_subtrees(fam)
         expected = oracles.family_color_adjacency(
@@ -736,11 +852,11 @@ def assert_sweep_certificates(fam):
             fam.members, fam.t, lambda a, b: max(a[0], b[0]) <= min(a[1], b[1])
         )
     assert col.rows == expected
-    swept = family_sweep(fam)
-    assert swept.coloring.rows == expected and len(swept) == fam.t
+    own = col._peos()
+    assert len(own) == fam.t
     peos = family_peos(fam)
-    assert peos == [list(order) for order in swept] == _reference_orders(fam)
-    for row, peo in zip(col.rows, swept):
+    assert peos == [list(order) for order in own] == _reference_orders(fam)
+    for row, peo in zip(col.rows, own):
         assert oracles.is_peo(row, peo)
 
 
