@@ -141,21 +141,19 @@ def _emit_instance(doc: dict, meta: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+# the instances with no parameter, by their constructor in ``constructions``
+_FIXED = {"k5star": "construct_k5star", "k4paths": "construct_k4_two_paths",
+          "k8c4free": "construct_k8_c4free_3col"}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     name = args.construction
     if name == "onefourth":
         fam = constructions.construct_onefourth(args.t)
         _emit_instance(fam.to_dict(), {"generator": name, "t": args.t})
-    elif name == "k5star":
-        _emit_instance(constructions.construct_k5star().to_dict(), {"generator": name})
-    elif name == "k4paths":
-        _emit_instance(
-            constructions.construct_k4_two_paths().to_dict(), {"generator": name}
-        )
-    elif name == "k8c4free":
-        _emit_instance(
-            constructions.construct_k8_c4free_3col().to_dict(), {"generator": name}
-        )
+    elif name in _FIXED:
+        construct = getattr(constructions, _FIXED[name])
+        _emit_instance(construct().to_dict(), {"generator": name})
     elif name == "partition":
         fam = constructions.construct_partition_coloring(args.n, args.t)
         _emit_instance(fam.to_dict(), {"generator": name, "n": args.n, "t": args.t})
@@ -307,16 +305,12 @@ def _run_cover(
                 col, max_n=args.max_exact
             )
         return cover
-    if algorithm == "t33":
-        with _Timed(report, "t33"):
-            return strong_cover_33(col)
-    if algorithm == "tt":
-        with _Timed(report, "tt"):
-            return strong_cover_tt(col)
-    if algorithm == "c4free22":
-        with _Timed(report, "c4free22"):
-            return strong_cover_c4free_22(col)
-    raise InputError(f"unknown algorithm {algorithm!r}")  # pragma: no cover
+    structured = {"t33": strong_cover_33, "tt": strong_cover_tt,
+                  "c4free22": strong_cover_c4free_22}
+    if algorithm not in structured:  # pragma: no cover
+        raise InputError(f"unknown algorithm {algorithm!r}")
+    with _Timed(report, algorithm):
+        return structured[algorithm](col)
 
 
 def _add_bound_checks(
@@ -420,32 +414,23 @@ def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
     )
 
 
-def _verify_t33(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col):
-        cover = strong_cover_33(col)
-        rep = verify_cover(col, cover)
-        ok = rep.valid and rep.covered == col.n and cover.size() <= 3
-        return {"cliques": cover.size(), "pass": ok}
-
-    _run_suite(
-        args, report, "three monochromatic cliques cover everything",
-        _alternating(args.n, 3, 3), check,
-    )
-
-
-def _verify_tt(args: argparse.Namespace, report: RunReport) -> None:
-    limit = 2 if args.t % 2 == 0 else 3
+def _verify_few_cliques(args: argparse.Namespace, report: RunReport) -> None:
+    """The ``t33`` and ``tt`` suites: at most 2 (t even) or 3 (t odd) cliques
+    cover a chordal (t,t)-coloring; t33 is t = 3 by the three-color cover."""
+    t33 = args.suite == "t33"
+    t = 3 if t33 else args.t
+    limit = 2 if t % 2 == 0 else 3
 
     def check(col):
-        cover = strong_cover_tt(col)
+        cover = (strong_cover_33 if t33 else strong_cover_tt)(col)
         rep = verify_cover(col, cover)
         ok = rep.valid and rep.covered == col.n and cover.size() <= limit
         return {"cliques": cover.size(), "pass": ok}
 
-    _run_suite(
-        args, report, f"at most {limit} cliques cover everything",
-        _alternating(args.n, args.t, args.t), check,
-    )
+    inequality = f"at most {limit} cliques cover everything"
+    if t33:
+        inequality = "three monochromatic cliques cover everything"
+    _run_suite(args, report, inequality, _alternating(args.n, t, t), check)
 
 
 def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
@@ -571,10 +556,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _Timed(report, args.suite):
         if args.suite == "lower":
             _verify_lower(args, report)
-        elif args.suite == "t33":
-            _verify_t33(args, report)
-        elif args.suite == "tt":
-            _verify_tt(args, report)
+        elif args.suite in ("t33", "tt"):
+            _verify_few_cliques(args, report)
         elif args.suite == "c4free22":
             _verify_c4free22(args, report)
         else:

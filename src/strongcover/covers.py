@@ -355,34 +355,52 @@ def two_clique_cover_exact(
     colors: tuple[int, int] = (1, 2),
     vertices: frozenset[int] | None = None,
 ) -> StrongCover | None:
-    """Cover a vertex set with at most two cliques of the two given colors.
+    """Cover a vertex set W with at most two cliques of the two given colors.
 
-    Scans maximal cliques of the first color on the induced set; the
-    leftover must be a clique in the second color.  Returns the first cover
-    found in deterministic order (fewest cliques, then lexicographic), or
-    None when no such cover exists.  Over 40 vertices raise SizeLimitError.
+    Returns the first cover in deterministic order: W as one clique of the
+    first color, else of the second, else the first maximal clique of the
+    first color, by vertex tuple, whose leftover is a clique of the second;
+    None when there is none.  A cover is a model of a 2-SAT formula, x_v
+    putting v in the first clique: a non-edge uv of the first color gives
+    (not x_u or not x_v), one of the second (x_u or x_v).  Each vertex in
+    increasing order becomes a one if unit propagation allows, else a zero.
+    A propagation with no conflict leaves only clauses on free variables,
+    so no choice is undone; a conflict both ways means no model.  The ones
+    are maximal (a vertex joined to all was free to be a one at its turn).
     """
     ci, cj = colors
     if ci == cj or not (1 <= ci <= col.t and 1 <= cj <= col.t):
         raise InputError(f"bad color pair {colors}")
-    if vertices is None:
-        vertices = frozenset(range(col.n))
-    if len(vertices) > 40:
-        raise SizeLimitError(
-            f"{len(vertices)} vertices exceed the exhaustive search bound 40"
-        )
-    if not vertices:
-        return StrongCover({})
-    within = col.vertex_mask(vertices)
-    if col.is_clique_mask(within, ci):
-        return StrongCover({ci: frozenset(vertices)})
-    if col.is_clique_mask(within, cj):
-        return StrongCover({cj: frozenset(vertices)})
-    for m in _maximal_cliques(col.rows[ci - 1], within):
-        rest = within & ~m
-        if col.is_clique_mask(rest, cj):
-            return StrongCover({ci: frozenset(bits(m)), cj: frozenset(bits(rest))})
-    return None
+    within = (1 << col.n) - 1 if vertices is None else col.vertex_mask(vertices)
+    if col.is_clique_mask(within, cj) and not col.is_clique_mask(within, ci):
+        return StrongCover({cj: frozenset(bits(within))})
+    ri, rj = col.rows[ci - 1], col.rows[cj - 1]
+
+    def settle(may1: int, may0: int, ones: int, zeros: int):
+        # a new one bars its ci non-neighbors from being ones, a new zero
+        # its cj non-neighbors from being zeros; the barred go the other way
+        may1, may0 = may1 & ~zeros, may0 & ~ones
+        while ones | zeros:
+            left1, left0 = may1, may0
+            for u in bits(ones):
+                may1 &= ri[u] | 1 << u
+            for u in bits(zeros):
+                may0 &= rj[u] | 1 << u
+            if within & ~(may1 | may0):
+                return None  # a vertex may be neither
+            ones, zeros = left0 & ~may0, left1 & ~may1
+        return may1, may0
+
+    may1 = may0 = within  # the vertices that may still be ones / zeros
+    for v in bits(within):
+        bit = 1 << v
+        if may1 & may0 & bit:  # not forced by an earlier choice
+            settled = settle(may1, may0, bit, 0) or settle(may1, may0, 0, bit)
+            if settled is None:
+                return None
+            may1, may0 = settled
+    parts = ((ci, may1), (cj, may0))  # every vertex is now one or zero, not both
+    return StrongCover({c: frozenset(bits(m)) for c, m in parts if m})
 
 
 def _mono_edge_colors(col: MultiColoring) -> set[int]:

@@ -94,16 +94,15 @@ class Graph:
         """True if the vertices of ``mask`` are pairwise adjacent."""
         return is_clique_mask(self.adj, mask)
 
-    def component_mask(self, start: int, within: int = -1) -> int:
-        """Bitmask of the connected component containing ``start`` in the
-        subgraph induced by the vertices of ``within`` (default: all)."""
+    def component_mask(self, start: int) -> int:
+        """Bitmask of the connected component containing ``start``."""
         seen = 1 << start
         frontier = seen
         while frontier:
             nxt = 0
             for v in bits(frontier):
                 nxt |= self.adj[v]
-            frontier = nxt & within & ~seen
+            frontier = nxt & ~seen
             seen |= frontier
         return seen
 

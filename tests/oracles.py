@@ -230,6 +230,29 @@ def two_clique_cover_exists(col, c1, c2, vertices=None):
     return False
 
 
+def lex_first_two_clique_cover(col, c1, c2, vertices=None):
+    """The first split of the vertex set into a c1-clique and a c2-clique:
+    the whole set as one c1-clique, else as one c2-clique, else the first
+    maximal c1-clique of the induced graph, by vertex tuple, whose rest is a
+    c2-clique.  As a map color -> vertex set of its nonempty parts, or None
+    when no split exists."""
+    vs = sorted(vertices if vertices is not None else range(col.n))
+    if _is_color_clique(col, vs, c1):
+        return {c1: frozenset(vs)} if vs else {}
+    if _is_color_clique(col, vs, c2):
+        return {c2: frozenset(vs)}
+    adj = color_adjacency(col)[c1 - 1]
+    induced = [
+        sum(1 << j for j, w in enumerate(vs) if adj[v] >> w & 1) for v in vs
+    ]
+    for clique in maximal_cliques(len(vs), induced):
+        part = [vs[i] for i in clique]
+        rest = [v for v in vs if v not in part]
+        if _is_color_clique(col, rest, c2):
+            return {c1: frozenset(part), c2: frozenset(rest)}
+    return None
+
+
 def family_color_adjacency(members, t, meet):
     """Bitmask rows per track from a pairwise test ``meet(a, b)`` of each
     pair of members' track objects."""

@@ -543,6 +543,15 @@ class TestVerify:
         for r in doc["results"]["instances"]:
             assert r["covered"] >= r["bound"]
 
+    @pytest.mark.parametrize("suite", ["t33", "tt", "c4free22"])
+    def test_structured_suites_past_forty_vertices(self, capsys, suite):
+        code, doc = run_json(
+            capsys, ["verify", suite, "--n", "50", "--samples", "4"]
+        )
+        rows = doc["results"]["instances"]
+        assert code == 0 and not any("error" in r for r in rows)
+        assert max(r["n"] for r in rows) == 50
+
     def test_constructions_suite(self, capsys):
         code, doc = run_json(
             capsys, ["verify", "constructions", "--samples", "10"]

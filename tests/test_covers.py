@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -311,6 +312,50 @@ class TestTwoCliqueCover:
                 assert rep.valid and cover.vertices() == vs
         assert found > 10 and missing > 5
 
+    def test_matches_lex_first_oracle(self):
+        # random 2- and 3-colorings, K5* blow-ups (non-chordal colors) and
+        # interval colorings (chordal ones), n <= 12, each with both color
+        # orders on the whole vertex set and on random subsets
+        rng = random.Random(97)
+        cols = []
+        for _ in range(120):
+            n, t, p = rng.randint(0, 10), rng.choice((2, 3)), rng.uniform(0.3, 0.95)
+            col = MultiColoring(n, t)
+            for u, v in itertools.combinations(range(n), 2):
+                cs = [c for c in range(1, t + 1) if rng.random() < p]
+                if cs:
+                    col.add_colors(u, v, cs)
+            cols.append(col)
+        for _ in range(20):
+            sizes = [1 + rng.randrange(3) for _ in range(5)]
+            for i in rng.sample(range(5), 2):
+                sizes[i] = 1
+            cols.append(blow_up(construct_k5star(), BlowupSpec(sizes)))
+        for _ in range(20):
+            fam, _ = random_interval_family(
+                rng.randint(5, 12), rng.choice((2, 3)), rng.randint(0, 9999),
+                anchor=rng.choice((0.0, 0.5, 0.8)),
+            )
+            cols.append(coloring_from_intervals(fam))
+        found = missing = two = 0
+        for col in cols:
+            pairs = [(1, 2), (2, 1)] + ([(3, 1), (2, 3)] if col.t == 3 else [])
+            subsets = [None] + [
+                frozenset(v for v in range(col.n) if rng.random() < 0.7)
+                for _ in range(2)
+            ]
+            for (c1, c2), vs in itertools.product(pairs, subsets):
+                want = oracles.lex_first_two_clique_cover(col, c1, c2, vs)
+                cover = two_clique_cover_exact(col, (c1, c2), vs)
+                got = None if cover is None else cover.assignments
+                assert got == want, (col.to_dict(), c1, c2, vs)
+                if want is None:
+                    missing += 1
+                else:
+                    found += 1
+                    two += len(want) == 2
+        assert found > 800 and missing > 200 and two > 400
+
 
 class TestStrongCover33:
     def test_corpus(self):
@@ -571,6 +616,99 @@ class TestSubstitution:
                     assert col.colors_of(a, b) == frozenset({1, 2})
         # external edges copy vertex 1's colors
         assert col.colors_of(0, 1) == col.colors_of(0, 2) == col.colors_of(0, 3)
+
+
+def _grown(base, n, rng, whole):
+    """``base`` grown to n vertices: one vertex substituted by a clique
+    (``whole``), or every vertex by a clique of a random size.  Returns the
+    coloring and the vertex blocks, in base vertex order."""
+    sizes = [1] * base.n
+    if whole:
+        v = rng.randrange(base.n)
+        sizes[v] = n - base.n + 1
+        col = clique_substitute(base, v, sizes[v])
+    else:
+        for _ in range(n - base.n):
+            sizes[rng.randrange(base.n)] += 1
+        col = blow_up(base, BlowupSpec(sizes))
+    starts = list(itertools.accumulate([0] + sizes))
+    return col, [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _needs_two(instances, cover, limit):
+    """The first ``limit`` colorings of the instances that ``cover`` covers
+    with two or more cliques."""
+    bases = [x.coloring for x in instances if cover(x.coloring).size() >= 2]
+    return bases[:limit]
+
+
+class TestStructuredCoversAtScale:
+    """The polynomial covers on n = 100, 200, 400: blow-ups and clique
+    substitutions of small colorings that need two or more cliques.  True
+    twins keep each color chordal and induced-C4-free, keep (t,t), and add
+    no K5*."""
+
+    SIZES = (100, 200, 400)
+
+    def check(self, bases, cover, limit_of):
+        rng = random.Random(61)
+        for base, n, whole in itertools.product(bases, self.SIZES, (True, False)):
+            col, _ = _grown(base, n, rng, whole)
+            got = cover(col)
+            rep = verify_cover(col, got)
+            assert rep.valid and rep.covered == n and got.size() <= limit_of(col)
+
+    def test_t33(self):
+        bases = [_tt3_without_covering_pair()]
+        bases += _needs_two(chordal_33_corpus(), strong_cover_33, 3)
+        self.check(bases, strong_cover_33, lambda col: 3)
+
+    def test_tt(self):
+        bases = []
+        for t in (2, 3, 4, 5):
+            tt = [x for x in chordal_tt_corpus() if x.coloring.t == t]
+            bases += _needs_two(tt, strong_cover_tt, 1)
+        assert {b.t for b in bases} == {2, 3, 4, 5}
+        self.check(bases, strong_cover_tt, lambda col: 2 if col.t % 2 == 0 else 3)
+
+    def test_c4free22_is_the_lift_of_the_first_split(self):
+        # a blow-up keeps the vertex-tuple order of cliques, block by block,
+        # so its first split is the base's first split with each vertex
+        # replaced by its block
+        bases = []
+        for x in c4free_22_corpus():  # the interval ones have no K5*
+            if x.name.startswith("c4free-int") and x.coloring.n >= 10:
+                want = oracles.lex_first_two_clique_cover(x.coloring, 1, 2)
+                if len(want) == 2 and len(bases) < 3:
+                    bases.append((x.coloring, want))
+        assert len(bases) == 3
+        rng = random.Random(67)
+        for (base, want), n, whole in itertools.product(
+            bases, self.SIZES, (True, False)
+        ):
+            col, blocks = _grown(base, n, rng, whole)
+            lifted = {
+                c: frozenset(w for v in vs for w in blocks[v])
+                for c, vs in want.items()
+            }
+            cover = strong_cover_c4free_22(col)
+            assert cover.assignments == lifted
+            assert verify_cover(col, cover).covered >= -(-4 * n // 5)
+
+    def test_uncoverable_multipartite_ends_fast(self):
+        # color 1 is K_{3x13}, color 2 its complement: 13 disjoint triangles.
+        # A color-1 clique meets each triangle at most once, so at least 26
+        # vertices are left across the triangles: no color-2 clique
+        col = MultiColoring(39, 2)
+        for u, v in itertools.combinations(range(39), 2):
+            col.add_colors(u, v, [1] if u // 3 != v // 3 else [2])
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert two_clique_cover_exact(col, (1, 2)) is None
+            assert two_clique_cover_exact(col, (2, 1)) is None
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
 
 
 class TestGreedyAgainstStepOracle:
