@@ -10,8 +10,10 @@ integer checks on the greedy trace.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
+from copy import copy
 from dataclasses import dataclass
 
 from . import _kernels as kernels
@@ -191,16 +193,21 @@ def counting_chain_check(
     )
 
 
-def _maximal_cliques(adj: Sequence[int], within: int = -1) -> list[int]:
-    """Maximal clique masks of the graph induced on ``within`` (all vertices
-    by default), sorted by vertex tuple.
+Lifts = tuple[list[int], list[tuple[int, int, int]], dict[int, int]]
+
+
+def _quotient_cliques(adj: Sequence[int], within: int = -1) -> Lifts:
+    """The maximal cliques of the graph induced on ``within`` (all vertices
+    by default), as lifts of the cliques of its twin quotient.
 
     The kernel runs on the least vertex of each twin class of the induced
     graph: equal closed neighborhoods (true twins, a clique) or equal open
     ones (false twins, an independent set); no vertex has both kinds.  A
     maximal clique holds a true class whole or not at all and one member of
-    a false class or none, so it is exactly one lift of a quotient clique,
-    and the sorted list is the kernel's on ``within`` itself.
+    a false class or none, so it is exactly one lift of a quotient clique.
+    Returns the lifts of the quotient cliques meeting at most two false
+    classes, sorted by vertex tuple; the others as ``_walk`` takes them; and
+    the bit of each false-class member mapped to its class.
     """
     within &= (1 << len(adj)) - 1
     closed: dict[int, int] = {}
@@ -210,43 +217,93 @@ def _maximal_cliques(adj: Sequence[int], within: int = -1) -> list[int]:
         closed[nb | 1 << v] = closed.get(nb | 1 << v, 0) | 1 << v
         opened[nb] = opened.get(nb, 0) | 1 << v
     reps = within
-    lifts: dict[int, list[int]] = {}  # least member -> masks XORed into a lift
-    for joins, classes in ((True, closed), (False, opened)):
+    joins: dict[int, int] = {}  # least member -> the rest of its true class
+    picks: dict[int, int] = {}  # least member -> its false class
+    for classes, lifts in ((closed, joins), (opened, picks)):
         for cls in classes.values():
             if rest := cls & cls - 1:
                 reps ^= rest
-                low = cls ^ rest
-                lifts[low] = [rest] if joins else [low ^ 1 << v for v in bits(cls)]
-    masks = kernels.maximal_cliques(len(adj), adj, reps)
-    if lifts:
-        masks = [
-            q ^ sum(pick)
-            for q in masks
-            for pick in itertools.product(*(c for r, c in lifts.items() if q & r))
-        ]
-    masks.sort(key=lex_key)
-    return masks
+                lifts[cls ^ rest] = cls if lifts is picks else rest
+    class_of = {1 << v: c for c in picks.values() for v in bits(c)}
+    plain, walked = kernels.maximal_cliques(len(adj), adj, reps), []
+    if joins:
+        plain = [q | sum(r for low, r in joins.items() if q & low) for q in plain]
+    if picks:
+        quotient, plain = plain, []
+        for q in quotient:
+            met = [cls for low, cls in picks.items() if q & low]
+            lift = (q & ~sum(met), sum(met), len(met))
+            if len(met) > 2:  # else at most n^2/4 lifts, listed here
+                walked.append(lift)
+            else:
+                plain += _walk(*lift, class_of) if met else (q,)
+    plain.sort(key=lex_key)
+    return plain, walked, class_of
 
 
-SearchSpace = tuple[list[list[int]], list[int]]
+def _walk(
+    base: int, free: int, left: int, class_of: dict[int, int],
+    fresh: int = 0, floor: int = 0, best: Sequence[int] = (-1,),
+) -> Iterator[int]:
+    """The lifts of a quotient clique, ``base`` and one vertex of each of the
+    ``left`` false classes making up ``free``, in vertex-tuple order: each
+    free vertex in turn is taken, then left out, so where two lifts first
+    differ the one taking the vertex comes first (the other takes a later
+    one).  A partial lift is skipped when its lifts cannot hold more than
+    ``best[0] - floor`` vertices of ``fresh``; ``best`` is read live."""
+    stack = [(base, free, left)]
+    while stack:
+        acc, free, left = stack.pop()
+        bound = (acc & fresh).bit_count() + min(left, (free & fresh).bit_count())
+        if bound < best[0] - floor + 1:
+            continue
+        if not free:
+            yield acc
+            continue
+        low = free & -free
+        cls = class_of[low]
+        if free & cls ^ low:  # a later member of low's class is free
+            stack.append((acc, free ^ low, left))
+        stack.append((acc | low, free & ~cls, left - 1))
+
+
+def _lifts(
+    lifts: Lifts, fresh: int = 0, floor: int = 0, best: Sequence[int] = (-1,)
+) -> Iterator[int]:
+    """The lifts of ``_quotient_cliques`` in vertex-tuple order, each walk
+    pruned by the bounds as ``_walk`` says."""
+    plain, walked, class_of = lifts
+    walks = [_walk(*q, class_of, fresh, floor, best) for q in walked]
+    return heapq.merge(plain, *walks, key=lex_key)
+
+
+def _maximal_cliques(adj: Sequence[int], within: int = -1) -> list[int]:
+    """Maximal clique masks of the graph induced on ``within`` (all vertices
+    by default) in vertex-tuple order, lifted by ``_quotient_cliques``."""
+    return list(_lifts(_quotient_cliques(adj, within)))
+
+
+SearchSpace = tuple[list[Lifts], list[int]]
 
 
 def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
-    """Per-color maximal clique masks for the exhaustive searches, and
-    ``suffix_best[i]``, the sum of the largest clique sizes of the colors
-    after the first i: a bound on what those colors can still cover.
-    Colors with equal rows share one list, enumerated and sorted once."""
+    """Per-color quotient cliques (``_quotient_cliques``) for the exhaustive
+    searches, and ``suffix_best[i]``, the sum of the largest clique sizes of
+    the colors after the first i: a bound on what those colors can still
+    cover.  Colors with equal rows share one entry, made once."""
     if col.n > max_n:
         raise SizeLimitError(
             f"n={col.n} exceeds the exhaustive search bound {max_n}"
         )
     keys = [tuple(row) for row in col.rows]
-    shared = {key: _maximal_cliques(key) for key in dict.fromkeys(keys)}
+    shared = {key: _quotient_cliques(key) for key in dict.fromkeys(keys)}
     per_color = [shared[key] for key in keys]
     suffix_best = [0] * (col.t + 1)
     for i in range(col.t - 1, -1, -1):
-        biggest = max(map(int.bit_count, per_color[i]), default=0)
-        suffix_best[i] = suffix_best[i + 1] + biggest
+        plain, walked, _ = per_color[i]
+        sizes = [b.bit_count() + k for b, _, k in walked]  # each walk's largest
+        sizes += map(int.bit_count, plain)
+        suffix_best[i] = suffix_best[i + 1] + max(sizes, default=0)
     return per_color, suffix_best
 
 
@@ -277,35 +334,40 @@ def exact_cover_and_theta(
     col: MultiColoring, max_n: int = 40
 ) -> tuple[StrongCover, int | None]:
     """``exact_max_strong_cover`` and ``theta`` from one search space: the
-    maximal cliques of each distinct color graph are enumerated and sorted
-    once, for every color with that graph and for both searches."""
+    quotient cliques of each distinct color graph are enumerated once, for
+    every color with that graph and for both searches, which lift them."""
     space = _search_space(col, max_n)
     return _max_cover(space), _min_cover_size(col.n, space)
 
 
 def _max_cover(space: SearchSpace) -> StrongCover:
-    """The search of ``exact_max_strong_cover``."""
+    """The search of ``exact_max_strong_cover``.  A color with cliques to walk
+    walks them at each node, skipping the lifts that would return on entry."""
     cliques, suffix_best = space
-    per_color = [[0] + masks for masks in cliques]
+    per_color = [[] if walked else [0] + plain for plain, walked, _ in cliques]
     t = len(per_color)
     best_count = -1
+    best = [best_count]  # read live by the walks
     best_choice: list[int] = []
     choice: list[int] = [0] * t
 
     def descend(idx: int, covered: int) -> None:
         nonlocal best_count, best_choice
         cnt = covered.bit_count()
-        if cnt + suffix_best[idx] <= best_count:
+        reach = cnt + suffix_best[idx]
+        if reach <= best_count:
             return
         if idx == t:
             if cnt > best_count:
-                best_count = cnt
+                best_count = best[0] = cnt
                 best_choice = list(choice)
             return
-        for m in per_color[idx]:
+        for m in per_color[idx] or itertools.chain(
+            (0,), _lifts(cliques[idx], ~covered, cnt + suffix_best[idx + 1], best)
+        ):
             choice[idx] = m
             descend(idx + 1, covered | m)
-            if cnt + suffix_best[idx] <= best_count:
+            if reach <= best_count:
                 break  # the entry prune: no later choice beats the best
         choice[idx] = 0
 
@@ -317,11 +379,15 @@ def _max_cover(space: SearchSpace) -> StrongCover:
 
 
 def _min_cover_size(n: int, space: SearchSpace) -> int | None:
-    """The search of ``theta`` on n vertices."""
-    per_color, suffix_best = space
+    """The search of ``theta`` on n vertices.  A color with cliques to walk
+    replays its graph's lifts from a copy of one tee, which shares what the
+    tee has drawn: each lift is drawn once, only as far as the loops reach."""
+    cliques, suffix_best = space
     full = (1 << n) - 1
     if full == 0:
         return 0
+    per_color = [[] if walked else plain for plain, walked, _ in cliques]
+    drawn = {id(c): itertools.tee(_lifts(c), 1)[0] for c in cliques if c[1]}
     best: int | None = None
     seen: dict[tuple[int, int], int] = {}
 
@@ -339,10 +405,11 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
         if prior is not None and prior <= used:
             return
         seen[key] = used
-        for m in per_color[idx]:
+        fresh = ~covered
+        for m in per_color[idx] or copy(drawn[id(cliques[idx])]):
             if best is not None and used + 1 >= best:
                 break  # each child would return on entry
-            if m & ~covered:
+            if m & fresh:
                 descend(idx + 1, covered | m, used + 1)
         descend(idx + 1, covered, used)
 

@@ -467,6 +467,20 @@ class TestCover:
             want = 14, None
         assert (report["results"]["covered"], report["results"]["theta"]) == want
 
+    def test_exact_runs_a_moon_moser_coloring_at_the_cap(self, capsys, monkeypatch):
+        """Both colors K_{3 x 13}: 3^13 maximal cliques each, of which the
+        searches lift only the few they reach."""
+        edges = [
+            [u, v, [1, 2]] for u in range(39) for v in range(u + 1, 39)
+            if u // 3 != v // 3
+        ]
+        doc = json.dumps({"n": 39, "t": 2, "edges": edges})
+        code, report = run_json(
+            capsys, ["cover", "exact", "-", "--max-exact", "39"], doc, monkeypatch
+        )
+        assert code == 0
+        assert (report["results"]["covered"], report["results"]["theta"]) == (26, None)
+
     def test_exact_passes_a_twin_free_color_whole(self, capsys, tmp_path, quotients):
         """Each color of K5* is a 5-cycle, which has no twin pair."""
         p = tmp_path / "star.json"

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,8 @@ from corpora import (
     chordal_tt_corpus,
     complete_coloring,
 )
+from test_kernels import complete_adj, random_adj, relabeled, substituted
+from strongcover._kernels import maximal_cliques
 from strongcover.constructions import (
     BlowupSpec,
     blow_up,
@@ -49,6 +52,7 @@ from strongcover.errors import (
     PreconditionError,
     SizeLimitError,
 )
+from strongcover.graphs import bits
 
 
 def tk_sample(count, predicate=None):
@@ -223,6 +227,128 @@ class TestExactSearch:
             exact_max_strong_cover(col, max_n=5)
         with pytest.raises(SizeLimitError):
             theta(col, max_n=5)
+
+
+def multipartite_rows(n, parts):
+    """The complete multipartite graph with v in part ``parts[v]``."""
+    return [sum(1 << u for u in range(n) if parts[u] != parts[v]) for v in range(n)]
+
+
+def coloring_of(rows, keeps, rng):
+    """The coloring with these color graphs, color c kept on each of its
+    edges with probability ``keeps[c - 1]``, relabeled at random."""
+    n = len(rows[0])
+    col = MultiColoring(n, len(rows))
+    for c, (row, keep) in enumerate(zip(rows, keeps), 1):
+        for u in range(n):
+            for v in range(u + 1, n):
+                if row[u] >> v & 1 and rng.random() < keep:
+                    col.add_colors(u, v, [c])
+    label = list(range(n))
+    rng.shuffle(label)
+    col.rows = [relabeled(r, label) for r in col.rows]
+    return col
+
+
+def false_twin_rich_colorings(rng):
+    """Colorings on at most 12 vertices whose colors have false twins."""
+    for _ in range(150):  # complete multipartite colors, some edges thinned
+        n = rng.randint(0, 12)
+        t = rng.randint(1, 3 if n <= 8 else 2)
+        colors = [
+            multipartite_rows(n, [rng.randrange(rng.randint(1, 5)) for _ in range(n)])
+            for _ in range(t)
+        ]
+        yield coloring_of(colors, [rng.choice((1.0, 1.0, 0.9))] * t, rng)
+    for _ in range(80):  # Moon–Moser: K_{3 x m}, then it or half its edges
+        parts = [v // 3 for v in range(3 * rng.randint(0, 4))]
+        row = multipartite_rows(len(parts), parts)
+        yield coloring_of([row, row], [1.0, rng.choice((1.0, 0.5))], rng)
+    for _ in range(120):  # multipartite with true classes substituted in
+        p = rng.randint(1, 5)
+        sizes = [rng.randint(1, 12 // p) for _ in range(p)]
+        rows = [substituted(complete_adj(p), sizes, [rng.random() < 0.3 for _ in range(p)])]
+        n = len(rows[0])
+        other = [multipartite_rows(n, [rng.randrange(3) for _ in range(n)])]
+        rows += rng.choice(([], [random_adj(rng, n, 0.5)], other))
+        yield coloring_of(rows, [1.0] * len(rows), rng)
+
+
+class TestExactSearchOnTwins:
+    def test_matches_the_unpruned_walk_on_false_twin_rich_colorings(self):
+        """The lexicographically least maximum cover and theta where colors
+        have many maximal cliques that share a quotient clique."""
+        rng = random.Random(22)
+        sizes, rich = set(), 0
+        for col in false_twin_rich_colorings(rng):
+            sizes.add(col.n)
+            rich += any(
+                row[u] == row[v] for row in col.rows for u, v in
+                itertools.combinations(range(col.n), 2)
+            )
+            assert exact_max_strong_cover(col).assignments == (
+                oracles.lex_first_max_strong_cover(col)
+            ), col.rows
+            assert theta(col) == oracles.theta(col), col.rows
+        assert {0, 1, 12} <= sizes and rich >= 200
+
+    def test_moon_moser_at_the_cap(self):
+        """Both colors K_{3 x 13}, with 3^13 = 1,594,323 maximal cliques: the
+        searches draw a few lifts, not all of them."""
+        n = 39
+        row = multipartite_rows(n, [v // 3 for v in range(n)])
+        col = MultiColoring(n, 2)
+        col.rows = [row, list(row)]
+        tracemalloc.start()
+        try:
+            cover = exact_max_strong_cover(col, max_n=n)
+            assert theta(col, max_n=n) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cover.assignments == {
+            1: frozenset(range(0, n, 3)),
+            2: frozenset(range(1, n, 3)),
+        }
+        assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_walk_keeps_the_lifts_that_beat_the_bound(self, m):
+        """A walk of K_{3 x m}, its parts relabeled at random, yields the
+        kernel's cliques in vertex-tuple order, and with a bound exactly
+        those with more than ``best[0] - floor`` vertices of ``fresh``."""
+        rng = random.Random(m)
+        n = 3 * m
+        label = list(range(n))
+        rng.shuffle(label)
+        adj = relabeled(multipartite_rows(n, [v // 3 for v in range(n)]), label)
+        plain, [top], class_of = covers._quotient_cliques(adj)
+        lifts = list(covers._walk(*top, class_of))
+        assert plain == [] and len(lifts) == 3**m
+        assert lifts == sorted(maximal_cliques(n, adj), key=lambda q: [*bits(q)])
+        for _ in range(30):
+            fresh, floor = rng.getrandbits(n), rng.randint(0, n)
+            best = floor + rng.randint(-1, m)
+            want = [q for q in lifts if (q & fresh).bit_count() > best - floor]
+            assert list(covers._walk(*top, class_of, fresh, floor, [best])) == want
+
+    def test_walk_bound_counts_the_fresh_vertices_left(self):
+        """Only the last vertex of K_{3 x 8} is fresh, so no lift adds two
+        fresh vertices: the walk stops at its root, reading ``best`` once."""
+        n = 24
+
+        class Best:
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return n
+
+        adj = multipartite_rows(n, [v // 3 for v in range(n)])
+        _, [top], class_of = covers._quotient_cliques(adj)
+        best = Best()
+        assert list(covers._walk(*top, class_of, 1 << n - 1, n - 1, best)) == []
+        assert best.reads == 1
 
 
 class TestTheta:

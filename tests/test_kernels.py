@@ -91,9 +91,9 @@ def test_find_induced_c4_matches_oracle(data):
 
 
 def test_sorted_maximal_cliques_are_the_kernels_in_vertex_tuple_order():
-    """``covers._maximal_cliques`` sorts with ``lex_key``; the order must be
-    the kernel's output sorted by vertex tuple, ``within`` = 0 and n = 0
-    included."""
+    """``covers._maximal_cliques`` walks the lifts in vertex-tuple order; the
+    order must be the kernel's output sorted by vertex tuple, ``within`` = 0
+    and n = 0 included."""
     rng = random.Random(41)
     for trial in range(300):
         n = trial % 14
@@ -434,8 +434,8 @@ def twin_pairs(adj, within):
 
 class TestCliqueTwinQuotient:
     """``covers._maximal_cliques`` runs the kernel on one vertex per twin
-    class of the induced graph and lifts each clique; the sorted list must
-    be the kernel's on ``within`` and the oracle's."""
+    class of the induced graph and lifts each clique in vertex-tuple order;
+    the list must be the kernel's on ``within``, sorted, and the oracle's."""
 
     def graphs(self, rng):
         """Twin-rich graphs on at most 14 vertices, relabeled at random: the
