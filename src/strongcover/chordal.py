@@ -10,15 +10,14 @@ as negative certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _kernels as kernels
 from .errors import InputError
 from .graphs import Graph, bits, lex_key
 
 
-@dataclass
 class ChordalCertificate:
     """A perfect elimination ordering or, for a graph that is not chordal,
     a hole (an induced cycle of length four or more).
@@ -30,8 +29,19 @@ class ChordalCertificate:
     that needs only the verdict builds no hole.
     """
 
-    peo: list[int] | None
-    _failed: tuple[Graph, list[int]] | None = field(default=None, repr=False)
+    def __init__(
+        self, peo: list[int] | None, _failed: tuple[Graph, list[int]] | None = None
+    ) -> None:
+        self.peo = peo
+        self._failed = _failed
+
+    def __eq__(self, other: object) -> bool:  # as a dataclass compares
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.peo, self._failed) == (other.peo, other._failed)
+
+    def __repr__(self) -> str:
+        return f"ChordalCertificate(peo={self.peo!r})"
 
     @property
     def is_chordal(self) -> bool:
@@ -48,8 +58,7 @@ class ChordalCertificate:
         return hole
 
 
-@dataclass
-class CliqueCutsetDecomposition:
+class CliqueCutsetDecomposition(NamedTuple):
     """Partition (A, Q, B): Q a clique whose removal disconnects A from B."""
 
     a: frozenset[int]
@@ -357,8 +366,7 @@ def induced_c4_free(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return (witness is None, witness)
 
 
-@dataclass
-class EdgeBoundReport:
+class EdgeBoundReport(NamedTuple):
     edges: int
     omega: int
     bound_quadratic: int  # (omega - 1) n - C(omega, 2)

@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from math import ceil
 from random import Random
 
@@ -27,6 +26,7 @@ from .core import (
     StrongCover,
     TIntervalFamily,
     TSubtreeFamily,
+    _Record,
     coloring_from_intervals,
     coloring_from_subtrees,
     is_tk_coloring,
@@ -48,14 +48,17 @@ from .covers import (
 from .errors import GuaranteeError, InputError, PreconditionError, SizeLimitError
 
 
-@dataclass
-class RunReport:
+class RunReport(_Record):
     """Machine-readable outcome of one command invocation."""
 
-    meta: dict
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    times: dict = field(default_factory=dict)
+    _FIELDS = ("meta", "results", "checks", "times")
+
+    def __init__(self, meta: dict, results: dict | None = None,
+                 checks: list | None = None, times: dict | None = None) -> None:
+        self.meta = meta
+        self.results = {} if results is None else results
+        self.checks = [] if checks is None else checks
+        self.times = {} if times is None else times
 
     def add_check(self, name: str, inequality: str, expected, observed, ok: bool,
                   **extra) -> None:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
 from math import ceil, log
 from operator import and_
+from typing import NamedTuple
 
 from .core import (
     MAX_VERTICES,
@@ -181,8 +181,7 @@ def construct_partition_coloring(n: int, t: int) -> TIntervalFamily:
     return TIntervalFamily(t, members)
 
 
-@dataclass
-class BlowupSpec:
+class BlowupSpec(NamedTuple):
     """Replacement sizes for every vertex of a base coloring."""
 
     sizes: list[int]
@@ -341,7 +340,8 @@ def _draw_intervals(
     track's anchor point whose intervals share no point on any track.  Only
     a draw with no witness is swept, and only its (t,k) verdict accepts.
     The returned draw's coloring is built once (after the loop if a witness
-    refused it), and a ``TIntervalFamily`` only for that draw.
+    refused it), and a ``TIntervalFamily`` only for that draw, from its
+    arrays and right-end orders, with no check run again.
     """
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
@@ -388,15 +388,18 @@ def _draw_intervals(
         if 2 <= k <= n and _endpoint_witness(missers, apart, n, k):
             col, ok = None, False
             continue
-        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
+        by_his = list(map(_right_end_order, his))
+        col = _interval_coloring(los, his, by_his)
         ok = is_tk_coloring(col, k)[0]
         if ok:
             break
-    if k is not None and col is None:  # the last draw was refused on a witness
-        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
-    tracks = [list(zip(lo, hi)) for lo, hi in zip(los, his)]
-    fam = TIntervalFamily(t, list(zip(*tracks)))
-    return fam, ok, None if col is None else col._keep_peos(family_peos(fam))
+    if col is None:  # no draw was tested, or the last was refused on a witness
+        by_his = list(map(_right_end_order, his))
+        if k is not None:
+            col = _interval_coloring(los, his, by_his)
+    members = tuple(zip(*map(zip, los, his)))
+    fam = TIntervalFamily._of(t=t, members=members, _by_hi=tuple(by_his))
+    return fam, ok, None if col is None else col._keep_peos(by_his)
 
 
 def random_subtree_family(
@@ -442,7 +445,8 @@ def _draw_subtrees(
     ``random()`` go through ``_below``.  The host is held as adjacency
     masks and a growing subtree's frontier as a mask, so the j-th element
     of the sorted frontier is its j-th lowest set bit.  A ``TSubtreeFamily``
-    is built only for the draw that is returned.
+    is built only for the draw that is returned, from its parents and
+    subtrees, with no check run again.
     """
     if n < 1 or t < 1 or host_size < 1:
         raise InputError(
@@ -514,9 +518,14 @@ def _draw_subtrees(
             break
     if k is not None and col is None:  # the last draw was refused on a witness
         col = _subtree_coloring(h, subtrees)
-    fam = TSubtreeFamily(
-        [(p, v) for v, p in enumerate(parents, start=1)],
-        t,
-        [[track[v] for track in subtrees] for v in range(n)],
+    host = tuple((p, v) for v, p in enumerate(parents, start=1))
+    depth = [0]  # in the host rooted at 0, one below the parent
+    for p in parents:
+        depth.append(depth[p] + 1)
+    members = tuple(zip(*(map(frozenset, track) for track in subtrees)))
+    # a subtree's top is its one least deep vertex
+    tops = [[min(s, key=depth.__getitem__) for s in tracks] for tracks in members]
+    fam = TSubtreeFamily._of(
+        host_edges=host, t=t, members=members, _depth=depth, _tops=tops
     )
     return fam, ok, None if col is None else col._keep_peos(family_peos(fam))

@@ -13,9 +13,9 @@ point piercing all track-i objects of the clique.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import or_
+from typing import NamedTuple
 
 from . import _kernels as kernels
 from .errors import InputError
@@ -342,8 +342,50 @@ def _right_end_order(his: Sequence[int]) -> list[int]:
     return sorted(range(len(his)), key=his.__getitem__)
 
 
-@dataclass(frozen=True)
-class TIntervalFamily:
+class _Record:
+    """``==`` and ``repr`` over the fields ``_FIELDS`` names, as a dataclass
+    has them."""
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Frozen(_Record):
+    """A ``_Record`` hashed by its fields whose attributes, as a frozen
+    dataclass's, can be neither assigned nor deleted."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # here, not at start-up
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _of(cls, **attributes: object) -> "_Frozen":
+        """An instance holding ``attributes`` as given, checked by no one:
+        the path for arrays a draw built well formed."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(attributes)
+        return obj
+
+
+class TIntervalFamily(_Frozen):
     """n members, each a tuple of t closed integer intervals (one per track).
 
     A family is checked when built and cannot change, so no later layer
@@ -351,17 +393,14 @@ class TIntervalFamily:
     each track's right-end order for its coloring's sweep and ``family_peos``.
     """
 
-    t: int
-    members: tuple[tuple[tuple[int, int], ...], ...]
-    _by_hi: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
+    _FIELDS = ("t", "members")
 
-    def __post_init__(self) -> None:
+    def __init__(self, t: int, members: Sequence) -> None:
+        self.__dict__.update(t=t, members=members)
         members = self.validate()
-        object.__setattr__(self, "members", members)
-        check_size(len(members), self.t)
-        object.__setattr__(self, "_by_hi", tuple(
-            _right_end_order([tracks[i][1] for tracks in members])
-            for i in range(self.t)
+        check_size(len(members), t)
+        self.__dict__.update(members=members, _by_hi=tuple(
+            _right_end_order([tracks[i][1] for tracks in members]) for i in range(t)
         ))
 
     @property
@@ -413,8 +452,7 @@ class TIntervalFamily:
         return cls(*_fields(data, "interval family", t=int, members=list))
 
 
-@dataclass(frozen=True)
-class TSubtreeFamily:
+class TSubtreeFamily(_Frozen):
     """n members, each a tuple of t vertex sets inducing subtrees of a host tree.
 
     Checked when built, as ``TIntervalFamily``: one pass over the host edges
@@ -423,15 +461,11 @@ class TSubtreeFamily:
     depths and subtree tops the family keeps.
     """
 
-    host_edges: tuple[Edge, ...]
-    t: int
-    members: tuple[tuple[frozenset[int], ...], ...]
-    _depth: list[int] = field(init=False, repr=False, compare=False)
-    _tops: list[list[int]] = field(init=False, repr=False, compare=False)
+    _FIELDS = ("host_edges", "t", "members")
 
-    def __post_init__(self) -> None:
-        host_edges = []
-        for e in self.host_edges:
+    def __init__(self, host_edges: Sequence, t: int, members: Sequence) -> None:
+        checked = []
+        for e in host_edges:
             if not isinstance(e, _SEQ) or len(e) != 2:
                 _list(e, "a host edge [u, v]", 2)
             u, v = e
@@ -439,11 +473,11 @@ class TSubtreeFamily:
                 raise InputError(f"host edge ends must be integers, got {u!r}, {v!r}")
             if u == v:
                 raise InputError(f"self-loop at {u}")
-            host_edges.append((u, v) if u < v else (v, u))
-        members = []
+            checked.append((u, v) if u < v else (v, u))
+        subtrees = []
         # as in TIntervalFamily.validate, a message is formatted only for a
         # member that fails a check
-        for idx, tracks in enumerate(self.members):
+        for idx, tracks in enumerate(members):
             if not isinstance(tracks, _SEQ):
                 _list(tracks, f"member {idx}")
             for s in tracks:
@@ -455,13 +489,11 @@ class TSubtreeFamily:
                         raise InputError(
                             f"member {idx}: subtree vertices must be integers"
                         )
-            members.append(tuple(map(frozenset, tracks)))
-        object.__setattr__(self, "host_edges", tuple(host_edges))
-        object.__setattr__(self, "members", tuple(members))
+            subtrees.append(tuple(map(frozenset, tracks)))
+        self.__dict__.update(host_edges=tuple(checked), t=t, members=tuple(subtrees))
         depth, tops = self._rooted()
-        check_size(len(self.members), self.t)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_tops", tops)
+        check_size(len(subtrees), t)
+        self.__dict__.update(_depth=depth, _tops=tops)
 
     @property
     def n(self) -> int:
@@ -551,11 +583,13 @@ class TSubtreeFamily:
         )
 
 
-@dataclass
-class StrongCover:
+class StrongCover(_Record):
     """Partial map color -> vertex set; each set is a clique in its color."""
 
-    assignments: dict[int, frozenset[int]] = field(default_factory=dict)
+    _FIELDS = ("assignments",)
+
+    def __init__(self, assignments: dict[int, frozenset[int]] | None = None) -> None:
+        self.assignments = {} if assignments is None else assignments
 
     def vertices(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -596,8 +630,7 @@ class StrongCover:
         return cls(pairs)
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     valid: bool
     covered: int
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from copy import copy
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels as kernels
 from .chordal import (
@@ -36,15 +35,13 @@ from .errors import GuaranteeError, InputError, PreconditionError, SizeLimitErro
 from .graphs import Graph, bits, lex_key, mask_of
 
 
-@dataclass
-class GreedyStep:
+class GreedyStep(NamedTuple):
     color: int
     clique: frozenset[int]
     remaining: int  # vertices left after this step
 
 
-@dataclass
-class GreedyTrace:
+class GreedyTrace(NamedTuple):
     steps: list[GreedyStep]
     uncovered: frozenset[int]
 
@@ -162,8 +159,7 @@ def multiplicity_sum(col: MultiColoring, vertices: frozenset[int]) -> int:
     return ends // 2
 
 
-@dataclass
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """Exact integer counting bounds evaluated on one greedy trace.
 
     With T the uncovered set and M the multiplicity sum over edges inside T:
@@ -250,21 +246,29 @@ def _walk(
     free vertex in turn is taken, then left out, so where two lifts first
     differ the one taking the vertex comes first (the other takes a later
     one).  A partial lift is skipped when its lifts cannot hold more than
-    ``best[0] - floor`` vertices of ``fresh``; ``best`` is read live."""
-    stack = [(base, free, left)]
+    ``best[0] - floor`` vertices of ``fresh``; ``best`` is read live.  They
+    add at most one per class left with a fresh free member, and each
+    partial lift carries the count of those classes."""
+    live, rest = left, free & fresh
+    if rest != free:  # a class may have no fresh free member
+        live = 0
+        while rest:
+            rest &= ~class_of[rest & -rest]
+            live += 1
+    stack = [(base, free, live)]
     while stack:
-        acc, free, left = stack.pop()
-        bound = (acc & fresh).bit_count() + min(left, (free & fresh).bit_count())
-        if bound < best[0] - floor + 1:
+        acc, free, live = stack.pop()
+        if (acc & fresh).bit_count() + live < best[0] - floor + 1:
             continue
         if not free:
             yield acc
             continue
         low = free & -free
         cls = class_of[low]
-        if free & cls ^ low:  # a later member of low's class is free
-            stack.append((acc, free ^ low, left))
-        stack.append((acc | low, free & ~cls, left - 1))
+        if rest := free & cls ^ low:  # a later member of low's class is free
+            # low's class stays live unless low was its last fresh free member
+            stack.append((acc, free ^ low, live - (low & fresh and not rest & fresh)))
+        stack.append((acc | low, free & ~cls, live - (free & cls & fresh != 0)))
 
 
 def _lifts(
@@ -406,7 +410,7 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
             return
         seen[key] = used
         fresh = ~covered
-        for m in per_color[idx] or copy(drawn[id(cliques[idx])]):
+        for m in per_color[idx] or drawn[id(cliques[idx])].__copy__():
             if best is not None and used + 1 >= best:
                 break  # each child would return on entry
             if m & fresh:

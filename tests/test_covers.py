@@ -272,6 +272,17 @@ def false_twin_rich_colorings(rng):
         other = [multipartite_rows(n, [rng.randrange(3) for _ in range(n)])]
         rows += rng.choice(([], [random_adj(rng, n, 0.5)], other))
         yield coloring_of(rows, [1.0] * len(rows), rng)
+    for m in range(5):  # K_{3 x m} beside a clique on all but one of its parts
+        parts = [v // 3 for v in range(3 * m)]
+        rows = [clique_but_last_part(m), multipartite_rows(3 * m, parts)]
+        for _ in range(5):
+            yield coloring_of(rng.sample(rows, 2), [1.0, 1.0], rng)
+
+
+def clique_but_last_part(m):
+    """A clique on vertices 0..3m-4 beside three isolated vertices."""
+    k = 3 * m - 3
+    return [(1 << k) - 1 ^ 1 << v if v < k else 0 for v in range(3 * m)]
 
 
 class TestExactSearchOnTwins:
@@ -349,6 +360,37 @@ class TestExactSearchOnTwins:
         best = Best()
         assert list(covers._walk(*top, class_of, 1 << n - 1, n - 1, best)) == []
         assert best.reads == 1
+
+    def test_walk_bound_counts_the_classes_with_a_fresh_member(self):
+        """Only the last part of K_{3 x 8} is fresh: three fresh vertices,
+        but one class, so no lift adds two and the walk stops at its root."""
+        n = 24
+        adj = multipartite_rows(n, [v // 3 for v in range(n)])
+        _, [top], class_of = covers._quotient_cliques(adj)
+
+        class Best:
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return n
+
+        best = Best()
+        assert list(covers._walk(*top, class_of, 7 << n - 3, n - 1, best)) == []
+        assert best.reads == 1
+
+    def test_clique_on_all_but_one_part(self):
+        """Color 1 a clique on the first 12 parts of K_{3 x 13}, color 2 that
+        K_{3 x 13}: beside the clique a color-2 lift adds one vertex at most,
+        so the walk after the first such lift stops at its root."""
+        n = 39
+        col = MultiColoring(n, 2)
+        col.rows = [clique_but_last_part(13), multipartite_rows(n, [v // 3 for v in range(n)])]
+        start = time.perf_counter()
+        cover = exact_max_strong_cover(col, max_n=n)
+        elapsed = time.perf_counter() - start
+        assert cover.assignments == {1: frozenset(range(36)), 2: frozenset(range(0, n, 3))}
+        assert elapsed < 0.05
 
 
 class TestTheta:

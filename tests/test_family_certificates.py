@@ -479,6 +479,24 @@ class TestOneBuildPerDraw:
         assert_peos(fam, inst.coloring)
         assert [list(order) for order in inst.coloring._peos()] == family_peos(fam)
 
+    def test_draws_equal_the_checked_families_of_their_fields(self):
+        """A draw builds its family with no check; the public constructor,
+        which checks, gives the same fields and the same private arrays
+        (right-end orders, host depths and subtree tops)."""
+        rng = random.Random(23)
+        for n, t, k in itertools.product((1, 2, 7, 16), (1, 2, 3), (None, 2, 3)):
+            if k is not None and k > n:
+                continue
+            seed, anchor = rng.randrange(10**6), rng.choice((0.0, 0.5, 1.0))
+            fam, _ = random_interval_family(n, t, seed, anchor=anchor, k=k)
+            assert vars(fam) == vars(TIntervalFamily(fam.t, fam.members))
+            h = rng.randint(1, 9)
+            sfam, _ = random_subtree_family(
+                n, t, seed, host_size=h, max_size=rng.randint(1, h), anchor=anchor, k=k
+            )
+            rebuilt = TSubtreeFamily(sfam.host_edges, sfam.t, sfam.members)
+            assert vars(sfam) == vars(rebuilt) and sfam.host_size == h
+
 
 class TestSizeLimits:
     def test_limits_are_checked_before_allocating(self):
