@@ -14,11 +14,12 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import _kernels as kernels
+from .core import _Record
 from .errors import InputError
 from .graphs import Graph, bits, lex_key
 
 
-class ChordalCertificate:
+class ChordalCertificate(_Record):
     """A perfect elimination ordering or, for a graph that is not chordal,
     a hole (an induced cycle of length four or more).
 
@@ -26,19 +27,17 @@ class ChordalCertificate:
     leaves a copy of the graph it searched, so that later edits of the
     graph do not reach the certificate, and the order that failed; the hole
     is closed from them when ``hole`` is first read, and kept.  A caller
-    that needs only the verdict builds no hole.
+    that needs only the verdict builds no hole.  Compared over both fields,
+    shown by its order alone.
     """
+
+    _FIELDS = ("peo", "_failed")
 
     def __init__(
         self, peo: list[int] | None, _failed: tuple[Graph, list[int]] | None = None
     ) -> None:
         self.peo = peo
         self._failed = _failed
-
-    def __eq__(self, other: object) -> bool:  # as a dataclass compares
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.peo, self._failed) == (other.peo, other._failed)
 
     def __repr__(self) -> str:
         return f"ChordalCertificate(peo={self.peo!r})"

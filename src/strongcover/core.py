@@ -54,6 +54,13 @@ def _list(value, what: str, size: int = 0):
     return value
 
 
+def _require_ints(**values: object) -> None:
+    """InputError unless every value is a plain int, as ``_fields`` asks."""
+    for key, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{key} must be int, got {value!r}")
+
+
 def _fields(data: Mapping, doc: str, **kinds: type) -> list:
     """The named fields of a parsed document, in order, each a list or a
     plain int as ``kinds`` says: a bool or a float is refused, not coerced."""
@@ -149,6 +156,7 @@ class MultiColoring:
     def __init__(
         self, n: int, t: int, edge_colors: Mapping[Edge, Iterable[int]] | None = None
     ):
+        _require_ints(n=n, t=t)
         if n < 0:
             raise InputError(f"n must be nonnegative, got {n}")
         if t < 1:
@@ -396,6 +404,7 @@ class TIntervalFamily(_Frozen):
     _FIELDS = ("t", "members")
 
     def __init__(self, t: int, members: Sequence) -> None:
+        _require_ints(t=t)
         self.__dict__.update(t=t, members=members)
         members = self.validate()
         check_size(len(members), t)
@@ -464,6 +473,7 @@ class TSubtreeFamily(_Frozen):
     _FIELDS = ("host_edges", "t", "members")
 
     def __init__(self, host_edges: Sequence, t: int, members: Sequence) -> None:
+        _require_ints(t=t)
         checked = []
         for e in host_edges:
             if not isinstance(e, _SEQ) or len(e) != 2:

@@ -20,7 +20,6 @@ from .chordal import (
     ChordalCertificate,
     _clique_cutset,
     _max_clique_within,
-    _require_peo,
     induced_c4_free,
     is_chordal,
 )
@@ -57,42 +56,30 @@ class GreedyTrace(NamedTuple):
         }
 
 
-Peos = Sequence[Sequence[int]]
-
-
 def color_certificates(
-    col: MultiColoring, peos: Peos | None = None
+    col: MultiColoring,
 ) -> Iterator[tuple[Graph, ChordalCertificate]]:
     """Each color graph with its chordality certificate, in color order 1..t.
 
-    Given orderings are one per color, each checked in O(n) mask steps,
-    InputError if one is not a PEO.  Without them, a coloring built from a
-    family with its rows unchanged since brings its own PEOs, taken as they
-    are; other colorings are searched by ``is_chordal``, and the hole of a
-    color that is not chordal is built only if a caller reads it.
+    A coloring built from a family with its rows unchanged since brings its
+    own PEOs, taken as they are; other colorings are searched by
+    ``is_chordal``, and the hole of a color that is not chordal is built
+    only if a caller reads it.  A caller holding orders of its own checks
+    them with the PEO-taking utilities of ``chordal``.
     """
-    if peos is not None and len(peos) != col.t:
-        raise InputError(f"need one ordering per color, got {len(peos)} for t={col.t}")
-    orders = col._peos() if peos is None else peos
+    orders = col._peos()
     for i in range(1, col.t + 1):
         g = col.color_graph(i)
-        if orders is None:
-            yield g, is_chordal(g)
-        else:
-            if peos is not None:
-                _require_peo(g, peos[i - 1])
-            yield g, ChordalCertificate(orders[i - 1])
+        yield g, is_chordal(g) if orders is None else ChordalCertificate(orders[i - 1])
 
 
-def _chordal_certificates(
-    col: MultiColoring, peos: Peos | None = None
-) -> list[tuple[Graph, list[int]]]:
+def _chordal_certificates(col: MultiColoring) -> list[tuple[Graph, list[int]]]:
     """Each color graph with one PEO, in color order 1..t.
 
     Raises PreconditionError with the hole of the first non-chordal color.
     """
     out = []
-    for i, (g, cert) in enumerate(color_certificates(col, peos), start=1):
+    for i, (g, cert) in enumerate(color_certificates(col), start=1):
         if not cert.is_chordal:
             raise PreconditionError(
                 f"color {i} graph is not chordal", witness=(i, cert.hole)
@@ -112,27 +99,23 @@ def induced_c4s(
 
 
 def greedy_strong_cover(
-    col: MultiColoring,
-    order: tuple[int, ...] | None = None,
-    *,
-    peos: Peos | None = None,
+    col: MultiColoring, order: tuple[int, ...] | None = None
 ) -> tuple[StrongCover, GreedyTrace]:
     """Sweep the colors in the given order, each time removing a maximum
     clique of that color's graph restricted to the still-uncovered vertices.
 
     Every color graph must be chordal.  On a (t,k)-coloring the total
     covered is at least (k-1) n / (k+1) whatever the order.  Each color's
-    PEO, from ``color_certificates`` (``peos`` checked, else the
-    coloring's own, else a search), is the chordality certificate and is
-    reused by every step; the cover does not depend on which PEO a color
-    has.
+    PEO, from ``color_certificates`` (the coloring's own, else a search),
+    is the chordality certificate and is reused by every step; the cover
+    does not depend on which PEO a color has.
     """
     t = col.t
     if order is None:
         order = tuple(range(1, t + 1))
     if sorted(order) != list(range(1, t + 1)):
         raise InputError(f"order {order} is not a permutation of 1..{t}")
-    certs = _chordal_certificates(col, peos)
+    certs = _chordal_certificates(col)
 
     remaining = (1 << col.n) - 1
     steps: list[GreedyStep] = []
@@ -421,6 +404,12 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
     return best
 
 
+def _check_pair(col: MultiColoring, a: int, b: int) -> None:
+    """InputError unless ``a`` and ``b`` are two distinct colors of ``col``."""
+    if a == b or not (1 <= a <= col.t and 1 <= b <= col.t):
+        raise InputError(f"bad color pair ({a}, {b})")
+
+
 def two_clique_cover_exact(
     col: MultiColoring,
     colors: tuple[int, int] = (1, 2),
@@ -440,8 +429,7 @@ def two_clique_cover_exact(
     are maximal (a vertex joined to all was free to be a one at its turn).
     """
     ci, cj = colors
-    if ci == cj or not (1 <= ci <= col.t and 1 <= cj <= col.t):
-        raise InputError(f"bad color pair {colors}")
+    _check_pair(col, ci, cj)
     within = (1 << col.n) - 1 if vertices is None else col.vertex_mask(vertices)
     if col.is_clique_mask(within, cj) and not col.is_clique_mask(within, ci):
         return StrongCover({cj: frozenset(bits(within))})
@@ -474,6 +462,27 @@ def two_clique_cover_exact(
     return StrongCover({c: frozenset(bits(m)) for c, m in parts if m})
 
 
+def _require_tk(col: MultiColoring, k: int, kind: str) -> None:
+    """PreconditionError with the witness unless ``col`` is a (t,k)-coloring."""
+    ok, witness = is_tk_coloring(col, k)
+    if not ok:
+        raise PreconditionError(
+            f"not a {kind}-coloring; witness {witness}", witness=witness
+        )
+
+
+def _two_cliques(
+    col: MultiColoring, colors: tuple[int, int], failure: str,
+    vertices: frozenset[int] | None = None,
+) -> StrongCover:
+    """``two_clique_cover_exact`` where a cover is guaranteed; none raises
+    GuaranteeError(``failure``)."""
+    cover = two_clique_cover_exact(col, colors, vertices)
+    if cover is None:
+        raise GuaranteeError(failure, instance=col)
+    return cover
+
+
 def _mono_edge_colors(col: MultiColoring) -> set[int]:
     """Colors that appear alone on at least one edge."""
     out = set()
@@ -484,7 +493,7 @@ def _mono_edge_colors(col: MultiColoring) -> set[int]:
     return out
 
 
-def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCover:
+def strong_cover_33(col: MultiColoring) -> StrongCover:
     """Cover all vertices of a chordal (3,3)-coloring with at most 3 cliques.
 
     Either some color has no edge carrying it alone, in which case the other
@@ -499,42 +508,25 @@ def strong_cover_33(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
         raise PreconditionError(f"need exactly 3 colors, got t={col.t}")
     if col.n < 3:
         raise PreconditionError(f"need n >= 3, got n={col.n}")
-    ok, witness = is_tk_coloring(col, 3)
-    if not ok:
-        raise PreconditionError(
-            f"not a (3,3)-coloring; witness {witness}", witness=witness
-        )
-    return _cover_33(col, _chordal_certificates(col, peos))
+    _require_tk(col, 3, "(3,3)")
+    return _cover_33(col, _chordal_certificates(col))
 
 
-def _cover_33(
-    col: MultiColoring, certs: list[tuple[Graph, list[int]]]
-) -> StrongCover:
+def _cover_33(col: MultiColoring, certs: list[tuple[Graph, list[int]]]) -> StrongCover:
     """The cover of ``strong_cover_33`` on a checked chordal (3,3)-coloring,
     given each color graph with its PEO."""
-    mono = _mono_edge_colors(col)
-    for j in (1, 2, 3):
-        if j not in mono:
-            others = tuple(c for c in (1, 2, 3) if c != j)
-            cover = two_clique_cover_exact(col, others)
-            if cover is None:
-                raise GuaranteeError(
-                    "two-clique cover of a (2,2)-coloring failed", instance=col
-                )
-            return cover
+    # a color carrying no edge alone leaves the other two a (2,2)-coloring
+    if shared := {1, 2, 3} - _mono_edge_colors(col):
+        pair = tuple(c for c in (1, 2, 3) if c != min(shared))
+        return _two_cliques(col, pair, "two-clique cover of a (2,2)-coloring failed")
 
-    all_vertices = frozenset(range(col.n))
     if col.is_clique_mask((1 << col.n) - 1, 1):
-        return StrongCover({1: all_vertices})
+        return StrongCover({1: frozenset(range(col.n))})
     # a color-1-only edge xy makes every triangle xyz color 1, so color 1
     # is connected and has a clique cutset; its PEO is certified already
     dec = _clique_cutset(*certs[0])
-    rest = dec.a | dec.b
-    sub_cover = two_clique_cover_exact(col, (2, 3), vertices=rest)
-    if sub_cover is None:
-        raise GuaranteeError(
-            "two-clique cover across the clique cutset failed", instance=col
-        )
+    failure = "two-clique cover across the clique cutset failed"
+    sub_cover = _two_cliques(col, (2, 3), failure, dec.a | dec.b)
     assignments = dict(sub_cover.assignments)
     assignments[1] = dec.q
     cover = StrongCover(assignments)
@@ -544,7 +536,7 @@ def _cover_33(
     return cover
 
 
-def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCover:
+def strong_cover_tt(col: MultiColoring) -> StrongCover:
     """Cover a chordal (t,t)-coloring with at most 2 (t even) or 3 (t odd)
     cliques.
 
@@ -559,23 +551,14 @@ def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
         raise PreconditionError(f"need t >= 2, got t={t}")
     if col.n < t:
         raise PreconditionError(f"need n >= t, got n={col.n}, t={t}")
-    ok, witness = is_tk_coloring(col, t)
-    if not ok:
-        raise PreconditionError(
-            f"not a (t,t)-coloring; witness {witness}", witness=witness
-        )
-    certs = _chordal_certificates(col, peos)
+    _require_tk(col, t, "(t,t)")
+    certs = _chordal_certificates(col)
 
     full = (1 << col.n) - 1
-    for i, j in itertools.combinations(range(1, t + 1), 2):
-        ri, rj = col.rows[i - 1], col.rows[j - 1]
+    for pair in itertools.combinations(range(1, t + 1), 2):
+        ri, rj = (col.rows[c - 1] for c in pair)
         if all(ri[v] | rj[v] | 1 << v == full for v in range(col.n)):
-            cover = two_clique_cover_exact(col, (i, j))
-            if cover is None:
-                raise GuaranteeError(
-                    "two-clique cover of a covering pair failed", instance=col
-                )
-            return cover
+            return _two_cliques(col, pair, "two-clique cover of a covering pair failed")
     if t % 2 == 0:
         raise GuaranteeError(
             "no color pair covers all edges of an even (t,t)-coloring",
@@ -583,17 +566,11 @@ def strong_cover_tt(col: MultiColoring, *, peos: Peos | None = None) -> StrongCo
         )
     for triple in itertools.combinations(range(1, t + 1), 3):
         sub = col.select_colors(triple)
-        ok, _ = is_tk_coloring(sub, 3)
-        if not ok:
+        if not is_tk_coloring(sub, 3)[0]:
             continue
-        sub_cover = _cover_33(sub, [certs[c - 1] for c in triple])
-        assignments = {
-            triple[c - 1]: s for c, s in sub_cover.assignments.items()
-        }
-        return StrongCover(assignments)
-    raise GuaranteeError(
-        "no color triple restricts to a (3,3)-coloring", instance=col
-    )
+        chosen = _cover_33(sub, [certs[c - 1] for c in triple]).assignments
+        return StrongCover({triple[c - 1]: s for c, s in chosen.items()})
+    raise GuaranteeError("no color triple restricts to a (3,3)-coloring", instance=col)
 
 
 def _later(mask: int, v: int) -> int:
@@ -613,8 +590,7 @@ def find_k5star(
     one mask formula: it must be red-joined to the two chosen vertices of
     red degree one and blue-joined to the two of red degree two.
     """
-    if red == blue or not (1 <= red <= col.t and 1 <= blue <= col.t):
-        raise InputError(f"bad color pair ({red}, {blue})")
+    _check_pair(col, red, blue)
     reds = col.rows[red - 1]
     one = [r ^ b for r, b in zip(reds, col.rows[blue - 1])]
     for a in range(col.n):
@@ -676,6 +652,7 @@ def grow_blowup(
     far classes blue only.  Vertices are absorbed in increasing order until
     a full pass absorbs nothing.
     """
+    _check_pair(col, red, blue)
     if len(set(seed)) != 5:
         raise InputError("seed must be five distinct vertices")
     if not _is_k5star(col, tuple(sorted(seed)), red, blue):
@@ -721,9 +698,7 @@ def grow_blowup(
     return [frozenset(bits(c)) for c in classes]
 
 
-def strong_cover_c4free_22(
-    col: MultiColoring, *, peos: Peos | None = None
-) -> StrongCover:
+def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     """Two cliques covering at least ceil(4n/5) vertices of an induced-C4-free
     (2,2)-coloring.
 
@@ -739,12 +714,8 @@ def strong_cover_c4free_22(
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
     if col.n >= 2:
-        ok, witness = is_tk_coloring(col, 2)
-        if not ok:
-            raise PreconditionError(
-                f"not a (2,2)-coloring; witness {witness}", witness=witness
-            )
-    for i, witness in induced_c4s(color_certificates(col, peos)):
+        _require_tk(col, 2, "(2,2)")
+    for i, witness in induced_c4s(color_certificates(col)):
         if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",
@@ -753,19 +724,13 @@ def strong_cover_c4free_22(
 
     seed = find_k5star(col, 1, 2)
     if seed is None:
-        cover = two_clique_cover_exact(col, (1, 2))
-        if cover is None:
-            raise GuaranteeError(
-                "two-clique cover failed without a double 5-cycle", instance=col
-            )
-        return cover
+        failure = "two-clique cover failed without a double 5-cycle"
+        return _two_cliques(col, (1, 2), failure)
 
     reds, blues = col.rows
     full = (1 << col.n) - 1
     classes = grow_blowup(col, seed, red=1, blue=2)
-    inside = 0
-    for cl in classes:
-        inside |= mask_of(cl)
+    inside = mask_of(frozenset().union(*classes))
     part_r = part_b = 0
     for w in bits(full & ~inside):
         if not inside & ~reds[w]:

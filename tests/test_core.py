@@ -93,6 +93,30 @@ class TestMultiColoring:
             )
 
 
+class TestPlainIntSizes:
+    """The public constructors take t (and a coloring's n) as a plain int,
+    as ``from_dict`` does, so what one builds the other reads back."""
+
+    BUILDS = [
+        ("t", lambda t: MultiColoring(2, t)),
+        ("n", lambda n: MultiColoring(n, 1)),
+        ("t", lambda t: TIntervalFamily(t, [[(0, 1)]])),
+        ("t", lambda t: TSubtreeFamily([(0, 1)], t, [[{0, 1}]])),
+    ]
+
+    @pytest.mark.parametrize("key, build", BUILDS)
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_only_plain_ints_are_built_and_round_trip(self, key, build, value):
+        built = build(1)
+        doc = built.to_dict()
+        assert type(built).from_dict(doc) == built
+        with pytest.raises(InputError) as info:
+            build(value)
+        assert str(info.value) == f"{key} must be int, got {value!r}"
+        with pytest.raises(InputError, match=f"{key} must be int"):
+            type(built).from_dict({**doc, key: value})
+
+
 class TestFamilies:
     def test_interval_family_validation(self):
         fam = TIntervalFamily(2, [[(0, 1), (4, 4)], [(1, 3), (0, 9)]])

@@ -48,6 +48,7 @@ from strongcover.covers import (
     two_clique_cover_exact,
 )
 from strongcover.errors import (
+    GuaranteeError,
     InputError,
     PreconditionError,
     SizeLimitError,
@@ -627,7 +628,8 @@ class TestStrongCoverTT:
 
     def test_cutset_branch_checks_each_given_order_once(self, monkeypatch):
         """The clique cutset reuses color 1's certificate: a searched PEO
-        is not checked, and each given order is checked once."""
+        is not checked, and an order given to the public cutset is checked
+        once."""
         col = blow_up(_tt3_without_covering_pair(), BlowupSpec([2, 1, 3, 1, 2, 1]))
         checked = []
         require = chordal._require_peo
@@ -637,14 +639,11 @@ class TestStrongCoverTT:
             return require(g, peo)
 
         monkeypatch.setattr(chordal, "_require_peo", counted)
-        monkeypatch.setattr(covers, "_require_peo", counted)
-        searched = strong_cover_33(col)
+        strong_cover_33(col)
         assert checked == []
         peos = [is_chordal(col.color_graph(i)).peo for i in (1, 2, 3)]
-        assert strong_cover_33(col, peos=peos) == searched
-        assert checked == peos
         cutset = chordal.clique_cutset(col.color_graph(1), peos[0])
-        assert cutset is not None and checked == peos + peos[:1]
+        assert cutset is not None and checked == peos[:1]
 
     def test_corpus(self):
         for inst in chordal_tt_corpus():
@@ -729,6 +728,16 @@ class TestC4Free22:
         with pytest.raises(InputError):
             grow_blowup(col, (0, 1, 2, 3, 5))  # 0 and 1 are twins here
 
+    @pytest.mark.parametrize("red, blue", [(0, 2), (-1, 2), (3, 2), (1, 1)])
+    def test_grow_blowup_rejects_bad_color_pair(self, red, blue):
+        col = construct_k5star()  # t = 2
+        with pytest.raises(InputError) as info:
+            grow_blowup(col, (0, 1, 2, 3, 4), red=red, blue=blue)
+        assert str(info.value) == f"bad color pair ({red}, {blue})"
+        with pytest.raises(InputError) as info:
+            find_k5star(col, red, blue)
+        assert str(info.value) == f"bad color pair ({red}, {blue})"
+
     def test_red_apex_lands_in_red_part(self):
         col = MultiColoring(6, 2)
         for edge, cs in construct_k5star().edge_colors.items():
@@ -760,6 +769,75 @@ class TestC4Free22:
     def test_covers_zero_and_one_vertex(self):
         assert strong_cover_c4free_22(MultiColoring(0, 2)).assignments == {}
         assert strong_cover_c4free_22(MultiColoring(1, 2)).covered() == 1
+
+
+class TestContractTexts:
+    """The exact texts and attachments of the structured covers' (t,k)
+    precondition and two-clique guarantee errors."""
+
+    @pytest.mark.parametrize(
+        "cover, n, t, edges, text, witness",
+        [
+            (
+                strong_cover_33, 3, 3, [(0, 1, [1]), (1, 2, [2]), (0, 2, [3])],
+                "not a (3,3)-coloring; witness (0, 1, 2)", (0, 1, 2),
+            ),
+            (
+                strong_cover_tt, 4, 3,
+                [(0, 1, [1]), (1, 2, [2]), (0, 2, [3]), (2, 3, [1, 2, 3])],
+                "not a (t,t)-coloring; witness (0, 1, 2)", (0, 1, 2),
+            ),
+            (
+                strong_cover_tt, 3, 2, [(0, 1, [1]), (1, 2, [2])],
+                "not a (t,t)-coloring; witness (0, 2)", (0, 2),
+            ),
+            (
+                strong_cover_c4free_22, 3, 2, [(0, 1, [1]), (1, 2, [2])],
+                "not a (2,2)-coloring; witness (0, 2)", (0, 2),
+            ),
+        ],
+    )
+    def test_precondition_texts(self, cover, n, t, edges, text, witness):
+        col = MultiColoring.from_edges(n, t, edges)
+        with pytest.raises(PreconditionError) as info:
+            cover(col)
+        assert str(info.value) == text
+        assert info.value.witness == witness
+
+    @pytest.mark.parametrize(
+        "cover, col, text",
+        [
+            (
+                strong_cover_33, complete_coloring(3, 3),
+                "two-clique cover of a (2,2)-coloring failed",
+            ),
+            (
+                strong_cover_33, _tt3_without_covering_pair(),
+                "two-clique cover across the clique cutset failed",
+            ),
+            (
+                strong_cover_tt, complete_coloring(3, 3),
+                "two-clique cover of a covering pair failed",
+            ),
+            (
+                strong_cover_c4free_22, complete_coloring(2, 2),
+                "two-clique cover failed without a double 5-cycle",
+            ),
+        ],
+    )
+    def test_guarantee_texts(self, cover, col, text, monkeypatch):
+        calls = []
+
+        def fails(*args, **kwargs):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(covers, "two_clique_cover_exact", fails)
+        with pytest.raises(GuaranteeError) as info:
+            cover(col)
+        assert str(info.value) == text
+        assert info.value.instance is col
+        assert len(calls) == 1
 
 
 class TestSubstitution:

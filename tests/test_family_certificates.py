@@ -1,7 +1,7 @@
 """Families certify their own colorings: the sweep orders are perfect
-elimination orderings, the covers check a given ordering instead of
-searching for one, and a family document never runs maximum cardinality
-search or the induced-C4 scan."""
+elimination orderings, the covers take a family coloring's orders instead
+of searching for them, and a family document never runs maximum
+cardinality search or the induced-C4 scan."""
 
 import dataclasses
 import io
@@ -34,7 +34,6 @@ from strongcover.core import (
 from strongcover.covers import (
     greedy_strong_cover,
     strong_cover_33,
-    strong_cover_c4free_22,
     strong_cover_tt,
 )
 from strongcover.errors import InputError
@@ -253,7 +252,7 @@ def _toggled(adj, u, v):
 class TestGivenOrders:
     """A family's coloring keeps its PEOs: taken unchecked while its rows
     are unchanged, dropped by any edit of the rows, never carried to
-    another coloring.  Orders given as ``peos=`` are always checked."""
+    another coloring."""
 
     def setup_method(self):
         inst = corpus.seeded_tk_instance("interval", 12, 3, 3, 0)  # a (3,3)-coloring
@@ -264,13 +263,13 @@ class TestGivenOrders:
     @pytest.fixture
     def checked(self, monkeypatch):
         seen = []
-        require = covers._require_peo
+        require = chordal._require_peo
 
         def counted(g, peo):
             seen.append(list(peo))
             return require(g, peo)
 
-        monkeypatch.setattr(covers, "_require_peo", counted)
+        monkeypatch.setattr(chordal, "_require_peo", counted)
         return seen
 
     @pytest.fixture
@@ -285,29 +284,6 @@ class TestGivenOrders:
         monkeypatch.setattr(covers, "is_chordal", counted)
         return seen
 
-    def test_right_orders_give_the_searched_cover(self):
-        given, _ = greedy_strong_cover(self.col, peos=self.peos)
-        own, _ = greedy_strong_cover(self.col)
-        searched, _ = greedy_strong_cover(self.plain)
-        assert given == own == searched
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            lambda peos: [peos[0][::-1]] + peos[1:],  # not perfect
-            lambda peos: [peos[0][:-1]] + peos[1:],  # not a permutation
-            lambda peos: peos[:-1],  # one ordering short
-        ],
-    )
-    def test_wrong_orders_are_input_errors(self, bad):
-        peos = bad(self.peos)
-        with pytest.raises(InputError):
-            greedy_strong_cover(self.col, peos=peos)
-        with pytest.raises(InputError):
-            strong_cover_33(self.col, peos=peos)
-        with pytest.raises(InputError):
-            strong_cover_tt(self.col, peos=peos)
-
     def test_sweep_orders_of_their_coloring_are_not_checked(self, checked, searched):
         own = self.col._peos()
         assert all(type(order) is tuple for order in own)
@@ -318,36 +294,19 @@ class TestGivenOrders:
         assert [cert.peo for _g, cert in certs] == list(own)
         assert given == greedy_strong_cover(self.plain)[0]
 
-    def test_plain_orders_are_checked_once_per_color(self, checked, searched):
-        given, _ = greedy_strong_cover(self.col, peos=self.peos)
-        assert checked == self.peos and searched == []
-        assert given == greedy_strong_cover(self.plain)[0]
-        # the coloring's own orders, given explicitly, are checked too
-        checked.clear()
-        own = self.col._peos()
-        strong_cover_33(self.col, peos=own)
-        assert checked == [list(order) for order in own]
-
     def test_sweep_orders_of_another_coloring_are_checked(self, checked, searched):
         copy = self.col.select_colors([1, 2, 3])
         assert copy == self.col and copy is not self.col and copy._peos() is None
         assert greedy_strong_cover(copy)[0] == greedy_strong_cover(self.col)[0]
         assert checked == [] and searched == [self.col.n] * 3
-        given, _ = greedy_strong_cover(copy, peos=self.peos)
-        assert checked == self.peos
-        assert given == greedy_strong_cover(self.col)[0]
         # the orders of one color are not those of another
         swapped = self.col.select_colors([2, 1, 3])
         assert not oracles.is_peo(swapped.rows[0], self.peos[0])
-        with pytest.raises(InputError, match="not a perfect elimination"):
-            greedy_strong_cover(swapped, peos=self.peos)
-        with pytest.raises(InputError, match="not a perfect elimination"):
-            strong_cover_33(swapped, peos=self.peos)
+        assert swapped._peos() is None
 
     def test_edited_coloring_does_not_take_the_orders(self, checked, searched):
         """Rows edited after the orders were kept are noticed: each color is
-        searched, a stale order given explicitly is refused, and undoing the
-        edit restores the orders."""
+        searched, and undoing the edit restores the orders."""
         col, peos = self.col, self.peos
         own = col._peos()
         pairs = list(itertools.combinations(range(col.n), 2))
@@ -361,9 +320,6 @@ class TestGivenOrders:
         assert col._peos() is None
         list(covers.color_certificates(col))
         assert searched == [col.n] * 3 and checked == []
-        with pytest.raises(InputError, match="not a perfect elimination"):
-            greedy_strong_cover(col, peos=peos)
-        assert checked == [peos[0]]
         # undone through the live view, the rows are those kept again
         col.edge_colors[(u, v)] = col.colors_of(u, v) - {1}
         assert col._peos() == own
@@ -381,8 +337,6 @@ class TestGivenOrders:
         searched.clear()
         list(covers.color_certificates(col))
         assert searched == [col.n] * 3
-        list(covers.color_certificates(col, peos))
-        assert checked == peos
         col.rows[2] = _toggled(col.rows[2], x, y)
         assert col._peos() == own
 
@@ -397,17 +351,6 @@ class TestGivenOrders:
         assert not all(
             oracles.is_peo(row, peo) for row, peo in zip(relabeled.rows, self.peos)
         )
-        with pytest.raises(InputError):
-            greedy_strong_cover(relabeled, peos=self.peos)
-        with pytest.raises(InputError):
-            strong_cover_tt(relabeled, peos=self.peos)
-
-    def test_wrong_order_in_c4free22_is_an_input_error(self):
-        fam = TIntervalFamily(2, [[(0, 1), (0, 0)], [(1, 2), (0, 0)], [(2, 3), (0, 0)]])
-        col = coloring_from_intervals(fam)
-        assert strong_cover_c4free_22(col, peos=family_peos(fam)).covered() == 3
-        with pytest.raises(InputError):
-            strong_cover_c4free_22(col, peos=[[1, 0, 2], [0, 1, 2]])
 
 
 def test_quick_start_runs_no_search_and_no_check(monkeypatch):
@@ -725,13 +668,12 @@ class TestFamiliesCheckThemselves:
     @pytest.mark.parametrize("kind", ["intervals", "subtrees"])
     def test_every_received_order_is_checked(self, kind, monkeypatch, capsys):
         checked = []
-        require = covers._require_peo
+        require = chordal._require_peo
 
         def counted(g, peo):
             checked.append(peo)
             return require(g, peo)
 
-        monkeypatch.setattr(covers, "_require_peo", counted)
         monkeypatch.setattr(chordal, "_require_peo", counted)
         doc = getattr(self, kind.upper())
         # a family document's orders are kept by its coloring, not
