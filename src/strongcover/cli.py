@@ -72,6 +72,14 @@ class RunReport(_Record):
         rec.update(extra)
         self.checks.append(rec)
 
+    def add_holds(self, name: str, inequality: str, ok: bool, **extra) -> None:
+        """A yes/no check: expected True, observed and passed ``ok``."""
+        self.add_check(name, inequality, True, ok, ok, **extra)
+
+    def add_witness(self, name: str, inequality: str, witness) -> None:
+        """A yes/no check that holds when ``witness`` of a failure is empty."""
+        self.add_holds(name, inequality, not witness, witness=witness or None)
+
     @property
     def ok(self) -> bool:
         return all(c["pass"] for c in self.checks)
@@ -195,47 +203,28 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = RunReport(meta={"source": args.instance, "n": col.n, "t": col.t})
     if args.tk is not None:
         with _Timed(report, "tk"):
-            ok, witness = is_tk_coloring(col, args.tk)
-        report.add_check(
-            "tk",
-            f"every {args.tk}-subset spans a monochromatic clique",
-            True,
-            ok,
-            ok,
-            witness=sorted(witness) if witness else None,
+            witness = _tk_witness(col, args.tk)
+        report.add_witness(
+            "tk", f"every {args.tk}-subset spans a monochromatic clique", witness
         )
     # one certificate per color, searched by the first check that needs it
     certificates = functools.cache(lambda: list(color_certificates(col)))
     if args.chordal:
         with _Timed(report, "chordal"):
             holes = {
-                i: cert.hole
+                str(i): cert.hole
                 for i, (_g, cert) in enumerate(certificates(), start=1)
                 if not cert.is_chordal
             }
-        report.add_check(
-            "chordal",
-            "every color graph is chordal",
-            True,
-            not holes,
-            not holes,
-            witness={str(c): h for c, h in holes.items()} or None,
-        )
+        report.add_witness("chordal", "every color graph is chordal", holes)
     if args.c4free:
         with _Timed(report, "c4free"):
             squares = {
-                i: list(square)
+                str(i): list(square)
                 for i, square in induced_c4s(certificates())
                 if square is not None
             }
-        report.add_check(
-            "c4free",
-            "no color graph has an induced 4-cycle",
-            True,
-            not squares,
-            not squares,
-            witness={str(c): s for c, s in squares.items()} or None,
-        )
+        report.add_witness("c4free", "no color graph has an induced 4-cycle", squares)
     if args.kfold is not None:
         with _Timed(report, "kfold"):
             observed = kfold_min_colors(col)
@@ -250,8 +239,41 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _greedy_lower_bound_ok(covered: int, n: int, k: int) -> bool:
-    return covered * (k + 1) >= (k - 1) * n
+def _tk_witness(col: MultiColoring, k: int) -> list[int]:
+    """The first k-subset spanning no monochromatic clique, or []."""
+    return sorted(is_tk_coloring(col, k)[1] or ())
+
+
+def _clique_limit(algorithm: str, t: int) -> int:
+    """Cliques enough for a chordal (t,t)-coloring: 2 for even t, 3 for odd
+    t and for the three-color cover ``t33``."""
+    return 3 if algorithm == "t33" or t % 2 else 2
+
+
+def _guarantee(
+    algorithm: str, col: MultiColoring, cover: StrongCover, covered: int, k
+) -> tuple[int, int, bool]:
+    """(bound, observed, holds) of the bound ``algorithm`` guarantees, for a
+    valid cover of ``col`` reaching ``covered`` vertices: greedy covers at
+    least (k-1)n/(k+1) vertices of a (t,k)-coloring, c4free22 at least
+    4n/5, and t33 and tt cover everything with at most their clique limit.
+    A count reaches a fraction of n exactly when it reaches its ceiling."""
+    n = col.n
+    if algorithm in ("t33", "tt"):
+        limit = _clique_limit(algorithm, col.t)
+        return limit, cover.size(), cover.size() <= limit and covered == n
+    bound = ceil((k - 1) * n / (k + 1)) if algorithm == "greedy" else ceil(4 * n / 5)
+    return bound, covered, covered >= bound
+
+
+# the bound check of ``cover``, by algorithm: its name and its inequality,
+# formatted with k, t and the bound
+_BOUND_CHECKS = {
+    "greedy": ("greedy-lower-bound", "covered*(k+1) >= (k-1)*n with k={k}"),
+    "t33": ("three-cliques", "at most 3 cliques cover all vertices"),
+    "tt": ("few-cliques", "at most {bound} cliques cover all vertices (t={t})"),
+    "c4free22": ("four-fifths", "covered >= ceil(4n/5)"),
+}
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
@@ -271,20 +293,27 @@ def cmd_cover(args: argparse.Namespace) -> int:
         cover = _run_cover(args, col, report)
     except (PreconditionError, GuaranteeError, SizeLimitError, InputError) as exc:
         report.results["error"] = f"{type(exc).__name__}: {exc}"
-        report.add_check("precondition", "algorithm precondition holds", True, False, False)
+        report.add_holds("precondition", "algorithm precondition holds", False)
         report.emit()
         return 1
     rep = verify_cover(col, cover)
     report.results["cover"] = cover.to_dict()
     report.results["covered"] = rep.covered
-    report.add_check(
-        "cover-valid",
-        "each assigned set is a clique in its color",
-        True,
-        rep.valid,
-        rep.valid,
+    report.add_holds(
+        "cover-valid", "each assigned set is a clique in its color", rep.valid
     )
-    _add_bound_checks(args, col, cover, rep.covered, report)
+    algorithm, k = args.algorithm, args.k
+    if algorithm in _BOUND_CHECKS and not (algorithm == "greedy" and k is None):
+        if algorithm == "greedy":  # its bound holds on (t,k)-colorings
+            report.add_witness(
+                "tk-precondition", f"instance is a (t,{k})-coloring",
+                _tk_witness(col, k),
+            )
+        name, inequality = _BOUND_CHECKS[algorithm]
+        bound, observed, holds = _guarantee(algorithm, col, cover, rep.covered, k)
+        report.add_check(
+            name, inequality.format(k=k, t=col.t, bound=bound), bound, observed, holds
+        )
     if isinstance(fam, TIntervalFamily) and rep.valid:
         report.results["piercing_points"] = [
             [track, point] for track, point in piercing_points(fam, cover)
@@ -297,71 +326,18 @@ def _run_cover(
     args: argparse.Namespace, col: MultiColoring, report: RunReport
 ) -> StrongCover:
     algorithm = args.algorithm
-    if algorithm == "greedy":
-        with _Timed(report, "greedy"):
+    with _Timed(report, algorithm):
+        if algorithm == "greedy":
             cover, trace = greedy_strong_cover(col)
-        report.results["uncovered"] = sorted(trace.uncovered)
-        return cover
-    if algorithm == "exact":
-        with _Timed(report, "exact"):
+            report.results["uncovered"] = sorted(trace.uncovered)
+        elif algorithm == "exact":
             cover, report.results["theta"] = exact_cover_and_theta(
                 col, max_n=args.max_exact
             )
-        return cover
-    structured = {"t33": strong_cover_33, "tt": strong_cover_tt,
-                  "c4free22": strong_cover_c4free_22}
-    if algorithm not in structured:  # pragma: no cover
-        raise InputError(f"unknown algorithm {algorithm!r}")
-    with _Timed(report, algorithm):
-        return structured[algorithm](col)
-
-
-def _add_bound_checks(
-    args: argparse.Namespace,
-    col: MultiColoring,
-    cover: StrongCover,
-    covered: int,
-    report: RunReport,
-) -> None:
-    n = col.n
-    algorithm = args.algorithm
-    if algorithm == "greedy" and args.k is not None:
-        ok, witness = is_tk_coloring(col, args.k)
-        report.add_check(
-            "tk-precondition",
-            f"instance is a (t,{args.k})-coloring",
-            True,
-            ok,
-            ok,
-            witness=sorted(witness) if witness else None,
-        )
-        bound = ceil((args.k - 1) * n / (args.k + 1))
-        report.add_check(
-            "greedy-lower-bound",
-            f"covered*(k+1) >= (k-1)*n with k={args.k}",
-            bound,
-            covered,
-            _greedy_lower_bound_ok(covered, n, args.k),
-        )
-    elif algorithm == "t33":
-        report.add_check(
-            "three-cliques", "at most 3 cliques cover all vertices",
-            3, cover.size(), cover.size() <= 3 and covered == n,
-        )
-    elif algorithm == "tt":
-        limit = 2 if col.t % 2 == 0 else 3
-        report.add_check(
-            "few-cliques",
-            f"at most {limit} cliques cover all vertices (t={col.t})",
-            limit,
-            cover.size(),
-            cover.size() <= limit and covered == n,
-        )
-    elif algorithm == "c4free22":
-        bound = ceil(4 * n / 5)
-        report.add_check(
-            "four-fifths", "covered >= ceil(4n/5)", bound, covered, covered >= bound
-        )
+        else:  # looked up per call, so they can be replaced in this module
+            cover = {"t33": strong_cover_33, "tt": strong_cover_tt,
+                     "c4free22": strong_cover_c4free_22}[algorithm](col)
+    return cover
 
 
 def _run_suite(args, report, inequality, make, check) -> None:
@@ -381,7 +357,16 @@ def _run_suite(args, report, inequality, make, check) -> None:
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["pass"] = False
         rows.append(row)
-    _finish_suite(report, rows, inequality)
+    report.results["instances"] = rows
+    failures = [r["name"] for r in rows if not r["pass"]]
+    report.add_check(
+        "suite",
+        inequality,
+        len(rows),
+        len(rows) - len(failures),
+        not failures,
+        failures=failures or None,
+    )
 
 
 def _alternating(n: int, t: int, k: int):
@@ -400,15 +385,11 @@ def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
         cover, trace = greedy_strong_cover(col)
         rep = verify_cover(col, cover)
         chain = counting_chain_check(col, trace, args.k)
-        ok = (
-            rep.valid
-            and _greedy_lower_bound_ok(rep.covered, col.n, args.k)
-            and chain.ok
-        )
+        holds = _guarantee("greedy", col, cover, rep.covered, args.k)[2]
         return {
             "covered": rep.covered,
             "chain": [chain.lower, chain.m, chain.upper],
-            "pass": ok,
+            "pass": rep.valid and holds and chain.ok,
         }
 
     _run_suite(
@@ -422,17 +403,17 @@ def _verify_few_cliques(args: argparse.Namespace, report: RunReport) -> None:
     cover a chordal (t,t)-coloring; t33 is t = 3 by the three-color cover."""
     t33 = args.suite == "t33"
     t = 3 if t33 else args.t
-    limit = 2 if t % 2 == 0 else 3
 
     def check(col):
         cover = (strong_cover_33 if t33 else strong_cover_tt)(col)
         rep = verify_cover(col, cover)
-        ok = rep.valid and rep.covered == col.n and cover.size() <= limit
-        return {"cliques": cover.size(), "pass": ok}
+        _, size, holds = _guarantee(args.suite, col, cover, rep.covered, None)
+        return {"cliques": size, "pass": rep.valid and holds}
 
-    inequality = f"at most {limit} cliques cover everything"
-    if t33:
-        inequality = "three monochromatic cliques cover everything"
+    inequality = (
+        "three monochromatic cliques cover everything" if t33
+        else f"at most {_clique_limit('tt', t)} cliques cover everything"
+    )
     _run_suite(args, report, inequality, _alternating(args.n, t, t), check)
 
 
@@ -451,9 +432,8 @@ def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
     def check(col):
         cover = strong_cover_c4free_22(col)
         rep = verify_cover(col, cover)
-        bound = ceil(4 * col.n / 5)
-        ok = rep.valid and rep.covered >= bound
-        return {"covered": rep.covered, "bound": bound, "pass": ok}
+        bound, covered, holds = _guarantee("c4free22", col, cover, rep.covered, None)
+        return {"covered": covered, "bound": bound, "pass": rep.valid and holds}
 
     _run_suite(
         args, report, "cover reaches at least ceil(4n/5) vertices", make, check
@@ -474,20 +454,15 @@ def _verify_constructions(args: argparse.Namespace, report: RunReport) -> None:
     )
     squares = [induced_c4_free(g)[0] for g in classes]
     triangle_free = [_triangle_free(g) for g in classes]
-    report.add_check(
+    report.add_holds(
         "k8-classes",
         "each class triangle-free and induced-C4-free",
-        True,
-        all(squares) and all(triangle_free),
         all(squares) and all(triangle_free),
     )
-    ham_ok = all(_hamilton_paths_ok(t) for t in range(2, 9))
-    report.add_check(
+    report.add_holds(
         "hamilton-paths",
         "paths decompose all [A,B] pairs exactly once for t <= 8",
-        True,
-        ham_ok,
-        ham_ok,
+        all(_hamilton_paths_ok(t) for t in range(2, 9)),
     )
     paths = constructions.construct_k4_two_paths()
     th = theta(paths)
@@ -529,20 +504,6 @@ def _hamilton_paths_ok(t: int) -> bool:
     want = {(a, b) for a in range(size_a) for b in range(size_a, n)}
     total = sum(len(p) - 1 for p in paths)
     return seen == want and total == len(want)
-
-
-def _finish_suite(report: RunReport, rows: list[dict], inequality: str) -> None:
-    rows.sort(key=lambda r: r["seed"])
-    report.results["instances"] = rows
-    failures = [r["name"] for r in rows if not r["pass"]]
-    report.add_check(
-        "suite",
-        inequality,
-        len(rows),
-        len(rows) - len(failures),
-        not failures,
-        failures=failures or None,
-    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -26,6 +26,7 @@ from .core import (
     TSubtreeFamily,
     _interval_coloring,
     _right_end_order,
+    _require_ints,
     _subtree_coloring,
     check_size,
     family_peos,
@@ -85,6 +86,7 @@ def construct_onefourth(t: int) -> TIntervalFamily:
     (j-1)-th Hamilton path of [A, B]: position p along the path becomes the
     interval [2p, 2p+2], so exactly consecutive path members intersect.
     """
+    _require_ints(t=t)
     if t < 2:
         raise InputError(f"need t >= 2, got {t}")
     n = 4 * t - 5
@@ -157,6 +159,7 @@ def construct_partition_coloring(n: int, t: int) -> TIntervalFamily:
     beyond it.  Color i then joins S_i internally and S_i to every later
     part, nothing else.
     """
+    _require_ints(n=n, t=t)
     if t < 1 or n < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if t > n:
@@ -343,6 +346,7 @@ def _draw_intervals(
     refused it), and a ``TIntervalFamily`` only for that draw, from its
     arrays and right-end orders, with no check run again.
     """
+    _require_ints(n=n, t=t)
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if not (0.0 <= anchor <= 1.0):
@@ -448,14 +452,15 @@ def _draw_subtrees(
     is built only for the draw that is returned, from its parents and
     subtrees, with no check run again.
     """
+    if max_size is None:
+        max_size = host_size
+    _require_ints(n=n, t=t, host_size=host_size, max_size=max_size)
     if n < 1 or t < 1 or host_size < 1:
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
         )
     if not (0.0 <= anchor <= 1.0):
         raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
-    if max_size is None:
-        max_size = host_size
     if not (1 <= max_size <= host_size):
         raise InputError(
             f"need 1 <= max_size <= host_size, got {max_size} of {host_size}"

@@ -404,10 +404,13 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
     return best
 
 
-def _check_pair(col: MultiColoring, a: int, b: int) -> None:
-    """InputError unless ``a`` and ``b`` are two distinct colors of ``col``."""
-    if a == b or not (1 <= a <= col.t and 1 <= b <= col.t):
-        raise InputError(f"bad color pair ({a}, {b})")
+def _check_pair(col: MultiColoring, *pair: int) -> tuple[int, ...]:
+    """``pair`` if it is two distinct int colors of ``col``, else InputError."""
+    if len(pair) != 2 or pair[0] == pair[1] or not all(
+        type(c) is int and 1 <= c <= col.t for c in pair
+    ):
+        raise InputError(f"bad color pair {pair}")
+    return pair
 
 
 def two_clique_cover_exact(
@@ -428,8 +431,7 @@ def two_clique_cover_exact(
     so no choice is undone; a conflict both ways means no model.  The ones
     are maximal (a vertex joined to all was free to be a one at its turn).
     """
-    ci, cj = colors
-    _check_pair(col, ci, cj)
+    ci, cj = _check_pair(col, *colors)
     within = (1 << col.n) - 1 if vertices is None else col.vertex_mask(vertices)
     if col.is_clique_mask(within, cj) and not col.is_clique_mask(within, ci):
         return StrongCover({cj: frozenset(bits(within))})
@@ -649,8 +651,10 @@ def grow_blowup(
     The seed classes follow the red cycle order starting at the smallest
     seed vertex.  A vertex joins class i when its edges into class i carry
     both colors, into the neighboring classes red only, and into the two
-    far classes blue only.  Vertices are absorbed in increasing order until
-    a full pass absorbs nothing.
+    far classes blue only.  The other vertices are tried once each, in
+    increasing order: each test asks that classes lie inside the vertex's
+    fixed rows, and classes only grow, so a vertex that fits no class at
+    its turn fits none later and a second pass would absorb nothing.
     """
     _check_pair(col, red, blue)
     if len(set(seed)) != 5:
@@ -672,7 +676,7 @@ def grow_blowup(
         absorbed |= nxt
     classes = [1 << v for v in cycle]
 
-    def replica_class(w: int) -> int | None:
+    for w in bits((1 << col.n) - 1 & ~absorbed):
         for i in range(5):
             near = classes[(i + 1) % 5] | classes[(i + 4) % 5]
             far = classes[(i + 2) % 5] | classes[(i + 3) % 5]
@@ -681,20 +685,10 @@ def grow_blowup(
                 or near & ~red_only[w]
                 or far & ~blue_only[w]
             ):
-                return i
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for w in range(col.n):
-            if absorbed >> w & 1:
-                continue
-            i = replica_class(w)
-            if i is not None:
-                classes[i] |= 1 << w
-                absorbed |= 1 << w
-                changed = True
+                break
+        else:
+            continue  # the classes only grow, so w will never fit one
+        classes[i] |= 1 << w
     return [frozenset(bits(c)) for c in classes]
 
 

@@ -341,6 +341,46 @@ def first_k5star(col, red, blue):
     return None
 
 
+def maximal_blowup(col, seed, red, blue):
+    """The classes X_1..X_5 of a blow-up grown from the red/blue double
+    5-cycle ``seed``: X_i starts as the i-th seed vertex along the red cycle
+    from the smallest one (the lower red neighbor taken first), and a pass
+    over the other vertices in increasing order puts each in the first
+    class whose members it meets in both colors, the neighboring classes'
+    in red only and the far classes' in blue only.  Passes repeat until one
+    adds nothing."""
+
+    def joins(u, v):
+        cs = col.colors_of(u, v)
+        return (red in cs, blue in cs)
+
+    order = [min(seed)]
+    while len(order) < 5:
+        order.append(next(
+            v for v in sorted(seed)
+            if v not in order and joins(order[-1], v) == (True, False)
+        ))
+    classes = [{v} for v in order]
+    # the joins a member of class i + d needs from a member of class i
+    wanted = [(True, True), (True, False), (False, True), (False, True), (True, False)]
+    changed = True
+    while changed:
+        changed = False
+        for w in range(col.n):
+            if any(w in c for c in classes):
+                continue
+            for i in range(5):
+                if all(
+                    joins(w, u) == wanted[(j - i) % 5]
+                    for j in range(5)
+                    for u in classes[j]
+                ):
+                    classes[i].add(w)
+                    changed = True
+                    break
+    return [frozenset(c) for c in classes]
+
+
 def reference_interval_draw(n, t, seed, anchor, k, accepts):
     """The rejection-sampling loop of ``random_interval_family`` as first
     written, on ``randint`` and ``sample``: (members, ok) of the draw it

@@ -17,8 +17,8 @@ from strongcover import cli
 from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
-from strongcover.core import MultiColoring
-from strongcover.covers import exact_max_strong_cover, theta
+from strongcover.core import MultiColoring, StrongCover
+from strongcover.covers import GreedyTrace, exact_max_strong_cover, theta
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -521,6 +521,101 @@ class TestCover:
         code, doc = run_json(capsys, ["cover", "greedy", str(p), "--k", "2"])
         assert code == 0
         assert "piercing_points" not in doc["results"]
+
+
+def _complete_coloring(n: int, t: int) -> MultiColoring:
+    """Every edge in every color, so each vertex set is a clique of each."""
+    col = MultiColoring(n, t)
+    for u in range(n):
+        for v in range(u + 1, n):
+            col.add_colors(u, v, range(1, t + 1))
+    return col
+
+
+def _cliques(*sets):
+    """A cover giving color i + 1 the i-th of ``sets``."""
+    return StrongCover({i: frozenset(s) for i, s in enumerate(sets, start=1)})
+
+
+def _record(name, inequality, expected, observed, ok):
+    return {"name": name, "inequality": inequality, "expected": expected,
+            "observed": observed, "pass": ok}
+
+
+_VALID = _record("cover-valid", "each assigned set is a clique in its color",
+                 True, True, True)
+_TK2 = {**_record("tk-precondition", "instance is a (t,2)-coloring",
+                  True, True, True), "witness": None}
+
+
+class TestBoundChecksBothSides:
+    """Each algorithm's bound check of ``cover``, on crafted covers of a
+    complete coloring: the full check records and the exit code on the
+    passing side and on the failing side."""
+
+    @pytest.mark.parametrize(
+        "algorithm, n, t, argv, cover, checks",
+        [
+            ("greedy", 7, 2, ["--k", "2"], _cliques({0, 1, 2}), [
+                _TK2,
+                _record("greedy-lower-bound", "covered*(k+1) >= (k-1)*n with k=2",
+                        3, 3, True),
+            ]),
+            ("greedy", 7, 2, ["--k", "2"], _cliques({0, 1}), [
+                _TK2,
+                _record("greedy-lower-bound", "covered*(k+1) >= (k-1)*n with k=2",
+                        3, 2, False),
+            ]),
+            ("greedy", 7, 2, [], _cliques({0}), []),
+            ("c4free22", 5, 2, [], _cliques({0, 1}, {2, 3}), [
+                _record("four-fifths", "covered >= ceil(4n/5)", 4, 4, True),
+            ]),
+            ("c4free22", 5, 2, [], _cliques({0, 1}, {2}), [
+                _record("four-fifths", "covered >= ceil(4n/5)", 4, 3, False),
+            ]),
+            ("tt", 6, 4, [], _cliques({0, 1, 2}, {3, 4, 5}), [
+                _record("few-cliques",
+                        "at most 2 cliques cover all vertices (t=4)", 2, 2, True),
+            ]),
+            ("tt", 6, 4, [], _cliques({0, 1}, {2, 3}, {4, 5}), [
+                _record("few-cliques",
+                        "at most 2 cliques cover all vertices (t=4)", 2, 3, False),
+            ]),
+            ("tt", 6, 5, [], _cliques({0, 1}, {2, 3}, {4, 5}), [
+                _record("few-cliques",
+                        "at most 3 cliques cover all vertices (t=5)", 3, 3, True),
+            ]),
+            ("tt", 6, 5, [], _cliques({0}, {1, 2}, {3}, {4, 5}), [
+                _record("few-cliques",
+                        "at most 3 cliques cover all vertices (t=5)", 3, 4, False),
+            ]),
+            ("t33", 6, 3, [], _cliques({0, 1}, {2, 3}, {4}), [
+                _record("three-cliques", "at most 3 cliques cover all vertices",
+                        3, 3, False),
+            ]),
+        ],
+    )
+    def test_check_records_and_exit_code(
+        self, capsys, monkeypatch, algorithm, n, t, argv, cover, checks
+    ):
+        if algorithm == "greedy":
+            uncovered = frozenset(range(n)) - cover.vertices()
+            monkeypatch.setattr(
+                cli, "greedy_strong_cover",
+                lambda col: (cover, GreedyTrace([], uncovered)),
+            )
+        else:
+            target = {"t33": "strong_cover_33", "tt": "strong_cover_tt",
+                      "c4free22": "strong_cover_c4free_22"}[algorithm]
+            monkeypatch.setattr(cli, target, lambda col: cover)
+        text = json.dumps(_complete_coloring(n, t).to_dict())
+        code, doc = run_json(
+            capsys, ["cover", algorithm, "-", *argv], text, monkeypatch
+        )
+        assert doc["checks"] == [_VALID, *checks]
+        assert doc["results"]["covered"] == cover.covered()
+        assert code == (0 if all(c["pass"] for c in checks) else 1)
+        assert doc["pass"] is (code == 0)
 
 
 class TestVerify:

@@ -303,6 +303,36 @@ class TestRandomGenerators:
         assert kfold_min_colors(col) >= 1
 
 
+class TestPlainIntSizes:
+    """The draws and the sized constructions take their sizes as plain
+    ints, as the family constructors and ``from_dict`` do."""
+
+    CALLS = [
+        ("n", lambda v: random_interval_family(v, 2, 0)),
+        ("t", lambda v: random_interval_family(3, v, 0)),
+        ("n", lambda v: random_subtree_family(v, 2, 0)),
+        ("t", lambda v: random_subtree_family(3, v, 0)),
+        ("host_size", lambda v: random_subtree_family(3, 2, 0, host_size=v)),
+        ("max_size", lambda v: random_subtree_family(3, 2, 0, max_size=v)),
+        ("t", construct_onefourth),
+        ("n", lambda v: construct_partition_coloring(v, 1)),
+        ("t", lambda v: construct_partition_coloring(4, v)),
+    ]
+
+    @pytest.mark.parametrize("key, call", CALLS)
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_other_sizes_are_input_errors(self, key, call, value):
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert str(info.value) == f"{key} must be int, got {value!r}"
+
+    @pytest.mark.parametrize("draw", [random_interval_family, random_subtree_family])
+    def test_drawn_family_round_trips(self, draw):
+        fam, _ok = draw(5, 3, 0, k=2)
+        again = type(fam).from_dict(fam.to_dict())
+        assert type(again.t) is int and again.to_dict() == fam.to_dict()
+
+
 def intervals_meet(a, b):
     return a[0] <= b[1] and b[0] <= a[1]
 

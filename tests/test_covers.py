@@ -728,15 +728,57 @@ class TestC4Free22:
         with pytest.raises(InputError):
             grow_blowup(col, (0, 1, 2, 3, 5))  # 0 and 1 are twins here
 
-    @pytest.mark.parametrize("red, blue", [(0, 2), (-1, 2), (3, 2), (1, 1)])
+    @pytest.mark.parametrize(
+        "red, blue",
+        [(0, 2), (-1, 2), (3, 2), (1, 1), (True, 2), (1, True), (1.0, 2), ("1", 2)],
+    )
     def test_grow_blowup_rejects_bad_color_pair(self, red, blue):
         col = construct_k5star()  # t = 2
+        for call in (
+            lambda: grow_blowup(col, (0, 1, 2, 3, 4), red=red, blue=blue),
+            lambda: find_k5star(col, red, blue),
+            lambda: two_clique_cover_exact(col, (red, blue)),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == f"bad color pair {(red, blue)}"
+
+    @pytest.mark.parametrize("colors", [(1,), (1, 2, 1), ()])
+    def test_two_clique_cover_rejects_other_lengths(self, colors):
         with pytest.raises(InputError) as info:
-            grow_blowup(col, (0, 1, 2, 3, 4), red=red, blue=blue)
-        assert str(info.value) == f"bad color pair ({red}, {blue})"
-        with pytest.raises(InputError) as info:
-            find_k5star(col, red, blue)
-        assert str(info.value) == f"bad color pair ({red}, {blue})"
+            two_clique_cover_exact(construct_k5star(), colors)
+        assert str(info.value) == f"bad color pair {colors}"
+
+    def test_grow_blowup_matches_repeated_passes(self):
+        """One increasing pass grows the classes that passes repeated until
+        none adds a vertex grow, on relabeled K5* blow-ups with up to 8
+        extra vertices, each a copy of an earlier vertex with some of its
+        edges recolored at random."""
+        rng = random.Random(25)
+        grew = 0
+        for _ in range(1000):
+            base = blow_up(
+                construct_k5star(), BlowupSpec([rng.randint(1, 3) for _ in range(5)])
+            )
+            n = base.n + rng.randint(0, 8)
+            colors = dict(base.edge_colors)
+            for w in range(base.n, n):
+                twin = rng.randrange(w)
+                for u in range(w):
+                    cs = colors.get((min(u, twin), max(u, twin)), frozenset({1, 2}))
+                    if rng.random() < 0.2:
+                        cs = rng.choice([{1}, {2}, {1, 2}])
+                    colors[u, w] = frozenset(cs)
+            perm = rng.sample(range(n), n)
+            col = MultiColoring(n, 2)
+            for (u, v), cs in colors.items():
+                col.add_colors(perm[u], perm[v], cs)
+            red, blue = rng.choice([(1, 2), (2, 1)])
+            seed = find_k5star(col, red, blue)
+            classes = grow_blowup(col, seed, red, blue)
+            assert classes == oracles.maximal_blowup(col, seed, red, blue)
+            grew += sum(map(len, classes)) > 5
+        assert grew > 900
 
     def test_red_apex_lands_in_red_part(self):
         col = MultiColoring(6, 2)
