@@ -72,10 +72,12 @@ def mcs_order(g: Graph) -> list[int]:
     ties broken by smallest index.  Unvisited vertices sit in one bitmask
     bucket per weight (Tarjan and Yannakakis 1984), so the next vertex is
     the lowest bit of the highest nonempty bucket.  A visit moves its
-    unvisited neighbors up one bucket with one mask operation per bucket
-    at or below its own weight; the weights of visited vertices sum to m,
-    so a search costs O(n + m) mask operations.  For a chordal graph the
-    reverse of this order is a perfect elimination ordering.
+    unvisited neighbors up one bucket, walking down from its own weight
+    only until they have all moved: at most one mask operation per bucket
+    at or below its weight, and the weights of visited vertices sum to m,
+    so a search costs O(n + m) mask operations, and O(n) on a complete
+    graph, whose unvisited vertices share one bucket.  For a chordal graph
+    the reverse of this order is a perfect elimination ordering.
     """
     n = g.n
     buckets = [(1 << n) - 1] + [0] * n
@@ -97,6 +99,9 @@ def mcs_order(g: Graph) -> list[int]:
                 if moving:
                     buckets[w] ^= moving
                     buckets[w + 1] |= moving
+                    nbrs ^= moving
+                    if not nbrs:
+                        break
             if buckets[top + 1]:
                 top += 1
     return order

@@ -249,6 +249,9 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     ``randint(a, a + m - 1)`` (``a + _below(...)``) and ``choice(seq)``
     (``seq[_below(..., len(seq))]``) draw, so a generator written with it
     consumes the same stream, without their argument checks and frames.
+    The hot picks write this loop in place, which saves its call: the pool
+    loop of ``_sample``, the span and reach picks of ``_draw_intervals``'
+    members, and the root, size and frontier picks of ``_draw_subtrees``.
     """
     width = m.bit_length()
     r = getrandbits(width)
@@ -274,7 +277,10 @@ def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
     if n <= setsize:
         pool = list(range(n))
         for left in range(n, n - k, -1):
-            j = _below(getrandbits, left)
+            width = left.bit_length()
+            j = getrandbits(width)
+            while j >= left:
+                j = getrandbits(width)
             picks.append(pool[j])
             pool[j] = pool[left - 1]
         return picks
@@ -336,8 +342,9 @@ def _draw_intervals(
     Every draw makes the random calls ``random_interval_family`` has always
     made, in the same order: per track ``randint(0, 3n)`` for the anchor
     point, ``sample(range(n), round(anchor * n))`` for the anchored members,
-    then two ``randint`` per member; the ``randint`` calls go through
-    ``_below`` and the ``sample`` call through ``_sample``.  A draw is
+    then two ``randint`` per member; the ``randint`` calls draw as
+    ``_below`` (the member picks written in place, their widths fixed per
+    draw) and the ``sample`` call through ``_sample``.  A draw is
     held as endpoint arrays.  When 2 <= k <= n, a draw is refused with no
     coloring built on an ``_endpoint_witness``: members missing their
     track's anchor point whose intervals share no point on any track.  Only
@@ -347,6 +354,8 @@ def _draw_intervals(
     arrays and right-end orders, with no check run again.
     """
     _require_ints(n=n, t=t)
+    if k is not None:
+        _require_ints(k=k)
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     if not (0.0 <= anchor <= 1.0):
@@ -354,6 +363,8 @@ def _draw_intervals(
     check_size(n, t)
     span = 3 * n + 1  # endpoints start in [0, 3n]
     reach = max(2, n) + 1  # lengths in [0, max(2, n)]
+    span_w = span.bit_length()
+    reach_w = reach.bit_length()
     n_anchored = round(anchor * n)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -370,18 +381,28 @@ def _draw_intervals(
         for _i in range(t):
             anchor_pt = _below(getrandbits, span)
             anchored = set(_sample(getrandbits, n, n_anchored))
-            track_los = []
-            track_his = []
+            track_los = [anchor_pt] * n
+            track_his = [anchor_pt] * n
             track_missers = []
-            for v in range(n):
+            for v in range(n):  # picks as _below's, written in place
                 if v in anchored:
-                    track_los.append(anchor_pt - _below(getrandbits, reach))
-                    track_his.append(anchor_pt + _below(getrandbits, reach))
+                    r = getrandbits(reach_w)
+                    while r >= reach:
+                        r = getrandbits(reach_w)
+                    track_los[v] -= r
+                    r = getrandbits(reach_w)
+                    while r >= reach:
+                        r = getrandbits(reach_w)
+                    track_his[v] += r
                 else:
-                    lo = _below(getrandbits, span)
-                    hi = lo + _below(getrandbits, reach)
-                    track_los.append(lo)
-                    track_his.append(hi)
+                    lo = getrandbits(span_w)
+                    while lo >= span:
+                        lo = getrandbits(span_w)
+                    r = getrandbits(reach_w)
+                    while r >= reach:
+                        r = getrandbits(reach_w)
+                    track_los[v] = lo
+                    track_his[v] = hi = lo + r
                     if not lo <= anchor_pt <= hi:
                         track_missers.append(v)
             los.append(track_los)
@@ -446,15 +467,17 @@ def _draw_subtrees(
     member and track ``random()`` against ``anchor``, ``randrange`` for an
     unanchored root, ``randint(1, max_size)`` for the size and one
     ``choice`` from the sorted frontier per grown vertex; all but
-    ``random()`` go through ``_below``.  The host is held as adjacency
-    masks and a growing subtree's frontier as a mask, so the j-th element
-    of the sorted frontier is its j-th lowest set bit.  A ``TSubtreeFamily``
-    is built only for the draw that is returned, from its parents and
-    subtrees, with no check run again.
+    ``random()`` draw as ``_below`` (the member picks written in place).
+    The host is held as adjacency masks and a growing subtree's frontier
+    as a mask, so the j-th element of the sorted frontier is its j-th
+    lowest set bit.  A ``TSubtreeFamily`` is built only for the draw that
+    is returned, from its parents and subtrees, with no check run again.
     """
     if max_size is None:
         max_size = host_size
     _require_ints(n=n, t=t, host_size=host_size, max_size=max_size)
+    if k is not None:
+        _require_ints(k=k)
     if n < 1 or t < 1 or host_size < 1:
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
@@ -471,6 +494,8 @@ def _draw_subtrees(
             f"host_size={host_size} exceeds the limit of {MAX_VERTICES} vertices"
         )
     h = host_size
+    h_w = h.bit_length()
+    size_w = max_size.bit_length()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     rand = rng.random
@@ -488,24 +513,33 @@ def _draw_subtrees(
         masks = [[0] * n for _ in range(t)]
         missers = [[] for _ in range(t)]
         for v in range(n):
-            for i in range(t):
+            for i in range(t):  # picks as _below's, written in place
                 if rand() < anchor:
                     root = hubs[i]
                 else:
-                    root = _below(getrandbits, h)
-                size = 1 + _below(getrandbits, max_size)
+                    root = getrandbits(h_w)
+                    while root >= h:
+                        root = getrandbits(h_w)
+                extra = getrandbits(size_w)  # the size, less the root
+                while extra >= max_size:
+                    extra = getrandbits(size_w)
                 grown = [root]
                 chosen = 1 << root
                 frontier = adj[root]
-                while size > 1 and frontier:
+                while extra and frontier:
+                    c = frontier.bit_count()
+                    width = c.bit_length()
+                    j = getrandbits(width)
+                    while j >= c:
+                        j = getrandbits(width)
                     pick = frontier
-                    for _j in range(_below(getrandbits, pick.bit_count())):
+                    for _j in range(j):
                         pick &= pick - 1
                     x = (pick & -pick).bit_length() - 1
                     grown.append(x)
                     chosen |= 1 << x
                     frontier = (frontier | adj[x]) & ~chosen
-                    size -= 1
+                    extra -= 1
                 subtrees[i][v] = grown
                 masks[i][v] = chosen
                 if not chosen >> hubs[i] & 1:

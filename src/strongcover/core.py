@@ -771,6 +771,7 @@ def is_tk_coloring(
     Returns (True, None) or (False, witness) with the lexicographically
     first violating k-subset.
     """
+    _require_ints(k=k)
     if not (2 <= k <= col.n):
         raise InputError(f"need 2 <= k <= n, got k={k}, n={col.n}")
     witness = kernels.first_tk_violation(col.n, k, col.rows)

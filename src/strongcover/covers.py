@@ -404,13 +404,16 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
     return best
 
 
-def _check_pair(col: MultiColoring, *pair: int) -> tuple[int, ...]:
-    """``pair`` if it is two distinct int colors of ``col``, else InputError."""
-    if len(pair) != 2 or pair[0] == pair[1] or not all(
-        type(c) is int and 1 <= c <= col.t for c in pair
-    ):
+def _check_pair(col: MultiColoring, pair: object) -> tuple[int, int]:
+    """``pair`` unpacked if it is two distinct int colors of ``col``, else
+    InputError (also when it is not a pair at all, such as a bare int)."""
+    try:
+        ci, cj = pair
+    except (TypeError, ValueError):
+        raise InputError(f"bad color pair {pair}") from None
+    if ci == cj or not all(type(c) is int and 1 <= c <= col.t for c in (ci, cj)):
         raise InputError(f"bad color pair {pair}")
-    return pair
+    return ci, cj
 
 
 def two_clique_cover_exact(
@@ -431,7 +434,7 @@ def two_clique_cover_exact(
     so no choice is undone; a conflict both ways means no model.  The ones
     are maximal (a vertex joined to all was free to be a one at its turn).
     """
-    ci, cj = _check_pair(col, *colors)
+    ci, cj = _check_pair(col, colors)
     within = (1 << col.n) - 1 if vertices is None else col.vertex_mask(vertices)
     if col.is_clique_mask(within, cj) and not col.is_clique_mask(within, ci):
         return StrongCover({cj: frozenset(bits(within))})
@@ -592,7 +595,7 @@ def find_k5star(
     one mask formula: it must be red-joined to the two chosen vertices of
     red degree one and blue-joined to the two of red degree two.
     """
-    _check_pair(col, red, blue)
+    _check_pair(col, (red, blue))
     reds = col.rows[red - 1]
     one = [r ^ b for r, b in zip(reds, col.rows[blue - 1])]
     for a in range(col.n):
@@ -656,7 +659,7 @@ def grow_blowup(
     fixed rows, and classes only grow, so a vertex that fits no class at
     its turn fits none later and a second pass would absorb nothing.
     """
-    _check_pair(col, red, blue)
+    _check_pair(col, (red, blue))
     if len(set(seed)) != 5:
         raise InputError("seed must be five distinct vertices")
     if not _is_k5star(col, tuple(sorted(seed)), red, blue):

@@ -16,7 +16,14 @@ from strongcover.chordal import (
     maximal_cliques_chordal,
     mcs_order,
 )
-from strongcover.constructions import random_interval_family, random_subtree_family
+from strongcover.constructions import (
+    BlowupSpec,
+    blow_up,
+    clique_substitute,
+    construct_k5star,
+    random_interval_family,
+    random_subtree_family,
+)
 from strongcover.core import (
     MultiColoring,
     coloring_from_intervals,
@@ -265,11 +272,59 @@ class TestEdgeBound:
             chordal_edge_bound_check(cycle(5))
 
 
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def twin_rich_graphs(rng):
+    """Graphs on at most 40 vertices whose vertices share MCS weights in
+    large classes: a complete graph, both colors of a K5* blow-up, a
+    clique substitution into a random graph, a complete multipartite graph
+    and a random graph with planted true and false twin classes."""
+    yield complete(rng.randint(1, 40))
+    col = blow_up(construct_k5star(), BlowupSpec([rng.randint(1, 8) for _ in range(5)]))
+    yield col.color_graph(1)
+    yield col.color_graph(2)
+    base = random_graph(rng.randrange(1000))
+    if base.n:
+        one = MultiColoring(base.n, 1)
+        one.rows[0] = list(base.adj)
+        v = rng.randrange(base.n)
+        yield clique_substitute(one, v, rng.randint(2, 40 - base.n)).color_graph(1)
+    parts = [rng.randint(1, 8) for _ in range(rng.randint(1, 5))]
+    label = [p for p, size in enumerate(parts) for _ in range(size)]
+    yield Graph(len(label), [
+        (u, v) for u, v in combinations(range(len(label)), 2) if label[u] != label[v]
+    ])
+    classes = random_graph(rng.randrange(1000), max_n=8)
+    label = [c for c in range(classes.n) for _ in range(rng.randint(1, 5))]
+    true_twins = [rng.random() < 0.5 for _ in range(classes.n)]
+    yield Graph(len(label), [
+        (u, v) for u, v in combinations(range(len(label)), 2)
+        if (true_twins[label[u]] if label[u] == label[v]
+            else classes.has_edge(label[u], label[v]))
+    ])
+
+
 class TestBucketedSearch:
     def test_mcs_matches_definition(self):
         for seed in range(60):
             g = random_chordal(seed) if seed % 2 else random_graph(seed)
             assert mcs_order(g) == oracles.mcs_order(g.n, g.adj)
+
+    def test_mcs_matches_definition_on_twin_classes(self):
+        """Where many unvisited neighbors of a visit share its bucket, so
+        the walk down the buckets stops early: complete graphs, blow-ups,
+        clique substitutions, multipartite graphs and planted twins, each
+        also relabeled at random."""
+        rng = random.Random(26)
+        for _ in range(20):
+            for g in twin_rich_graphs(rng):
+                assert g.n <= 40
+                for h in (g, relabeled(g, rng)):
+                    assert mcs_order(h) == oracles.mcs_order(h.n, h.adj)
 
     def test_peo_check_matches_definition(self):
         from strongcover.chordal import _check_peo

@@ -30,6 +30,9 @@ from strongcover.core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    _interval_coloring,
+    _right_end_order,
+    _subtree_coloring,
     coloring_from_intervals,
     coloring_from_subtrees,
     family_peos,
@@ -326,6 +329,28 @@ class TestPlainIntSizes:
             call(value)
         assert str(info.value) == f"{key} must be int, got {value!r}"
 
+    K_CALLS = [
+        lambda k: is_tk_coloring(coloring_from_intervals(construct_onefourth(4)), k),
+        lambda k: random_interval_family(5, 2, 0, k=k),
+        lambda k: random_subtree_family(5, 2, 0, k=k),
+    ]
+
+    K_IDS = ["is_tk_coloring", "interval_draw", "subtree_draw"]
+
+    @pytest.mark.parametrize("call", K_CALLS, ids=K_IDS)
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3"])
+    def test_other_k_are_input_errors(self, call, value):
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert str(info.value) == f"k must be int, got {value!r}"
+
+    @pytest.mark.parametrize("call, n", zip(K_CALLS, (11, 5, 5)), ids=K_IDS)
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_int_k_outside_two_to_n_keeps_its_message(self, call, n, k):
+        with pytest.raises(InputError) as info:
+            call(k)
+        assert str(info.value) == f"need 2 <= k <= n, got k={k}, n={n}"
+
     @pytest.mark.parametrize("draw", [random_interval_family, random_subtree_family])
     def test_drawn_family_round_trips(self, draw):
         fam, _ok = draw(5, 3, 0, k=2)
@@ -339,6 +364,31 @@ def intervals_meet(a, b):
 
 def subtrees_meet(a, b):
     return not a.isdisjoint(b)
+
+
+def interval_accepts(t, k):
+    """The reference interval draw's verdict: the (t,k) check on the
+    coloring swept straight from its member lists."""
+
+    def accepts(members):
+        los = [[tracks[i][0] for tracks in members] for i in range(t)]
+        his = [[tracks[i][1] for tracks in members] for i in range(t)]
+        col = _interval_coloring(los, his, list(map(_right_end_order, his)))
+        return is_tk_coloring(col, k)[0]
+
+    return accepts
+
+
+def subtree_accepts(host_size, t, k):
+    """The reference subtree draw's verdict, as ``interval_accepts``."""
+
+    def accepts(_host_edges, members):
+        col = _subtree_coloring(
+            host_size, [[tracks[i] for tracks in members] for i in range(t)]
+        )
+        return is_tk_coloring(col, k)[0]
+
+    return accepts
 
 
 def test_sample_is_random_sample():
@@ -377,13 +427,8 @@ class TestRandomStream:
                 with pytest.raises(InputError):
                     _draw_intervals(n, t, seed, anchor, k)
                 continue
-
-            def accepts(members):
-                col = coloring_from_intervals(TIntervalFamily(t, members))
-                return is_tk_coloring(col, k)[0]
-
             members, ok = oracles.reference_interval_draw(
-                n, t, seed, anchor, k, accepts
+                n, t, seed, anchor, k, interval_accepts(t, k)
             )
             fam, got_ok, col = _draw_intervals(n, t, seed, anchor, k)
             assert (fam.t, fam.members, got_ok) == (t, tuple(map(tuple, members)), ok)
@@ -413,12 +458,9 @@ class TestRandomStream:
                 with pytest.raises(InputError):
                     _draw_subtrees(*args)
                 continue
-
-            def accepts(host_edges, members):
-                fam = TSubtreeFamily(host_edges, t, members)
-                return is_tk_coloring(coloring_from_subtrees(fam), k)[0]
-
-            host_edges, members, ok = oracles.reference_subtree_draw(*args, accepts)
+            host_edges, members, ok = oracles.reference_subtree_draw(
+                *args, subtree_accepts(host_size, t, k)
+            )
             fam, got_ok, col = _draw_subtrees(*args)
             assert (fam.host_edges, fam.t, fam.members, got_ok) == (
                 tuple(host_edges), t, tuple(map(tuple, members)), ok
@@ -433,6 +475,37 @@ class TestRandomStream:
             assert [list(order) for order in col._peos()] == family_peos(fam)
         if n >= 10:
             assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [21, 31, 63])
+    def test_interval_draws_at_width_boundaries(self, n):
+        """The member picks written in place draw as ``randint`` where the
+        span 3n+1 (n = 21) or the reach n+1 (n = 31, 63) is a power of
+        two, so half of the widest draws are redrawn."""
+        for t, k, anchor, seed in itertools.product(
+            (1, 2), (None, 3), (0.0, 0.85), range(2)
+        ):
+            members, ok = oracles.reference_interval_draw(
+                n, t, seed, anchor, k, interval_accepts(t, k)
+            )
+            fam, got_ok, _col = _draw_intervals(n, t, seed, anchor, k)
+            assert (fam.members, got_ok) == (tuple(map(tuple, members)), ok)
+
+    @pytest.mark.parametrize("host_size, max_size", [(8, 8), (16, 8), (16, 16)])
+    def test_subtree_draws_at_width_boundaries(self, host_size, max_size):
+        """The root and size picks written in place draw as ``randrange``
+        and ``randint`` where the host size or the max size is a power of
+        two."""
+        for n, t, k, anchor, seed in itertools.product(
+            (5, 21), (1, 2), (None, 3), (0.0, 0.85), range(2)
+        ):
+            args = (n, t, seed, host_size, max_size, anchor, k)
+            host_edges, members, ok = oracles.reference_subtree_draw(
+                *args, subtree_accepts(host_size, t, k)
+            )
+            fam, got_ok, _col = _draw_subtrees(*args)
+            assert (fam.host_edges, fam.members, got_ok) == (
+                tuple(host_edges), tuple(map(tuple, members)), ok
+            )
 
 
 class TestEndpointWitness:

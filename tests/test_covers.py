@@ -743,7 +743,7 @@ class TestC4Free22:
                 call()
             assert str(info.value) == f"bad color pair {(red, blue)}"
 
-    @pytest.mark.parametrize("colors", [(1,), (1, 2, 1), ()])
+    @pytest.mark.parametrize("colors", [(1,), (1, 2, 1), (), 1, "12"])
     def test_two_clique_cover_rejects_other_lengths(self, colors):
         with pytest.raises(InputError) as info:
             two_clique_cover_exact(construct_k5star(), colors)
