@@ -287,9 +287,9 @@ def clique_cutset(
 ) -> CliqueCutsetDecomposition | None:
     """Clique cutset decomposition of a connected chordal graph.
 
-    Builds a clique tree (maximum-weight spanning tree of the clique
-    intersection graph) and splits on its heaviest edge: Q is the
-    intersection of the two joined cliques, A the rest of one side, B the
+    Splits a clique tree (a maximum-weight spanning tree of the clique
+    intersection graph) on its heaviest edge, the heaviest clique pair: Q
+    is the intersection of the two cliques, A the rest of one side, B the
     rest of the other.  Returns None when the graph is complete.
     """
     if not g.is_connected():
@@ -299,7 +299,14 @@ def clique_cutset(
 
 
 def _clique_cutset(g: Graph, peo: list[int]) -> CliqueCutsetDecomposition | None:
-    """``clique_cutset`` of a connected graph with a PEO already checked."""
+    """``clique_cutset`` of a connected graph with a PEO already checked.
+
+    Kruskal's first edge is the heaviest pair (si, sj), ties broken by
+    index.  The other pairs are joined in the same order by one union-find
+    that never joins si's class with sj's, so its classes are the two sides
+    of the tree without that edge: an edge Kruskal refuses either closes a
+    cycle within one side or would join the two sides through (si, sj).
+    """
     masks = _maximal_clique_masks(g.adj, peo)
     k = len(masks)
     if k <= 1:
@@ -316,36 +323,17 @@ def _clique_cutset(g: Graph, peo: list[int]) -> CliqueCutsetDecomposition | None
             x = parent[x]
         return x
 
-    tree: list[tuple[int, int]] = []
-    split_edge: tuple[int, int] | None = None
-    for i, j in pairs:
+    si, sj = pairs[0]
+    for i, j in pairs[1:]:
         ri, rj = find(i), find(j)
-        if ri != rj:
+        if ri != rj and {ri, rj} != {find(si), find(sj)}:
             parent[ri] = rj
-            tree.append((i, j))
-            if split_edge is None:
-                split_edge = (i, j)
-            if len(tree) == k - 1:
-                break
-    si, sj = split_edge
     q_mask = masks[si] & masks[sj]
-    # cliques reachable from si in the tree without crossing the split edge
-    adj_t: list[list[int]] = [[] for _ in range(k)]
-    for i, j in tree:
-        if (i, j) != split_edge:
-            adj_t[i].append(j)
-            adj_t[j].append(i)
-    side = {si}
-    stack = [si]
-    while stack:
-        x = stack.pop()
-        for y in adj_t[x]:
-            if y not in side:
-                side.add(y)
-                stack.append(y)
+    side = find(si)
     a_mask = 0
-    for idx in side:
-        a_mask |= masks[idx]
+    for idx in range(k):
+        if find(idx) == side:
+            a_mask |= masks[idx]
     a_mask &= ~q_mask
     b_mask = g.full_mask() & ~q_mask & ~a_mask
     if not a_mask or not b_mask or not g.is_clique(q_mask):

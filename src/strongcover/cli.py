@@ -152,49 +152,31 @@ def _emit_instance(doc: dict, meta: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-# the instances with no parameter, by their constructor in ``constructions``
-_FIXED = {"k5star": "construct_k5star", "k4paths": "construct_k4_two_paths",
-          "k8c4free": "construct_k8_c4free_3col"}
+# each generator of ``gen``: its constructor in ``constructions``, looked up
+# per call so that it can be replaced there, and the arguments it takes
+_GENERATORS = {
+    "onefourth": ("construct_onefourth", ("t",)),
+    "k5star": ("construct_k5star", ()),
+    "k4paths": ("construct_k4_two_paths", ()),
+    "k8c4free": ("construct_k8_c4free_3col", ()),
+    "partition": ("construct_partition_coloring", ("n", "t")),
+    "intervals": ("random_interval_family", ("n", "t", "seed", "anchor", "k")),
+    "subtrees": (
+        "random_subtree_family", ("n", "t", "seed", "host_size", "anchor", "k")
+    ),
+}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    name = args.construction
-    if name == "onefourth":
-        fam = constructions.construct_onefourth(args.t)
-        _emit_instance(fam.to_dict(), {"generator": name, "t": args.t})
-    elif name in _FIXED:
-        construct = getattr(constructions, _FIXED[name])
-        _emit_instance(construct().to_dict(), {"generator": name})
-    elif name == "partition":
-        fam = constructions.construct_partition_coloring(args.n, args.t)
-        _emit_instance(fam.to_dict(), {"generator": name, "n": args.n, "t": args.t})
-    elif name in ("intervals", "subtrees"):
-        meta = {
-            "generator": name,
-            "n": args.n,
-            "t": args.t,
-            "seed": args.seed,
-            "anchor": args.anchor,
-            "k": args.k,
-        }
-        if name == "intervals":
-            fam, ok = constructions.random_interval_family(
-                args.n, args.t, args.seed, anchor=args.anchor, k=args.k
-            )
-        else:
-            meta["host_size"] = args.host_size
-            fam, ok = constructions.random_subtree_family(
-                args.n,
-                args.t,
-                args.seed,
-                host_size=args.host_size,
-                anchor=args.anchor,
-                k=args.k,
-            )
-        meta["k_ok"] = ok
-        _emit_instance(fam.to_dict(), meta)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown construction {name!r}")
+    """Emit the instance with ``meta`` holding the generator, the arguments
+    it ran with, and ``k_ok`` for a seeded draw."""
+    constructor, params = _GENERATORS[args.construction]
+    passed = {p: getattr(args, p) for p in params}
+    made = getattr(constructions, constructor)(**passed)
+    meta = {"generator": args.construction, **passed}
+    if isinstance(made, tuple):  # a seeded draw: (family, k-wise check held)
+        made, meta["k_ok"] = made
+    _emit_instance(made.to_dict(), meta)
     return 0
 
 
@@ -507,16 +489,7 @@ def _hamilton_paths_ok(t: int) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = RunReport(
-        meta={
-            "suite": args.suite,
-            "seed": args.seed,
-            "samples": args.samples,
-            "n": args.n,
-            "t": args.t,
-            "k": args.k,
-        }
-    )
+    report = RunReport(meta={a: v for a, v in vars(args).items() if a != "command"})
     with _Timed(report, args.suite):
         if args.suite == "lower":
             _verify_lower(args, report)
@@ -551,18 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a named instance as JSON")
-    gen.add_argument(
-        "construction",
-        choices=[
-            "onefourth",
-            "k5star",
-            "k4paths",
-            "k8c4free",
-            "partition",
-            "intervals",
-            "subtrees",
-        ],
-    )
+    gen.add_argument("construction", choices=list(_GENERATORS))
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--t", type=int, default=3)
     gen.add_argument("--k", type=int, default=None)

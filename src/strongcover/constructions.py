@@ -194,6 +194,8 @@ class BlowupSpec(NamedTuple):
             raise InputError(
                 f"expected {n} sizes, got {len(self.sizes)}"
             )
+        for s in self.sizes:
+            _require_ints(size=s)
         if any(s < 1 for s in self.sizes):
             raise InputError("every blow-up size must be at least 1")
 
@@ -228,6 +230,7 @@ def clique_substitute(col: MultiColoring, v: int, size: int) -> MultiColoring:
     The block takes positions v..v+size-1; all other vertices keep their
     relative order.
     """
+    _require_ints(v=v, size=size)
     if not (0 <= v < col.n):
         raise InputError(f"vertex {v} out of range for n={col.n}")
     if size < 1:

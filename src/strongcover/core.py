@@ -178,28 +178,28 @@ class MultiColoring:
     def _check_edge(self, u: int, v: int) -> None:
         if u == v:
             raise InputError(f"self-loop at {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"bad edge ({u},{v}) for n={self.n}")
+        if not (type(u) is type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
+            raise InputError(f"bad edge ({u!r},{v!r}) for n={self.n}")
 
     def _color_mask(self, colors: Iterable[int]) -> int:
         m = 0
         for c in colors:
-            if not (1 <= c <= self.t):
-                raise InputError(f"color {c} out of range 1..{self.t}")
+            if type(c) is not int or not 1 <= c <= self.t:
+                raise InputError(f"color {c!r} out of range 1..{self.t}")
             m |= 1 << (c - 1)
         return m
 
     def _row(self, color: int) -> list[int]:
-        if not (1 <= color <= self.t):
-            raise InputError(f"color {color} out of range 1..{self.t}")
+        if type(color) is not int or not 1 <= color <= self.t:
+            raise InputError(f"color {color!r} out of range 1..{self.t}")
         return self.rows[color - 1]
 
     def vertex_mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of a vertex set, each vertex checked against 0..n-1."""
         m = 0
         for v in vertices:
-            if not (0 <= v < self.n):
-                raise InputError(f"vertex {v} out of range for n={self.n}")
+            if type(v) is not int or not 0 <= v < self.n:
+                raise InputError(f"vertex {v!r} out of range for n={self.n}")
             m |= 1 << v
         return m
 
@@ -286,8 +286,8 @@ class MultiColoring:
         """
         seen = set()
         for c in colors:
-            if not (1 <= c <= self.t):
-                raise InputError(f"color {c} out of range 1..{self.t}")
+            if type(c) is not int or not 1 <= c <= self.t:
+                raise InputError(f"color {c!r} out of range 1..{self.t}")
             if c in seen:
                 raise InputError(f"duplicate color {c}")
             seen.add(c)
@@ -818,20 +818,28 @@ def kfold_min_colors(col: MultiColoring) -> int:
     return best
 
 
+def _cover_masks(cov: StrongCover, t: int, n: int) -> list[tuple[int, int]]:
+    """(color, vertex mask) of each assignment of a cover, every color a
+    plain int in 1..t and every vertex a plain int in 0..n-1."""
+    out = []
+    for c, s in cov.assignments.items():
+        if type(c) is not int or not 1 <= c <= t:
+            raise InputError(f"cover color {c!r} out of range 1..{t}")
+        m = 0
+        for v in s:
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"cover vertex {v!r} out of range for n={n}")
+            m |= 1 << v
+        out.append((c, m))
+    return out
+
+
 def verify_cover(col: MultiColoring, cov: StrongCover) -> CoverReport:
     """Check that each assigned set is a clique in its color; count coverage."""
     seen = 0
     valid = True
-    for c, s in cov.assignments.items():
-        if not (1 <= c <= col.t):
-            raise InputError(f"cover color {c} out of range 1..{col.t}")
-        m = 0
-        for v in s:
-            if not (0 <= v < col.n):
-                raise InputError(f"cover vertex {v} out of range for n={col.n}")
-            m |= 1 << v
-        if not col.is_clique_mask(m, c):
-            valid = False
+    for c, m in _cover_masks(cov, col.t, col.n):
+        valid &= col.is_clique_mask(m, c)
         seen |= m
     return CoverReport(valid=valid, covered=seen.bit_count())
 
@@ -849,19 +857,12 @@ def piercing_points(
     Returns (track, point) pairs sorted by track; empty assignments are
     skipped.
     """
-    for c, s in cov.assignments.items():
-        if not (1 <= c <= fam.t):
-            raise InputError(f"cover color {c} out of range 1..{fam.t}")
-        for v in s:
-            if not (0 <= v < fam.n):
-                raise InputError(f"cover vertex {v} out of range for n={fam.n}")
     out = []
-    for c in sorted(cov.assignments):
-        s = cov.assignments[c]
-        if not s:
+    for c, m in sorted(_cover_masks(cov, fam.t, fam.n)):
+        if not m:
             continue
-        lo = max(fam.members[v][c - 1][0] for v in s)
-        hi = min(fam.members[v][c - 1][1] for v in s)
+        lo = max(fam.members[v][c - 1][0] for v in bits(m))
+        hi = min(fam.members[v][c - 1][1] for v in bits(m))
         if lo > hi:
             raise InputError("cover is not valid for the coloring of this family")
         out.append((c, lo))

@@ -26,6 +26,7 @@ from .chordal import (
 from .core import (
     MultiColoring,
     StrongCover,
+    _require_ints,
     count_layers,
     is_tk_coloring,
     verify_cover,
@@ -113,7 +114,7 @@ def greedy_strong_cover(
     t = col.t
     if order is None:
         order = tuple(range(1, t + 1))
-    if sorted(order) != list(range(1, t + 1)):
+    if set(map(type, order)) != {int} or sorted(order) != list(range(1, t + 1)):
         raise InputError(f"order {order} is not a permutation of 1..{t}")
     certs = _chordal_certificates(col)
 
@@ -161,6 +162,7 @@ class ChainCheck(NamedTuple):
 def counting_chain_check(
     col: MultiColoring, trace: GreedyTrace, k: int
 ) -> ChainCheck:
+    _require_ints(k=k)
     t_size = len(trace.uncovered)
     covered = trace.covered()
     m = multiplicity_sum(col, trace.uncovered)
@@ -278,6 +280,7 @@ def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
     searches, and ``suffix_best[i]``, the sum of the largest clique sizes of
     the colors after the first i: a bound on what those colors can still
     cover.  Colors with equal rows share one entry, made once."""
+    _require_ints(max_n=max_n)
     if col.n > max_n:
         raise SizeLimitError(
             f"n={col.n} exceeds the exhaustive search bound {max_n}"

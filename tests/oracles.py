@@ -322,6 +322,62 @@ def deepest_top_order(host_edges, members, i):
     return sorted(range(len(members)), key=lambda v: -min(dist[x] for x in members[v][i]))
 
 
+def grown_maximal_cliques(n, adj):
+    """Maximal cliques as increasing vertex tuples, sorted: every clique is
+    grown one later vertex at a time, and kept when no vertex is joined to
+    all of its members.  Linear in the number of cliques, so usable where
+    ``maximal_cliques`` (all 2^n subsets) is not."""
+    out = []
+
+    def grow(clique, common):
+        if not common:
+            out.append(clique)
+        for w in range(clique[-1] + 1, n):
+            if common >> w & 1:
+                grow(clique + (w,), common & adj[w])
+
+    for v in range(n):
+        grow((v,), adj[v])
+    return sorted(out)
+
+
+def clique_cutset_by_tree(n, adj):
+    """(A, Q, B) of a connected chordal graph split on a clique tree's
+    first edge, by building the tree: Kruskal over the pairs of maximal
+    cliques (in vertex-tuple order) by falling intersection size, ties by
+    pair, then a search from the first edge's first clique over the other
+    tree edges.  Q is the two cliques' intersection and A the rest of the
+    side searched.  None when the graph has one maximal clique."""
+    cliques = [frozenset(c) for c in grown_maximal_cliques(n, adj)]
+    k = len(cliques)
+    if k <= 1:
+        return None
+    pairs = sorted(
+        combinations(range(k), 2),
+        key=lambda p: (-len(cliques[p[0]] & cliques[p[1]]), p),
+    )
+    component = list(range(k))
+    tree = []
+    for i, j in pairs:
+        if component[i] != component[j]:
+            old = component[j]
+            component = [component[i] if c == old else c for c in component]
+            tree.append((i, j))
+    (si, sj), rest = tree[0], tree[1:]
+    side = {si}
+    stack = [si]
+    while stack:
+        x = stack.pop()
+        for i, j in rest:
+            for a, b in ((i, j), (j, i)):
+                if a == x and b not in side:
+                    side.add(b)
+                    stack.append(b)
+    q = cliques[si] & cliques[sj]
+    a = frozenset().union(*(cliques[x] for x in side)) - q
+    return a, q, frozenset(range(n)) - q - a
+
+
 def first_k5star(col, red, blue):
     """First 5-subset whose edges each carry exactly one of red and blue,
     the red ones forming a 5-cycle (so the blue ones do too)."""

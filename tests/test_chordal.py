@@ -229,6 +229,37 @@ class TestCliqueCutset:
         with pytest.raises(InputError):
             clique_cutset(g, is_chordal(g).peo)
 
+    def test_split_equals_the_built_clique_tree(self):
+        """(A, Q, B) is the explicit clique tree's split on every connected
+        interval (even seed) or subtree (odd seed) graph drawn, n <= 16.
+        Some A are unions of several components of G - Q, which the tree
+        edges other than the first put on one side."""
+        graphs = split = 0
+        for seed in range(2600):
+            rng = random.Random(seed)
+            n = rng.randint(2, 16)
+            if seed % 2 == 0:
+                fam, _ = random_interval_family(n, 1, seed)
+                g = coloring_from_intervals(fam).color_graph(1)
+            else:
+                h = rng.randint(2, 12)
+                fam, _ = random_subtree_family(
+                    n, 1, seed, host_size=h, max_size=min(h, rng.randint(2, 5))
+                )
+                g = coloring_from_subtrees(fam).color_graph(1)
+            if not g.is_connected():
+                continue
+            graphs += 1
+            dec = clique_cutset(g, is_chordal(g).peo)
+            expected = oracles.clique_cutset_by_tree(g.n, g.adj)
+            assert (dec and tuple(dec)) == expected, seed
+            if dec:
+                a = mask_of(dec.a)
+                rest = Graph(g.n)
+                rest.adj = [row & a for row in g.adj]
+                split += rest.component_mask(min(dec.a)) != a
+        assert graphs >= 1000 and split >= 100
+
 
 class TestC4Free:
     def test_matches_oracle(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from strongcover import _kernels as kernels
-from strongcover import cli
+from strongcover import cli, constructions
 from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
@@ -88,6 +88,57 @@ class TestGen:
     def test_k_below_two_is_usage_error(self, capsys, construction):
         code, out, err = run(capsys, ["gen", construction, "--n", "5", "--k", "1"])
         assert code == 2 and out == "" and "need 2 <= k <= n, got k=1, n=5" in err
+
+    DRAW = ["--n", "9", "--t", "2", "--seed", "4", "--anchor", "0.5", "--k", "2",
+            "--host-size", "9"]
+
+    # argv past "gen", the constructor call it makes, and the arguments it
+    # passes; a seeded draw returns (family, k_ok)
+    CASES = {
+        "onefourth": (
+            ["--t", "5"], lambda: constructions.construct_onefourth(5), {"t": 5}
+        ),
+        "partition": (
+            ["--n", "9", "--t", "4"],
+            lambda: constructions.construct_partition_coloring(9, 4),
+            {"n": 9, "t": 4},
+        ),
+        "intervals": (
+            DRAW,
+            lambda: constructions.random_interval_family(9, 2, 4, anchor=0.5, k=2),
+            {"n": 9, "t": 2, "seed": 4, "anchor": 0.5, "k": 2},
+        ),
+        "subtrees": (
+            DRAW,
+            lambda: constructions.random_subtree_family(
+                9, 2, 4, host_size=9, anchor=0.5, k=2
+            ),
+            {"n": 9, "t": 2, "seed": 4, "anchor": 0.5, "k": 2, "host_size": 9},
+        ),
+        "k5star": (DRAW, constructions.construct_k5star, {}),
+        "k4paths": ([], constructions.construct_k4_two_paths, {}),
+        "k8c4free": (["--t", "5"], constructions.construct_k8_c4free_3col, {}),
+    }
+
+    @pytest.mark.parametrize("generator", CASES)
+    def test_document_and_meta_hold_the_arguments_passed(self, capsys, generator):
+        """Off their defaults: the document is the constructor's, and meta
+        holds the generator, the arguments passed to it and nothing else,
+        plus whether a seeded draw met its k."""
+        argv, construct, passed = self.CASES[generator]
+        code, doc = run_json(capsys, ["gen", generator, *argv])
+        made = construct()
+        meta = {"generator": generator, **passed}
+        if isinstance(made, tuple):
+            made, meta["k_ok"] = made
+        assert code == 0 and doc.pop("meta") == meta
+        assert doc == json.loads(json.dumps(made.to_dict()))
+
+    def test_generators_are_listed_in_their_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "--help"])
+        out = capsys.readouterr().out
+        assert "{onefourth,k5star,k4paths,k8c4free,partition,intervals,subtrees}" in out
 
 
 class TestCheck:
@@ -619,6 +670,16 @@ class TestBoundChecksBothSides:
 
 
 class TestVerify:
+    def test_meta_holds_the_arguments_run_with(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["verify", "constructions", "--n", "12", "--t", "4", "--k", "2",
+             "--samples", "3", "--seed", "5"],
+        )
+        assert code == 0 and doc["meta"] == {
+            "suite": "constructions", "n": 12, "t": 4, "k": 2, "samples": 3, "seed": 5,
+        }
+
     def test_lower_suite(self, capsys):
         code, doc = run_json(
             capsys,

@@ -7,6 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from corpora import complete_coloring
 from strongcover.constructions import (
+    BlowupSpec,
+    blow_up,
+    clique_substitute,
     construct_k5star,
     construct_onefourth,
     random_interval_family,
@@ -26,6 +29,12 @@ from strongcover.core import (
     kfold_min_colors,
     piercing_points,
     verify_cover,
+)
+from strongcover.covers import (
+    counting_chain_check,
+    exact_max_strong_cover,
+    greedy_strong_cover,
+    theta,
 )
 from strongcover.errors import InputError
 
@@ -115,6 +124,117 @@ class TestPlainIntSizes:
         assert str(info.value) == f"{key} must be int, got {value!r}"
         with pytest.raises(InputError, match=f"{key} must be int"):
             type(built).from_dict({**doc, key: value})
+
+
+_FAM = construct_onefourth(3)  # t = 3, n = 7
+_COL = coloring_from_intervals(_FAM)
+_TRACE = greedy_strong_cover(_COL)[1]
+_STAR = construct_k5star()  # t = 2, n = 5
+
+
+def _cover(color=1, vertex=0):
+    return StrongCover({color: frozenset({vertex})})
+
+
+# an entry point taking a color, vertex or size, its message when that is not
+# a plain int, an int it refuses (or None) with that int's message, and an
+# int it takes
+ENTRY_POINTS = {
+    "verify_cover-color": (
+        lambda c: verify_cover(_COL, _cover(color=c)),
+        "cover color {!r} out of range 1..3", 4, 1,
+    ),
+    "verify_cover-vertex": (
+        lambda v: verify_cover(_COL, _cover(vertex=v)),
+        "cover vertex {!r} out of range for n=7", 7, 0,
+    ),
+    "piercing_points-color": (
+        lambda c: piercing_points(_FAM, _cover(color=c)),
+        "cover color {!r} out of range 1..3", 0, 1,
+    ),
+    "piercing_points-vertex": (
+        lambda v: piercing_points(_FAM, _cover(vertex=v)),
+        "cover vertex {!r} out of range for n=7", -1, 0,
+    ),
+    "greedy_strong_cover-order": (
+        lambda c: greedy_strong_cover(_COL, (c, 2, 3)),
+        "order ({!r}, 2, 3) is not a permutation of 1..3", 2, 1,
+    ),
+    "blow_up-size": (
+        lambda size: blow_up(_STAR, BlowupSpec([size] * 5)),
+        "size must be int, got {!r}", 0, 1,
+    ),
+    "clique_substitute-vertex": (
+        lambda v: clique_substitute(_STAR, v, 2),
+        "v must be int, got {!r}", 5, 1,
+    ),
+    "clique_substitute-size": (
+        lambda size: clique_substitute(_STAR, 0, size),
+        "size must be int, got {!r}", 0, 1,
+    ),
+    "select_colors": (
+        lambda c: _STAR.select_colors([c]),
+        "color {!r} out of range 1..2", 3, 1,
+    ),
+    "vertex_mask": (
+        lambda v: _STAR.vertex_mask([v]),
+        "vertex {!r} out of range for n=5", 5, 1,
+    ),
+    "color_graph": (
+        lambda c: _STAR.color_graph(c),
+        "color {!r} out of range 1..2", 0, 1,
+    ),
+    "add_colors-color": (
+        lambda c: MultiColoring(3, 2).add_colors(0, 1, [c]),
+        "color {!r} out of range 1..2", 3, 1,
+    ),
+    "add_colors-vertex": (
+        lambda u: MultiColoring(3, 2).add_colors(u, 2, [1]),
+        "bad edge ({!r},2) for n=3", 3, 1,
+    ),
+    "exact_max_strong_cover-max_n": (
+        lambda m: exact_max_strong_cover(_STAR, max_n=m),
+        "max_n must be int, got {!r}", None, 5,
+    ),
+    "theta-max_n": (
+        lambda m: theta(_STAR, max_n=m), "max_n must be int, got {!r}", None, 5,
+    ),
+    "counting_chain_check-k": (
+        lambda k: counting_chain_check(_COL, _TRACE, k),
+        "k must be int, got {!r}", None, 2,
+    ),
+}
+
+# the message of each int ENTRY_POINTS refuses, as before the plain-int rule
+INT_MESSAGES = {
+    "blow_up-size": "every blow-up size must be at least 1",
+    "clique_substitute-vertex": "vertex 5 out of range for n=5",
+    "clique_substitute-size": "size must be at least 1, got 0",
+    "greedy_strong_cover-order": "order (2, 2, 3) is not a permutation of 1..3",
+}
+
+
+class TestPlainIntEntryPoints:
+    """Colors, vertices and sizes handed to the library are plain ints: a
+    bool, a float, a string or None is an InputError, not taken as the int
+    it equals nor left to fail as a bare TypeError."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_other_values_are_input_errors(self, name, value):
+        call, message, _bad, _good = ENTRY_POINTS[name]
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert str(info.value) == message.format(value)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_ints_keep_their_messages(self, name):
+        call, message, bad, good = ENTRY_POINTS[name]
+        call(good)
+        if bad is not None:
+            with pytest.raises(InputError) as info:
+                call(bad)
+            assert str(info.value) == INT_MESSAGES.get(name, message.format(bad))
 
 
 class TestFamilies:
