@@ -132,14 +132,11 @@ def find_induced_c4(n, adj):
        quotient's first C4 is the graph's.
 
     The scan is cubic in classes rather than vertices (a clique
-    substitution into a 5-cycle scans 5 vertices); with no twin pair it
-    runs on the rows as they are.
+    substitution into a 5-cycle scans 5 vertices).
     """
     least = {}
     for v, row in enumerate(adj):
         least.setdefault(row | 1 << v, v)
-    if len(least) == n:
-        return _c4_scan(adj, range(n))
     reps = list(least.values())
     keep = 0
     for v in reps:

@@ -263,23 +263,29 @@ def max_clique_chordal(g: Graph, peo: list[int]) -> frozenset[int]:
 def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     """All maximal cliques of a chordal graph, sorted by vertex tuple.
 
-    Every maximal clique of a chordal graph is {v} | later-neighbors(v) for
-    the earliest of its vertices, so filtering these n candidates suffices.
+    Every maximal clique of a chordal graph is {v} | L(v) for the earliest
+    of its vertices, L(v) being v's later neighbors, so filtering these n
+    candidates suffices.  A candidate is not maximal exactly when it equals
+    some L(u), as {u} | L(u) then holds it.  A candidate that is not maximal
+    lies in some L(u); if L(u) holds more, its earliest vertex p is not v,
+    and L(p), for p later than u, holds the candidate too.  So the latest
+    such u has L(u) equal to the candidate.
     """
     _require_peo(g, peo)
     return [frozenset(bits(c)) for c in _maximal_clique_masks(g.adj, peo)]
 
 
 def _maximal_clique_masks(adj: list[int], peo: list[int]) -> list[int]:
-    """``maximal_cliques_chordal`` as masks, for a PEO already checked."""
-    cands = set()
+    """``maximal_cliques_chordal`` as masks, for a PEO already checked: the
+    candidates less the later-neighbor sets."""
+    cands, lefts = set(), set()
     later = 0
     for v in reversed(peo):
-        cands.add(adj[v] & later | 1 << v)
+        left = adj[v] & later
+        lefts.add(left)
+        cands.add(left | 1 << v)
         later |= 1 << v
-    maximal = [c for c in cands if not any(c != o and c & o == c for o in cands)]
-    maximal.sort(key=lex_key)
-    return maximal
+    return sorted(cands - lefts, key=lex_key)
 
 
 def clique_cutset(

@@ -146,12 +146,6 @@ def _load_instance(path: str) -> tuple[MultiColoring, Family | None]:
     raise InputError("unrecognized instance document")
 
 
-def _emit_instance(doc: dict, meta: dict) -> None:
-    doc = dict(doc)
-    doc["meta"] = meta
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
 # each generator of ``gen``: its constructor in ``constructions``, looked up
 # per call so that it can be replaced there, and the arguments it takes
 _GENERATORS = {
@@ -176,7 +170,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     meta = {"generator": args.construction, **passed}
     if isinstance(made, tuple):  # a seeded draw: (family, k-wise check held)
         made, meta["k_ok"] = made
-    _emit_instance(made.to_dict(), meta)
+    doc = {**made.to_dict(), "meta": meta}
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     return 0
 
 

@@ -25,6 +25,7 @@ from .core import (
     TIntervalFamily,
     TSubtreeFamily,
     _interval_coloring,
+    _list,
     _right_end_order,
     _require_ints,
     _subtree_coloring,
@@ -190,7 +191,7 @@ class BlowupSpec(NamedTuple):
     sizes: list[int]
 
     def validate(self, n: int) -> None:
-        if len(self.sizes) != n:
+        if len(_list(self.sizes, "blow-up sizes")) != n:
             raise InputError(
                 f"expected {n} sizes, got {len(self.sizes)}"
             )

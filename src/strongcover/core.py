@@ -44,6 +44,7 @@ def check_size(n: int, t: int) -> None:
 
 _SEQ = (list, tuple)
 _SUBTREE = (*_SEQ, set, frozenset)  # what a family member's subtree may be
+_COLLECTION = (*_SUBTREE, range)  # what a vertex, color or edge argument may be
 
 
 def _list(value, what: str, size: int = 0):
@@ -51,6 +52,14 @@ def _list(value, what: str, size: int = 0):
     ``size`` is given, else an InputError naming ``what``."""
     if not isinstance(value, _SEQ) or size and len(value) != size:
         raise InputError(f"{what} must be a list" + (f" of {size}" if size else ""))
+    return value
+
+
+def _collection(value, what: str):
+    """``value`` if it is a list, tuple, set, frozenset or range, else an
+    InputError naming ``what``."""
+    if not isinstance(value, _COLLECTION):
+        raise InputError(f"{what} must be a list or set, got {value!r}")
     return value
 
 
@@ -72,20 +81,6 @@ def _fields(data: Mapping, doc: str, **kinds: type) -> list:
         if not (isinstance(value, _SEQ) if kind is list else type(value) is int):
             raise InputError(f"bad {doc} document: {key} must be {kind.__name__}")
     return values
-
-
-_COLOR_SETS: dict[int, frozenset[int]] = {}
-
-
-def _color_set(mask: int) -> frozenset[int]:
-    """Frozenset of the 1-based colors whose bits (color c at bit c-1) are
-    set, interned so equal color sets share one object."""
-    cs = _COLOR_SETS.get(mask)
-    if cs is None:
-        if len(_COLOR_SETS) >= 1 << 16:
-            _COLOR_SETS.clear()
-        cs = _COLOR_SETS[mask] = frozenset(c + 1 for c in bits(mask))
-    return cs
 
 
 class EdgeColors(MutableMapping):
@@ -183,7 +178,7 @@ class MultiColoring:
 
     def _color_mask(self, colors: Iterable[int]) -> int:
         m = 0
-        for c in colors:
+        for c in _collection(colors, "colors"):
             if type(c) is not int or not 1 <= c <= self.t:
                 raise InputError(f"color {c!r} out of range 1..{self.t}")
             m |= 1 << (c - 1)
@@ -197,7 +192,7 @@ class MultiColoring:
     def vertex_mask(self, vertices: Iterable[int]) -> int:
         """Bitmask of a vertex set, each vertex checked against 0..n-1."""
         m = 0
-        for v in vertices:
+        for v in _collection(vertices, "vertices"):
             if type(v) is not int or not 0 <= v < self.n:
                 raise InputError(f"vertex {v!r} out of range for n={self.n}")
             m |= 1 << v
@@ -227,7 +222,7 @@ class MultiColoring:
         cls, n: int, t: int, edges: Iterable[tuple[int, int, Iterable[int]]]
     ) -> "MultiColoring":
         col = cls(n, t)
-        for u, v, cs in edges:
+        for u, v, cs in _collection(edges, "edges"):
             col.add_colors(u, v, cs)
         return col
 
@@ -242,13 +237,7 @@ class MultiColoring:
 
     def colors_of(self, u: int, v: int) -> frozenset[int]:
         self._check_edge(u, v)
-        m = 0
-        bit = 1
-        for row in self.rows:
-            if row[u] >> v & 1:
-                m |= bit
-            bit <<= 1
-        return _color_set(m)
+        return frozenset(c for c, row in enumerate(self.rows, 1) if row[u] >> v & 1)
 
     def _later_neighbors(self, u: int) -> int:
         """Vertices v > u joined to u in at least one color."""
@@ -285,7 +274,7 @@ class MultiColoring:
         New color j+1 is old ``colors[j]``.  Edges losing all colors drop out.
         """
         seen = set()
-        for c in colors:
+        for c in _collection(colors, "colors"):
             if type(c) is not int or not 1 <= c <= self.t:
                 raise InputError(f"color {c!r} out of range 1..{self.t}")
             if c in seen:
@@ -826,7 +815,7 @@ def _cover_masks(cov: StrongCover, t: int, n: int) -> list[tuple[int, int]]:
         if type(c) is not int or not 1 <= c <= t:
             raise InputError(f"cover color {c!r} out of range 1..{t}")
         m = 0
-        for v in s:
+        for v in _collection(s, f"cover color {c}'s vertices"):
             if type(v) is not int or not 0 <= v < n:
                 raise InputError(f"cover vertex {v!r} out of range for n={n}")
             m |= 1 << v

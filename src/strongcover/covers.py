@@ -26,6 +26,7 @@ from .chordal import (
 from .core import (
     MultiColoring,
     StrongCover,
+    _collection,
     _require_ints,
     count_layers,
     is_tk_coloring,
@@ -47,14 +48,6 @@ class GreedyTrace(NamedTuple):
 
     def covered(self) -> int:
         return sum(len(s.clique) for s in self.steps)
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": [
-                {"color": s.color, "clique": sorted(s.clique)} for s in self.steps
-            ],
-            "uncovered": sorted(self.uncovered),
-        }
 
 
 def color_certificates(
@@ -114,7 +107,8 @@ def greedy_strong_cover(
     t = col.t
     if order is None:
         order = tuple(range(1, t + 1))
-    if set(map(type, order)) != {int} or sorted(order) != list(range(1, t + 1)):
+    kinds = set(map(type, _collection(order, "order")))
+    if kinds != {int} or sorted(order) != list(range(1, t + 1)):
         raise InputError(f"order {order} is not a permutation of 1..{t}")
     certs = _chordal_certificates(col)
 
@@ -274,6 +268,10 @@ def _maximal_cliques(adj: Sequence[int], within: int = -1) -> list[int]:
 
 SearchSpace = tuple[list[Lifts], list[int]]
 
+# Most colors the exhaustive searches take: each recurses once per color,
+# and this stays well under Python's default recursion limit of 1000.
+MAX_SEARCH_COLORS = 512
+
 
 def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
     """Per-color quotient cliques (``_quotient_cliques``) for the exhaustive
@@ -284,6 +282,10 @@ def _search_space(col: MultiColoring, max_n: int) -> SearchSpace:
     if col.n > max_n:
         raise SizeLimitError(
             f"n={col.n} exceeds the exhaustive search bound {max_n}"
+        )
+    if col.t > MAX_SEARCH_COLORS:
+        raise SizeLimitError(
+            f"t={col.t} exceeds the exhaustive search bound {MAX_SEARCH_COLORS}"
         )
     keys = [tuple(row) for row in col.rows]
     shared = {key: _quotient_cliques(key) for key in dict.fromkeys(keys)}
@@ -306,7 +308,7 @@ def exact_max_strong_cover(
     depth first in lexicographic order with an upper-bound prune, so the
     returned cover is the lexicographically least among maximum ones.
     """
-    return _max_cover(_search_space(col, max_n))
+    return _max_cover(col.n, _search_space(col, max_n))
 
 
 def theta(col: MultiColoring, max_n: int = 40) -> int | None:
@@ -327,12 +329,14 @@ def exact_cover_and_theta(
     quotient cliques of each distinct color graph are enumerated once, for
     every color with that graph and for both searches, which lift them."""
     space = _search_space(col, max_n)
-    return _max_cover(space), _min_cover_size(col.n, space)
+    return _max_cover(col.n, space), _min_cover_size(col.n, space)
 
 
-def _max_cover(space: SearchSpace) -> StrongCover:
-    """The search of ``exact_max_strong_cover``.  A color with cliques to walk
-    walks them at each node, skipping the lifts that would return on entry."""
+def _max_cover(n: int, space: SearchSpace) -> StrongCover:
+    """The search of ``exact_max_strong_cover`` on n vertices.  A node's
+    reach is capped at n, so a full cover ends the search.  A color with
+    cliques to walk walks them at each node, skipping the lifts that would
+    return on entry."""
     cliques, suffix_best = space
     per_color = [[] if walked else [0] + plain for plain, walked, _ in cliques]
     t = len(per_color)
@@ -344,7 +348,7 @@ def _max_cover(space: SearchSpace) -> StrongCover:
     def descend(idx: int, covered: int) -> None:
         nonlocal best_count, best_choice
         cnt = covered.bit_count()
-        reach = cnt + suffix_best[idx]
+        reach = min(n, cnt + suffix_best[idx])
         if reach <= best_count:
             return
         if idx == t:
@@ -663,7 +667,7 @@ def grow_blowup(
     its turn fits none later and a second pass would absorb nothing.
     """
     _check_pair(col, (red, blue))
-    if len(set(seed)) != 5:
+    if len(set(_collection(seed, "seed"))) != 5:
         raise InputError("seed must be five distinct vertices")
     if not _is_k5star(col, tuple(sorted(seed)), red, blue):
         raise InputError("seed does not induce a red/blue double 5-cycle")

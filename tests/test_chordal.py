@@ -28,6 +28,7 @@ from strongcover.core import (
     MultiColoring,
     coloring_from_intervals,
     coloring_from_subtrees,
+    family_peos,
 )
 from strongcover.covers import greedy_strong_cover, strong_cover_33, strong_cover_tt
 from strongcover.errors import InputError, PreconditionError
@@ -179,11 +180,30 @@ class TestCliques:
             assert tuple(sorted(got)) == want  # lex-least maximum
 
     def test_maximal_cliques_match_oracle(self):
+        """On the search's PEO and the family's own, and on disjoint unions
+        with the two PEOs interleaved."""
         for seed in range(80):
-            g = random_chordal(seed)
-            peo = is_chordal(g).peo
-            got = [tuple(sorted(c)) for c in maximal_cliques_chordal(g, peo)]
-            assert got == oracles.maximal_cliques(g.n, g.adj)
+            rng = random.Random(seed)
+            n = rng.randint(1, 11)
+            if seed % 2 == 0:
+                fam, _ = random_interval_family(n, 1, seed)
+                g = coloring_from_intervals(fam).color_graph(1)
+            else:
+                fam, _ = random_subtree_family(n, 1, seed, host_size=rng.randint(1, 7))
+                g = coloring_from_subtrees(fam).color_graph(1)
+            h = random_chordal(seed + 1000, max_n=6)
+            union = Graph(g.n + h.n)
+            union.adj = g.adj + [row << g.n for row in h.adj]
+            left, right = list(is_chordal(g).peo), [v + g.n for v in is_chordal(h).peo]
+            merged = []
+            while left or right:
+                side = left if not right or left and rng.random() < 0.5 else right
+                merged.append(side.pop(0))
+            for graph, peo in (
+                (g, is_chordal(g).peo), (g, family_peos(fam)[0]), (union, merged)
+            ):
+                got = [tuple(sorted(c)) for c in maximal_cliques_chordal(graph, peo)]
+                assert got == oracles.maximal_cliques(graph.n, graph.adj)
 
     def test_rejects_non_peo(self):
         g = cycle(4)

@@ -17,7 +17,7 @@ from strongcover import cli, constructions
 from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
-from strongcover.core import MultiColoring, StrongCover
+from strongcover.core import MAX_COLORS, MultiColoring, StrongCover
 from strongcover.covers import GreedyTrace, exact_max_strong_cover, theta
 
 
@@ -1023,6 +1023,20 @@ def test_main_keeps_the_exit_code_contract(argv, text):
     again = invoke(argv, text)
     assert again[0] == code and again[2] == err
     assert without_times(again[1]) == without_times(out)
+
+
+@pytest.mark.parametrize("t", [1000, MAX_COLORS])
+def test_exact_on_many_colors_keeps_the_exit_code_contract(t):
+    """An edgeless coloring with more colors than the exhaustive searches
+    take: a report naming the bound, no traceback."""
+    code, out, err = invoke(["cover", "exact", "-"], json.dumps(
+        {"n": 2, "t": t, "edges": []}
+    ))
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert json.loads(out)["results"]["error"] == (
+        f"SizeLimitError: t={t} exceeds the exhaustive search bound 512"
+    )
 
 
 # small, negative, and just over the size limits (16,384 vertices, 1,024 colors)

@@ -34,7 +34,9 @@ from strongcover.covers import (
     counting_chain_check,
     exact_max_strong_cover,
     greedy_strong_cover,
+    grow_blowup,
     theta,
+    two_clique_cover_exact,
 )
 from strongcover.errors import InputError
 
@@ -235,6 +237,46 @@ class TestPlainIntEntryPoints:
             with pytest.raises(InputError) as info:
                 call(bad)
             assert str(info.value) == INT_MESSAGES.get(name, message.format(bad))
+
+
+# an entry point taking a collection of colors, vertices, sizes or edges,
+# given what stands in the collection's place, and a collection it takes;
+# these are lists, tuples, sets, frozensets and ranges between them
+COLLECTION_ARGS = {
+    "greedy_strong_cover-order": (
+        lambda x: greedy_strong_cover(_COL, x), range(3, 0, -1),
+    ),
+    "blow_up-sizes": (lambda x: blow_up(_STAR, BlowupSpec(x)), (1, 2, 1, 1, 1)),
+    "select_colors": (lambda x: _STAR.select_colors(x), frozenset({2})),
+    "vertex_mask": (lambda x: _STAR.vertex_mask(x), {0, 2}),
+    "add_colors": (lambda x: MultiColoring(3, 2).add_colors(0, 1, x), range(1, 3)),
+    "MultiColoring-edge_colors": (lambda x: MultiColoring(3, 2, {(0, 1): x}), (2,)),
+    "from_edges": (lambda x: MultiColoring.from_edges(3, 2, x), [(0, 1, [2])]),
+    "verify_cover": (lambda x: verify_cover(_COL, StrongCover({1: x})), [0]),
+    "piercing_points": (
+        lambda x: piercing_points(_FAM, StrongCover({1: x})), range(1),
+    ),
+    "two_clique_cover_exact-vertices": (
+        lambda x: two_clique_cover_exact(_STAR, (1, 2), x), (0, 1),
+    ),
+    "grow_blowup-seed": (lambda x: grow_blowup(_STAR, x), range(5)),
+}
+_NONE_IS_THE_DEFAULT = {"greedy_strong_cover-order", "two_clique_cover_exact-vertices"}
+
+
+class TestCollectionArguments:
+    """A bare int, a bool or None where a collection belongs is an
+    InputError, not a TypeError from the loop that reads it."""
+
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in COLLECTION_ARGS for value in (3, True, None)
+        if not (value is None and name in _NONE_IS_THE_DEFAULT)
+    ])
+    def test_collections_are_taken_and_others_refused(self, name, value):
+        call, taken = COLLECTION_ARGS[name]
+        call(taken)
+        with pytest.raises(InputError, match="must be a list"):
+            call(value)
 
 
 class TestFamilies:

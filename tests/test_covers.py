@@ -229,6 +229,36 @@ class TestExactSearch:
         with pytest.raises(SizeLimitError):
             theta(col, max_n=5)
 
+    def test_a_full_cover_ends_the_search(self):
+        """On edgeless colorings every reach exceeds n; capped at n, it lets
+        the first full cover stop the search."""
+        for n, t in ((4, 12), (3, 200)):
+            start = time.perf_counter()
+            cover = exact_max_strong_cover(MultiColoring(n, t))
+            assert time.perf_counter() - start < 2.0, (n, t)
+            assert cover.covered() == n
+
+    def test_matches_the_unpruned_walk_on_edgeless_colorings(self):
+        for n in range(6):
+            for t in range(1, 7):
+                col = MultiColoring(n, t)
+                assert exact_max_strong_cover(col).assignments == (
+                    oracles.lex_first_max_strong_cover(col)
+                ), (n, t)
+
+    def test_color_bound(self):
+        """Both searches recurse once per color, so past MAX_SEARCH_COLORS
+        they refuse the coloring, naming the bound, rather than overflow
+        the stack."""
+        limit = covers.MAX_SEARCH_COLORS
+        col = MultiColoring(2, limit)
+        assert exact_max_strong_cover(col).covered() == 2
+        assert theta(col) == 2
+        too_many = MultiColoring(2, limit + 1)
+        for search in (exact_max_strong_cover, theta):
+            with pytest.raises(SizeLimitError, match=f"search bound {limit}"):
+                search(too_many)
+
 
 def multipartite_rows(n, parts):
     """The complete multipartite graph with v in part ``parts[v]``."""
