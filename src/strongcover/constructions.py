@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from functools import reduce
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import ceil, log
-from operator import and_
 from typing import NamedTuple
 
 from .core import (
@@ -253,9 +251,10 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     ``randint(a, a + m - 1)`` (``a + _below(...)``) and ``choice(seq)``
     (``seq[_below(..., len(seq))]``) draw, so a generator written with it
     consumes the same stream, without their argument checks and frames.
-    The hot picks write this loop in place, which saves its call: the pool
-    loop of ``_sample``, the span and reach picks of ``_draw_intervals``'
-    members, and the root, size and frontier picks of ``_draw_subtrees``.
+    The hot picks write this loop in place, which saves its call: the
+    anchored sample, span and reach picks of ``_draw_intervals``' tracks
+    and members, and the root, size and frontier picks of
+    ``_draw_subtrees``.
     """
     width = m.bit_length()
     r = getrandbits(width)
@@ -264,51 +263,33 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     return r
 
 
-def _sample(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
-    """``rng.sample(range(n), k)``, 0 <= k <= n, off ``getrandbits``.
-
-    It repeats CPython's ``Random.sample`` on a range, each pick through
-    ``_below``: while a list of the n values is no larger than a set of k
-    (CPython's ``setsize`` test), picks come from that pool, each picked
-    slot refilled from the pool's end; otherwise repeats are redrawn
-    against a set of the picks.  The picks, their order and the stream
-    are ``sample``'s.
-    """
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
-    picks = []
-    if n <= setsize:
-        pool = list(range(n))
-        for left in range(n, n - k, -1):
-            width = left.bit_length()
-            j = getrandbits(width)
-            while j >= left:
-                j = getrandbits(width)
-            picks.append(pool[j])
-            pool[j] = pool[left - 1]
-        return picks
-    selected = set()
-    for _ in range(k):
-        j = _below(getrandbits, n)
-        while j in selected:
-            j = _below(getrandbits, n)
-        selected.add(j)
-        picks.append(j)
-    return picks
-
-
 def _endpoint_witness(
-    missers: list[list[int]], apart: Callable[[int, set[int]], bool], n: int, k: int
+    missers: list[list[int]], apart: Callable[[int, int], int], n: int, k: int
 ) -> bool:
     """True when some S of one member per track's ``missers`` (the first n
-    in ``product`` order) has at most k members and ``apart(i, S)``, no
-    point shared, on every track i.  By Helly S then spans a clique in no
-    color, nor do any k of the n >= k members holding it: no (t,k)-coloring.
+    in ``product`` order) has at most k members and shares no point on any
+    track.  By Helly, S shares no point on a track exactly when two of its
+    members are disjoint there, so S is tested by ORing over its pairs
+    ``apart(u, v)``, the mask of the tracks on which u and v are disjoint,
+    each pair's mask computed once per call.  S then spans a clique in no
+    color, nor do any k of the n >= k members holding it: no
+    (t,k)-coloring.
     """
+    t = len(missers)
+    full = (1 << t) - 1
+    small = k < t  # else |S| <= t <= k
+    known = {}  # u * n + v, u < v: apart(u, v)
     for pick in islice(product(*missers), n):
-        s = set(pick)
-        if len(s) <= k and all(apart(i, s) for i in range(len(missers))):
+        if small and len(set(pick)) > k:
+            continue
+        tracks = 0
+        for u, v in combinations(pick, 2):
+            key = u * n + v if u < v else v * n + u
+            m = known.get(key)
+            if m is None:
+                m = known[key] = apart(u, v)
+            tracks |= m
+        if tracks == full:
             return True
     return False
 
@@ -348,11 +329,14 @@ def _draw_intervals(
     point, ``sample(range(n), round(anchor * n))`` for the anchored members,
     then two ``randint`` per member; the ``randint`` calls draw as
     ``_below`` (the member picks written in place, their widths fixed per
-    draw) and the ``sample`` call through ``_sample``.  A draw is
-    held as endpoint arrays.  When 2 <= k <= n, a draw is refused with no
-    coloring built on an ``_endpoint_witness``: members missing their
-    track's anchor point whose intervals share no point on any track.  Only
-    a draw with no witness is swept, and only its (t,k) verdict accepts.
+    draw) and the ``sample`` call written in place as CPython's
+    ``Random.sample`` on a range, with its pool test, pool and widths
+    fixed per call.  A draw is held as endpoint arrays.  When
+    2 <= k <= n, a draw is refused with no coloring built on an
+    ``_endpoint_witness``: members missing their track's anchor point
+    whose intervals share no point on any track, two intervals being
+    disjoint when one's left end is above the other's right end.  Only a
+    draw with no witness is swept, and only its (t,k) verdict accepts.
     The returned draw's coloring is built once (after the loop if a witness
     refused it), and a ``TIntervalFamily`` only for that draw, from its
     arrays and right-end orders, with no check run again.
@@ -369,14 +353,27 @@ def _draw_intervals(
     reach = max(2, n) + 1  # lengths in [0, max(2, n)]
     span_w = span.bit_length()
     reach_w = reach.bit_length()
+    n_w = n.bit_length()
     n_anchored = round(anchor * n)
+    setsize = 21  # Random.sample: a pool of the n while n <= setsize, else a set
+    if n_anchored > 5:
+        setsize += 4 ** ceil(log(n_anchored * 3, 4))  # table size for big sets
+    pooled = n <= setsize
+    everyone = list(range(n))
+    lefts = [(left, left.bit_length()) for left in range(n, n - n_anchored, -1)]
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     col = None
     ok = True
 
-    def apart(i: int, s: set[int]) -> bool:  # on track i of the current draw
-        return max(map(los[i].__getitem__, s)) > min(map(his[i].__getitem__, s))
+    def apart(u: int, v: int) -> int:  # tracks of the current draw
+        tracks = 0
+        bit = 1
+        for track_los, track_his in zip(los, his):
+            if track_los[u] > track_his[v] or track_los[v] > track_his[u]:
+                tracks |= bit
+            bit <<= 1
+        return tracks
 
     for _ in range(_RETRIES if k is not None else 1):
         los = []
@@ -384,7 +381,21 @@ def _draw_intervals(
         missers = []
         for _i in range(t):
             anchor_pt = _below(getrandbits, span)
-            anchored = set(_sample(getrandbits, n, n_anchored))
+            anchored = set()  # sample(range(n), n_anchored)
+            if pooled:
+                pool = everyone.copy()
+                for left, width in lefts:
+                    j = getrandbits(width)
+                    while j >= left:
+                        j = getrandbits(width)
+                    anchored.add(pool[j])
+                    pool[j] = pool[left - 1]
+            else:
+                for _j in range(n_anchored):
+                    j = n  # redrawn until below n and not yet picked
+                    while j >= n or j in anchored:
+                        j = getrandbits(n_w)
+                    anchored.add(j)
             track_los = [anchor_pt] * n
             track_his = [anchor_pt] * n
             track_missers = []
@@ -461,9 +472,10 @@ def _draw_subtrees(
     k: int | None,
 ) -> tuple[TSubtreeFamily, bool, MultiColoring | None]:
     """``random_subtree_family`` plus its last draw's coloring with the
-    family's PEOs, as ``_draw_intervals``, whose draws are refused
-    on an ``_endpoint_witness`` in the same way: members missing their
-    track's hub whose subtrees share no host vertex on any track.
+    family's PEOs, as ``_draw_intervals``, whose
+    draws are refused on an ``_endpoint_witness`` in the same way: members
+    missing their track's hub whose subtrees share no host vertex on any
+    track, two subtrees being disjoint when their vertex masks share no bit.
 
     Every draw makes the random calls ``random_subtree_family`` has always
     made, in the same order: ``randrange(v)`` for the parent of each host
@@ -505,6 +517,16 @@ def _draw_subtrees(
     rand = rng.random
     col = None
     ok = True
+
+    def apart(u: int, v: int) -> int:  # tracks of the current draw
+        tracks = 0
+        bit = 1
+        for track in masks:
+            if not track[u] & track[v]:
+                tracks |= bit
+            bit <<= 1
+        return tracks
+
     for _ in range(_RETRIES if k is not None else 1):
         # uniform attachment: vertex v hangs below a vertex p < v
         parents = [_below(getrandbits, v) for v in range(1, h)]
@@ -550,9 +572,7 @@ def _draw_subtrees(
                     missers[i].append(v)
         if k is None:
             break
-        if 2 <= k <= n and _endpoint_witness(
-            missers, lambda i, s: reduce(and_, map(masks[i].__getitem__, s)) == 0, n, k
-        ):
+        if 2 <= k <= n and _endpoint_witness(missers, apart, n, k):
             col, ok = None, False
             continue
         col = _subtree_coloring(h, subtrees)

@@ -63,6 +63,13 @@ def _collection(value, what: str):
     return value
 
 
+def _mapping(value, what: str):
+    """``value`` if it is a mapping, else an InputError naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
 def _require_ints(**values: object) -> None:
     """InputError unless every value is a plain int, as ``_fields`` asks."""
     for key, value in values.items():
@@ -161,9 +168,9 @@ class MultiColoring:
         self.t = t
         self.rows: list[list[int]] = [[0] * n for _ in range(t)]
         self._orders = None  # (PEOs, the rows they were kept for): _keep_peos
-        if edge_colors:
+        if edge_colors is not None:
             view = self.edge_colors
-            for edge, cs in edge_colors.items():
+            for edge, cs in _mapping(edge_colors, "edge colors").items():
                 view[edge] = cs
 
     @property
@@ -222,7 +229,8 @@ class MultiColoring:
         cls, n: int, t: int, edges: Iterable[tuple[int, int, Iterable[int]]]
     ) -> "MultiColoring":
         col = cls(n, t)
-        for u, v, cs in _collection(edges, "edges"):
+        for item in _collection(edges, "edges"):
+            u, v, cs = _list(item, "an edge [u, v, colors]", 3)
             col.add_colors(u, v, cs)
         return col
 
@@ -811,7 +819,7 @@ def _cover_masks(cov: StrongCover, t: int, n: int) -> list[tuple[int, int]]:
     """(color, vertex mask) of each assignment of a cover, every color a
     plain int in 1..t and every vertex a plain int in 0..n-1."""
     out = []
-    for c, s in cov.assignments.items():
+    for c, s in _mapping(cov.assignments, "cover assignments").items():
         if type(c) is not int or not 1 <= c <= t:
             raise InputError(f"cover color {c!r} out of range 1..{t}")
         m = 0

@@ -713,20 +713,23 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     leaves the red clique X_{i+2} u X_{i+3} u R and the blue clique
     X_{i+1} u X_{i+4} u B.  Each color's chordality is decided first, by
     ``color_certificates``; a color with a PEO is chordal, so its
-    induced-C4 scan is skipped, and no hole is built for one without.
+    induced-C4 scan is skipped, and no hole is built for one without.  Each
+    color of a double 5-cycle induces a 5-cycle, a hole, so with a chordal
+    color there is none and the search for one is skipped.
     """
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
     if col.n >= 2:
         _require_tk(col, 2, "(2,2)")
-    for i, witness in induced_c4s(color_certificates(col)):
+    certs = list(color_certificates(col))
+    for i, witness in induced_c4s(certs):
         if witness is not None:
             raise PreconditionError(
                 f"color {i} graph has an induced 4-cycle {witness}",
                 witness=(i, witness),
             )
 
-    seed = find_k5star(col, 1, 2)
+    seed = None if any(c.is_chordal for _, c in certs) else find_k5star(col, 1, 2)
     if seed is None:
         failure = "two-clique cover failed without a double 5-cycle"
         return _two_cliques(col, (1, 2), failure)

@@ -131,6 +131,27 @@ def kwise_intersecting(fam, k):
     return True
 
 
+def endpoint_witness(missers, points, n, k):
+    """The endpoint witness of the seeded draws, read off its definition:
+    among the first n picks of one member per track's ``missers``, in
+    ``product`` order, one whose set S has at most k members and, on every
+    track i, no point that every member of S holds.  ``points[i][v]`` is
+    the set of points of member v's object on track i (the integers of its
+    interval, or the host vertices of its subtree), walked point by point."""
+    picks = list(product(*missers))[:n]
+    for pick in picks:
+        s = set(pick)
+        if len(s) > k:
+            continue
+        if not any(
+            all(p in points[i][v] for v in s)
+            for i in range(len(missers))
+            for p in points[i][pick[i]]
+        ):
+            return True
+    return False
+
+
 def residual_multiplicity(col, vertices, k):
     """(False, first edge inside ``vertices`` with under k-1 colors), else
     (True, None)."""

@@ -1,19 +1,20 @@
 """Structural checks for the named constructions and random generators."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 import oracles
-from strongcover import constructions
+from strongcover import constructions, corpus
 from strongcover.chordal import induced_c4_free, is_chordal
 from strongcover.constructions import (
     BlowupSpec,
     _below,
     _draw_intervals,
     _draw_subtrees,
-    _sample,
+    _endpoint_witness,
     blow_up,
     clique_substitute,
     construct_k4_two_paths,
@@ -391,17 +392,6 @@ def subtree_accepts(host_size, t, k):
     return accepts
 
 
-def test_sample_is_random_sample():
-    """``_sample`` repeats ``Random.sample`` on a range: the same picks in
-    the same order, and the same stream.  Its set branch is taken for
-    k <= 5 from n = 22 on, and for 6 <= k <= 21 from n = 86 on."""
-    for n in range(1, 201):
-        ours, theirs = random.Random(n), random.Random(n)
-        for k in range(n + 1):
-            assert _sample(ours.getrandbits, n, k) == theirs.sample(range(n), k)
-        assert ours.getstate() == theirs.getstate()
-
-
 class TestRandomStream:
     """The draws behind ``random_*_family`` consume the random stream of the
     reference loops in ``oracles``: the same family, verdict and coloring
@@ -484,6 +474,25 @@ class TestRandomStream:
         for t, k, anchor, seed in itertools.product(
             (1, 2), (None, 3), (0.0, 0.85), range(2)
         ):
+            members, ok = oracles.reference_interval_draw(
+                n, t, seed, anchor, k, interval_accepts(t, k)
+            )
+            fam, got_ok, _col = _draw_intervals(n, t, seed, anchor, k)
+            assert (fam.members, got_ok) == (tuple(map(tuple, members)), ok)
+
+    @pytest.mark.parametrize(
+        "n, anchor, pooled",
+        [(21, 0.2, True), (22, 0.2, False), (40, 0.1, False), (90, 0.2, False)],
+    )
+    def test_interval_draws_on_either_sample_branch(self, n, anchor, pooled):
+        """A draw picks its anchored members as ``sample`` does, written in
+        place: from a pool while n is at most CPython's ``setsize`` for the
+        pick count (n = 21 is the last such n for 4 picks), else against a
+        set of the picks, redrawing repeats (few picks of many members)."""
+        picks = round(anchor * n)
+        setsize = 21 + (4 ** math.ceil(math.log(picks * 3, 4)) if picks > 5 else 0)
+        assert (n <= setsize) is pooled
+        for t, k, seed in itertools.product((1, 3), (None, 2), range(3)):
             members, ok = oracles.reference_interval_draw(
                 n, t, seed, anchor, k, interval_accepts(t, k)
             )
@@ -612,6 +621,77 @@ class TestEndpointWitness:
                 _draw_subtrees(5, 3, 1, 6, 4, 0.5, k)
         # no witness was tried, and the first draw's scan raised
         assert (witnessed, scanned) == ([], [None])
+
+
+    @pytest.mark.parametrize("kind", ["interval", "subtree"])
+    def test_matches_the_pointwise_oracle(self, kind):
+        """``_endpoint_witness`` on pair masks (two intervals are disjoint
+        when one's left end is above the other's right end, two subtrees
+        when their vertex masks share no bit) agrees with
+        ``oracles.endpoint_witness``, which reads each track point by point
+        or host vertex by host vertex: t = 1..4 and k = 2..5, k < t
+        included, with missers drawn per track so that members repeat
+        across tracks."""
+        rng = random.Random(29)
+        found = {(small, hit): 0 for small in (False, True) for hit in (False, True)}
+        for t, k, seed in itertools.product(range(1, 5), range(2, 6), range(20)):
+            n = rng.randint(2, 7)
+            anchor = rng.choice((0.0, 0.5))
+            if kind == "interval":
+                fam, _ = random_interval_family(n, t, seed, anchor=anchor)
+                points = [
+                    [set(range(lo, hi + 1)) for lo, hi in (m[i] for m in fam.members)]
+                    for i in range(t)
+                ]
+
+                def apart(u, v, tracks=fam.members):
+                    return sum(
+                        1 << i
+                        for i, ((lo_u, hi_u), (lo_v, hi_v))
+                        in enumerate(zip(tracks[u], tracks[v]))
+                        if lo_u > hi_v or lo_v > hi_u
+                    )
+            else:
+                fam, _ = random_subtree_family(
+                    n, t, seed, host_size=7, max_size=3, anchor=anchor
+                )
+                points = [[m[i] for m in fam.members] for i in range(t)]
+
+                def apart(u, v, tracks=fam.members):
+                    return sum(
+                        1 << i
+                        for i, (a, b) in enumerate(zip(tracks[u], tracks[v]))
+                        if a.isdisjoint(b)
+                    )
+
+            missers = [
+                sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(t)
+            ]
+            hit = _endpoint_witness(missers, apart, n, k)
+            assert hit == oracles.endpoint_witness(missers, points, n, k)
+            found[k < t, hit] += 1
+        assert min(found.values()) > 0, found
+
+    # (kind, n, t, k, seed) of a ``seeded_tk_instance``: its draws, the
+    # draws an endpoint witness refused, and the (t,k) sweeps, over both of
+    # its draw calls when the first used up its budget (seed 3 of the
+    # n = 30 intervals); each count as the draws made before the pairwise
+    # witness and the in-place sample
+    PINNED = {
+        ("interval", 10, 3, 3, 2): (21, 16, 5),
+        ("interval", 20, 2, 2, 3): (13, 11, 2),
+        ("interval", 30, 3, 3, 3): (41, 39, 2),
+        ("subtree", 20, 2, 2, 4): (3, 2, 1),
+        ("subtree", 30, 3, 3, 1): (6, 5, 1),
+        ("subtree", 30, 3, 3, 2): (3, 1, 2),
+    }
+
+    @pytest.mark.parametrize("args, counts", PINNED.items())
+    def test_refusal_counts_are_pinned(self, args, counts, monkeypatch):
+        witnessed = self.spy(monkeypatch, "_endpoint_witness")
+        scanned = self.spy(monkeypatch, "is_tk_coloring")
+        corpus.seeded_tk_instance(*args)
+        assert (len(witnessed), sum(witnessed), len(scanned)) == counts
 
 
 def test_all_cross_pairs_once_matches_pair_count():

@@ -279,6 +279,40 @@ class TestCollectionArguments:
             call(value)
 
 
+# an entry point handed an item or a mapping of the wrong shape, with the
+# message of its InputError (a bare TypeError, ValueError or AttributeError
+# from the loop that reads it, before these checks)
+SHAPE_ARGS = {
+    "from_edges-item": (
+        lambda: MultiColoring.from_edges(3, 2, [5]),
+        r"an edge \[u, v, colors\] must be a list of 3",
+    ),
+    "from_edges-short-item": (
+        lambda: MultiColoring.from_edges(3, 2, [(0, 1)]),
+        r"an edge \[u, v, colors\] must be a list of 3",
+    ),
+    "MultiColoring-edge_colors": (
+        lambda: MultiColoring(3, 2, [(0, 1)]),
+        r"edge colors must be a mapping, got \[\(0, 1\)\]",
+    ),
+    "verify_cover-assignments": (
+        lambda: verify_cover(_COL, StrongCover(5)),
+        "cover assignments must be a mapping, got 5",
+    ),
+    "piercing_points-assignments": (
+        lambda: piercing_points(_FAM, StrongCover(5)),
+        "cover assignments must be a mapping, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_ARGS)
+def test_items_and_mappings_of_the_wrong_shape_are_input_errors(name):
+    call, message = SHAPE_ARGS[name]
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 class TestFamilies:
     def test_interval_family_validation(self):
         fam = TIntervalFamily(2, [[(0, 1), (4, 4)], [(1, 3), (0, 9)]])

@@ -718,6 +718,53 @@ class TestC4Free22:
                 cover = strong_cover_c4free_22(col)
                 assert verify_cover(col, cover).covered == col.n, inst.name
 
+    def test_a_chordal_color_skips_the_double_cycle_search(self, monkeypatch):
+        """Each color of a double 5-cycle induces a 5-cycle, a hole, so with
+        one chordal color there is none to find: the two-clique cover is
+        taken with no search, for either color, and the search still runs
+        when neither color is chordal."""
+        searched = []
+        search = covers.find_k5star
+        monkeypatch.setattr(
+            covers, "find_k5star", lambda *a: searched.append(a) or search(*a)
+        )
+        for hole in (1, 2):  # K5 in one color, a 5-cycle in the other
+            col = MultiColoring(5, 2)
+            for u, v in itertools.combinations(range(5), 2):
+                on_cycle = (v - u) % 5 in (1, 4)
+                col.add_colors(u, v, [3 - hole, hole] if on_cycle else [3 - hole])
+            assert not is_chordal(col.color_graph(hole)).is_chordal
+            assert search(col, 1, 2) is None
+            want = two_clique_cover_exact(col, (1, 2))
+            assert strong_cover_c4free_22(col) == want and searched == []
+        star = construct_k5star()
+        assert strong_cover_c4free_22(star).covered() == 4
+        assert searched == [(star, 1, 2)]
+
+    def test_chordal_blowup_at_n400_is_covered_without_a_search(self, monkeypatch):
+        """A relabeled n=400 blow-up of ``c4free-int-13``: both colors are
+        chordal, so it holds no double 5-cycle and the search, which would
+        walk its candidate masks to the end, is not run; the cover is the
+        two-clique cover."""
+        base = next(
+            x.coloring for x in c4free_22_corpus() if x.name == "c4free-int-13"
+        )
+        assert 400 % base.n == 0
+        grown = blow_up(base, BlowupSpec([400 // base.n] * base.n))
+        label = list(range(400))
+        random.Random(71).shuffle(label)
+        col = MultiColoring(400, 2)
+        col.rows = [relabeled(rows, label) for rows in grown.rows]
+        assert find_k5star(col, 1, 2) is None
+        want = two_clique_cover_exact(col, (1, 2))
+        assert want is not None and len(want.assignments) == 2
+
+        def no_search(*args):
+            raise AssertionError("find_k5star ran on a chordal coloring")
+
+        monkeypatch.setattr(covers, "find_k5star", no_search)
+        assert strong_cover_c4free_22(col) == want
+
     def test_blowup_tightness(self):
         for s in (1, 2, 3):
             col = blow_up(construct_k5star(), BlowupSpec([s] * 5))
