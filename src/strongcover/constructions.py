@@ -206,6 +206,8 @@ def blow_up(col: MultiColoring, spec: BlowupSpec) -> MultiColoring:
     colors of the original edge.  Equivalent to iterating single-vertex
     clique substitutions.
     """
+    if not isinstance(spec, BlowupSpec):
+        raise InputError(f"spec must be a BlowupSpec, got {spec!r}")
     spec.validate(col.n)
     offsets = [0]
     for s in spec.sizes:
@@ -294,6 +296,15 @@ def _endpoint_witness(
     return False
 
 
+def _check_anchor(anchor: float) -> None:
+    """InputError unless ``anchor`` is an int or float (not a bool) in
+    [0, 1]."""
+    if not isinstance(anchor, (int, float)) or isinstance(anchor, bool):
+        raise InputError(f"anchor fraction must be a number, got {anchor!r}")
+    if not (0.0 <= anchor <= 1.0):
+        raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
+
+
 def random_interval_family(
     n: int,
     t: int,
@@ -346,8 +357,7 @@ def _draw_intervals(
         _require_ints(k=k)
     if n < 1 or t < 1:
         raise InputError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
-    if not (0.0 <= anchor <= 1.0):
-        raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
+    _check_anchor(anchor)
     check_size(n, t)
     span = 3 * n + 1  # endpoints start in [0, 3n]
     reach = max(2, n) + 1  # lengths in [0, max(2, n)]
@@ -498,8 +508,7 @@ def _draw_subtrees(
         raise InputError(
             f"need n, t, host_size >= 1, got n={n}, t={t}, host={host_size}"
         )
-    if not (0.0 <= anchor <= 1.0):
-        raise InputError(f"anchor fraction must be in [0,1], got {anchor}")
+    _check_anchor(anchor)
     if not (1 <= max_size <= host_size):
         raise InputError(
             f"need 1 <= max_size <= host_size, got {max_size} of {host_size}"

@@ -94,8 +94,9 @@ class EdgeColors(MutableMapping):
     """Live ``(u, v) -> frozenset of colors`` view over a coloring's rows.
 
     Keys are the edges u < v carrying at least one color, in lexicographic
-    order.  Assigning a set replaces the edge's colors (an empty set
-    removes it); deleting clears them.
+    order; a key that is not such a pair of ints is absent.  Assigning a
+    set replaces the edge's colors (an empty set removes it); deleting
+    clears them.  Both writes take only a pair (u, v).
     """
 
     __slots__ = ("_col",)
@@ -104,16 +105,16 @@ class EdgeColors(MutableMapping):
         self._col = col
 
     def __getitem__(self, edge: Edge) -> frozenset[int]:
-        u, v = edge
-        if not (0 <= u < v < self._col.n):
-            raise KeyError(edge)
-        cs = self._col.colors_of(u, v)
-        if not cs:
-            raise KeyError(edge)
-        return cs
+        if isinstance(edge, _SEQ) and len(edge) == 2:
+            u, v = edge
+            if type(u) is type(v) is int and 0 <= u < v < self._col.n:
+                cs = self._col.colors_of(u, v)
+                if cs:
+                    return cs
+        raise KeyError(edge)
 
     def __setitem__(self, edge: Edge, colors: Iterable[int]) -> None:
-        u, v = edge
+        u, v = _list(edge, "an edge (u, v)", 2)
         col = self._col
         col._check_edge(u, v)
         want = col._color_mask(colors)
@@ -127,7 +128,7 @@ class EdgeColors(MutableMapping):
                 row[v] &= ~bu
 
     def __delitem__(self, edge: Edge) -> None:
-        if edge not in self:
+        if _list(edge, "an edge (u, v)", 2) not in self:
             raise KeyError(edge)
         self[edge] = ()
 
@@ -509,9 +510,7 @@ class TSubtreeFamily(_Frozen):
     @property
     def host_size(self) -> int:
         """One more than the largest vertex of a host edge or subtree."""
-        ends = chain.from_iterable(self.host_edges)
-        vertices = chain.from_iterable(chain.from_iterable(self.members))
-        return max(0, 1 + max(chain(ends, vertices), default=-1))
+        return len(self._depth)
 
     def validate(self) -> None:
         """The tree and subtree checks the constructor runs (``_rooted``)."""
@@ -524,13 +523,21 @@ class TSubtreeFamily(_Frozen):
         vertex (the one nearest the root) of each of its subtrees.  One BFS
         of the host gives every vertex its parent; a vertex set of a tree is
         connected iff exactly one of its vertices has its parent outside
-        the set, and that vertex is its top, so each subtree is checked in
-        O(|s|).
+        the set, and that vertex is its top, so a subtree is checked in
+        O(|s|).  A family of a small host repeats few subtrees many times,
+        so each distinct subtree is checked once, at its first member in
+        member order (where a fault in it is reported), and its top is
+        looked up for the others.
         """
-        if self.t < 1:
-            raise InputError(f"t must be positive, got {self.t}")
+        t = self.t
+        if t < 1:
+            raise InputError(f"t must be positive, got {t}")
+        top_of = dict.fromkeys(chain.from_iterable(self.members), -1)
+        vertices = chain(
+            chain.from_iterable(self.host_edges), chain.from_iterable(top_of)
+        )
+        h = max(0, 1 + max(vertices, default=-1))
         # the edge count comes first: it bounds the host by the document
-        h = self.host_size
         if h > 0 and len(self.host_edges) != h - 1:
             raise InputError("host is not a tree")
         host = Graph(h, self.host_edges)
@@ -551,25 +558,29 @@ class TSubtreeFamily(_Frozen):
             raise InputError("host is not a tree")
         tops = []
         for idx, tracks in enumerate(self.members):
-            if len(tracks) != self.t:
+            if len(tracks) != t:
                 raise InputError(
-                    f"member {idx} has {len(tracks)} subtree(s), expected {self.t}"
+                    f"member {idx} has {len(tracks)} subtree(s), expected {t}"
                 )
             mine = []
             for s in tracks:
-                if not s:
-                    raise InputError(f"member {idx}: empty subtree")
-                start = min(s)
-                if start < 0:
-                    raise InputError(f"member {idx}: negative subtree vertex {start}")
-                top = -1
-                for x in s:
-                    if parent[x] not in s:
-                        if top >= 0:
-                            raise InputError(
-                                f"member {idx}: subtree vertices not connected"
-                            )
-                        top = x
+                top = top_of[s]
+                if top < 0:  # s is first seen here
+                    if not s:
+                        raise InputError(f"member {idx}: empty subtree")
+                    start = min(s)
+                    if start < 0:
+                        raise InputError(
+                            f"member {idx}: negative subtree vertex {start}"
+                        )
+                    for x in s:
+                        if parent[x] not in s:
+                            if top >= 0:
+                                raise InputError(
+                                    f"member {idx}: subtree vertices not connected"
+                                )
+                            top = x
+                    top_of[s] = top
                 mine.append(top)
             tops.append(mine)
         return depth, tops
@@ -736,7 +747,7 @@ def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i subtrees of u and v share a
     vertex; the coloring keeps ``family_peos(fam)`` as its PEOs."""
     return _subtree_coloring(
-        len(fam._depth),
+        fam.host_size,
         [[tracks[i] for tracks in fam.members] for i in range(fam.t)],
     )._keep_peos(family_peos(fam))
 
@@ -842,25 +853,38 @@ def verify_cover(col: MultiColoring, cov: StrongCover) -> CoverReport:
 
 
 def piercing_points(
-    fam: TIntervalFamily, cov: StrongCover
+    fam: TIntervalFamily | TSubtreeFamily, cov: StrongCover
 ) -> list[tuple[int, int]]:
     """One piercing point per assigned color of a valid cover.
 
-    For each clique of color i the point is the maximum left endpoint of the
-    members' track-i intervals.  The cover is checked on the intervals
-    themselves: by the Helly property of intervals on a line, a set is a
+    The cover is checked on the family's tracks themselves, so the check
+    and the point are one computation.  On interval tracks the point for a
+    clique of color i is the maximum left endpoint of the members' track-i
+    intervals: by the Helly property of intervals on a line, a set is a
     clique of color i exactly when that maximum left end is at most the
-    minimum right end, so the check and the point are one computation.
+    minimum right end.  On subtree tracks it is the deepest of the members'
+    track-i subtree tops, with the host rooted at 0: pairwise-meeting
+    subtrees share a subtree (Helly for subtrees of a tree), every member
+    top is an ancestor of that shared subtree's top or the top itself, and
+    so the deepest member top is that top.  A set is then a clique of color
+    i exactly when the deepest member top lies in every member's subtree.
+
     Returns (track, point) pairs sorted by track; empty assignments are
     skipped.
     """
+    subtrees = isinstance(fam, TSubtreeFamily)
     out = []
     for c, m in sorted(_cover_masks(cov, fam.t, fam.n)):
         if not m:
             continue
-        lo = max(fam.members[v][c - 1][0] for v in bits(m))
-        hi = min(fam.members[v][c - 1][1] for v in bits(m))
-        if lo > hi:
+        i = c - 1
+        if subtrees:
+            point = max((fam._tops[v][i] for v in bits(m)), key=fam._depth.__getitem__)
+            valid = all(point in fam.members[v][i] for v in bits(m))
+        else:
+            point = max(fam.members[v][i][0] for v in bits(m))
+            valid = point <= min(fam.members[v][i][1] for v in bits(m))
+        if not valid:
             raise InputError("cover is not valid for the coloring of this family")
-        out.append((c, lo))
+        out.append((c, point))
     return out

@@ -408,8 +408,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_argv(argv: list[str], stdin: str = "") -> dict:
-    """The pinned digests of one command line reading ``stdin``."""
+def run_output(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of one command
+    line reading ``stdin``."""
     out = io.StringIO()
     err = io.StringIO()
     saved = sys.stdin
@@ -419,13 +420,19 @@ def run_argv(argv: list[str], stdin: str = "") -> dict:
             code = main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_argv(argv: list[str], stdin: str = "") -> dict:
+    """The pinned digests of one command line reading ``stdin``."""
+    code, out, err = run_output(argv, stdin)
     pinned = {"exit": code}
-    if out.getvalue():
-        report = json.loads(out.getvalue())
+    if out:
+        report = json.loads(out)
         report.pop("times", None)  # a generated document has none
         pinned["report"] = _sha(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    if err.getvalue():
-        pinned["stderr"] = _sha(err.getvalue())
+    if err:
+        pinned["stderr"] = _sha(err)
     return pinned
 
 

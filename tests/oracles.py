@@ -325,10 +325,8 @@ def right_end_order(members, i):
     return sorted(range(len(members)), key=lambda v: members[v][i][1])
 
 
-def deepest_top_order(host_edges, members, i):
-    """Members by the distance from host vertex 0 of their track-i
-    subtree's vertex nearest 0, farthest first, ties by member (Gavril's
-    PEO of a subtree intersection graph)."""
+def host_distances(host_edges):
+    """Distance from host vertex 0 of every vertex it reaches, by BFS."""
     neighbors = {}
     for u, v in host_edges:
         neighbors.setdefault(u, []).append(v)
@@ -340,7 +338,30 @@ def deepest_top_order(host_edges, members, i):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
+    return dist
+
+
+def deepest_top_order(host_edges, members, i):
+    """Members by the distance from host vertex 0 of their track-i
+    subtree's vertex nearest 0, farthest first, ties by member (Gavril's
+    PEO of a subtree intersection graph)."""
+    dist = host_distances(host_edges)
     return sorted(range(len(members)), key=lambda v: -min(dist[x] for x in members[v][i]))
+
+
+def subtree_piercing_points(host_edges, members, assignments):
+    """(track, point) for each nonempty assigned color, by track: the point
+    is the vertex nearest host vertex 0 of the intersection of the assigned
+    members' track subtrees.  None when some intersection is empty."""
+    dist = host_distances(host_edges)
+    points = []
+    for c in sorted(assignments):
+        if assignments[c]:
+            common = set.intersection(*(set(members[v][c - 1]) for v in assignments[c]))
+            if not common:
+                return None
+            points.append((c, min(common, key=dist.__getitem__)))
+    return points
 
 
 def grown_maximal_cliques(n, adj):

@@ -359,6 +359,28 @@ class TestPlainIntSizes:
         assert type(again.t) is int and again.to_dict() == fam.to_dict()
 
 
+class TestAnchorArgument:
+    """The draws take ``anchor`` as an int or float, not a bool: any other
+    value is an InputError, not a TypeError from the range test nor taken
+    as the number it equals."""
+
+    DRAWS = [random_interval_family, random_subtree_family]
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    @pytest.mark.parametrize("value", ["x", None, True, False, [0.5]])
+    def test_other_anchors_are_input_errors(self, draw, value):
+        with pytest.raises(InputError) as info:
+            draw(5, 2, 0, anchor=value)
+        assert str(info.value) == f"anchor fraction must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_int_anchors_are_the_floats_they_equal(self, draw):
+        for anchor in (0, 1):
+            assert draw(5, 2, 0, anchor=anchor) == draw(5, 2, 0, anchor=float(anchor))
+        with pytest.raises(InputError, match=r"^anchor fraction must be in \[0,1\], got 2$"):
+            draw(5, 2, 0, anchor=2)
+
+
 def intervals_meet(a, b):
     return a[0] <= b[1] and b[0] <= a[1]
 

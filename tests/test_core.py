@@ -1,10 +1,13 @@
 """Colorings, interval and subtree families, covers, and the predicates
 connecting them."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import strongcover.core as core
 from corpora import complete_coloring
 from strongcover.constructions import (
     BlowupSpec,
@@ -295,6 +298,13 @@ SHAPE_ARGS = {
         lambda: MultiColoring(3, 2, [(0, 1)]),
         r"edge colors must be a mapping, got \[\(0, 1\)\]",
     ),
+    "blow_up-spec": (
+        lambda: blow_up(_STAR, 5), "spec must be a BlowupSpec, got 5",
+    ),
+    "blow_up-sizes-as-spec": (
+        lambda: blow_up(_STAR, [1] * 5),
+        r"spec must be a BlowupSpec, got \[1, 1, 1, 1, 1\]",
+    ),
     "verify_cover-assignments": (
         lambda: verify_cover(_COL, StrongCover(5)),
         "cover assignments must be a mapping, got 5",
@@ -367,6 +377,100 @@ class TestFamilies:
         assert col.colors_of(0, 1) == frozenset({1})
         assert col.colors_of(0, 2) == frozenset()
         assert col.colors_of(1, 2) == frozenset()
+
+
+def _distinct_path_document(seed, h=400, n=60, t=3):
+    """A subtree family document whose n * t subtrees are all distinct:
+    subpaths of 1-5 vertices of a path host on h vertices laid out in a
+    seeded order, so that host vertex 0 lies inside the path."""
+    rng = random.Random(seed)
+    order = list(range(h))
+    rng.shuffle(order)
+    host = [[order[j], order[j + 1]] for j in range(h - 1)]
+    spans = rng.sample(
+        [(a, size) for a in range(h) for size in range(1, 6) if a + size <= h], n * t
+    )
+    members = [
+        [order[a:a + size] for a, size in spans[v * t:(v + 1) * t]] for v in range(n)
+    ]
+    return {"host_edges": host, "t": t, "members": members}
+
+
+def _assert_rooted_by_brute_force(fam):
+    """The family's depths and subtree tops are the BFS distances from host
+    vertex 0 and each subtree's least deep vertex."""
+    dist = oracles.host_distances(fam.host_edges)
+    assert fam._depth == [dist[x] for x in range(fam.host_size)]
+    assert fam._tops == [
+        [min(s, key=dist.__getitem__) for s in tracks] for tracks in fam.members
+    ]
+
+
+class TestSubtreeRooting:
+    """A parsed subtree family checks and roots each distinct subtree once,
+    with the tops, depths, host size and messages of a check per member."""
+
+    _EDGES = [(0, 1), (1, 2), (2, 3)]
+    _GOOD = [[0, 1], [2, 1]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_subtrees_are_rooted_as_the_brute_force(self, seed):
+        drawn, _ = random_subtree_family(
+            200, 3, seed, host_size=6, max_size=4, anchor=0.9, k=2
+        )
+        fam = TSubtreeFamily.from_dict(drawn.to_dict())
+        assert len(set().union(*fam.members)) < 60  # 600 subtrees
+        _assert_rooted_by_brute_force(fam)
+        assert (fam._depth, fam._tops) == (drawn._depth, drawn._tops)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_subtrees_are_rooted_as_the_brute_force(self, seed):
+        fam = TSubtreeFamily.from_dict(_distinct_path_document(seed))
+        assert len(set().union(*fam.members)) == 180
+        _assert_rooted_by_brute_force(fam)
+        assert fam.host_size == 400
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "empty subtree"),
+        ([0, -1], "negative subtree vertex -1"),
+        ([0, 2], "subtree vertices not connected"),
+    ])
+    def test_a_repeated_bad_subtree_is_reported_at_its_first_member(self, bad, message):
+        good = self._GOOD
+        members = [good] * 4 + [[[1, 2], bad], good, [bad, [3]], [[3], bad]]
+        doc = {"host_edges": self._EDGES, "t": 2, "members": members}
+        with pytest.raises(InputError, match=f"^member 4: {message}$"):
+            TSubtreeFamily.from_dict(doc)
+        later_count = members[:6] + [[[3]]] + members[6:]
+        with pytest.raises(InputError, match=f"^member 4: {message}$"):
+            TSubtreeFamily(self._EDGES, 2, later_count)
+        earlier_count = [good, [[3]], *members]
+        with pytest.raises(InputError, match=r"^member 1 has 1 subtree\(s\), expected 2$"):
+            TSubtreeFamily(self._EDGES, 2, earlier_count)
+
+    def test_host_size_counts_vertices_of_repeated_subtrees(self):
+        assert TSubtreeFamily([], 1, [[[0]], [[0]], [[0]]]).host_size == 1
+        assert TSubtreeFamily([(0, 1)], 1, []).host_size == 2
+        fam = TSubtreeFamily([(0, 1), (1, 2)], 1, [[[2]], [[2, 1]], [[1, 2]], [[2]]])
+        assert fam.host_size == 3 and fam._tops == [[2], [1], [1], [2]]
+        with pytest.raises(InputError, match="^host is not a tree$"):
+            TSubtreeFamily([(0, 1)], 1, [[[0]], [[4]], [[4]]])
+        for h in (1, 2, 7):
+            assert random_subtree_family(9, 2, h, host_size=h)[0].host_size == h
+
+    def test_a_subtree_in_either_order_is_checked_once(self, monkeypatch):
+        checked = []  # the check takes each subtree's least vertex once
+
+        def spy(s, *args, **kwargs):
+            checked.append(sorted(s))
+            return min(s, *args, **kwargs)
+
+        monkeypatch.setattr(core, "min", spy, raising=False)
+        doc = {"host_edges": [[0, 1], [1, 2]], "t": 2,
+               "members": [[[2, 1], [0]], [[1, 2], [0]], [[0], [1, 2]]]}
+        fam = TSubtreeFamily.from_dict(doc)
+        assert checked == [[1, 2], [0]]
+        assert fam._tops == [[1, 0], [1, 0], [0, 1]]
 
 
 class TestPredicates:
@@ -506,6 +610,48 @@ class TestPiercing:
                     assert lo <= points[c] <= hi
 
 
+    def test_subtree_points_are_the_brute_force_intersections(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for seed in range(40):
+            drawn, _ = random_subtree_family(
+                8, 3, seed, host_size=rng.randint(1, 9), anchor=rng.choice((0, 0.5, 0.9))
+            )
+            fam = TSubtreeFamily.from_dict(drawn.to_dict())
+            col = coloring_from_subtrees(fam)
+            covers = [greedy_strong_cover(col)[0]]
+            for _ in range(15):
+                colors = rng.sample(range(1, 4), rng.randint(1, 3))
+                covers.append(StrongCover({
+                    c: frozenset(rng.sample(range(8), rng.randint(0, 4))) for c in colors
+                }))
+            for cov in covers:
+                want = oracles.subtree_piercing_points(
+                    fam.host_edges, fam.members, cov.assignments
+                )
+                assert (want is not None) == verify_cover(col, cov).valid
+                outcomes.add(want is not None)
+                if want is None:
+                    with pytest.raises(InputError, match="^cover is not valid"):
+                        piercing_points(fam, cov)
+                else:
+                    assert piercing_points(fam, cov) == want
+                    assert piercing_points(drawn, cov) == want
+        assert outcomes == {True, False}
+
+    def test_subtree_point_is_the_deepest_top(self):
+        # host 0-1-2 and 1-3, rooted at 0: vertices 2 and 3 are both at depth 2
+        fam = TSubtreeFamily(
+            [(0, 1), (1, 2), (1, 3)], 2,
+            [[[0, 1, 2], [2]], [[1, 3], [3]], [[1], [0, 1, 2]]],
+        )
+        cov = StrongCover({2: frozenset({0, 2}), 1: frozenset({0, 1, 2})})
+        assert piercing_points(fam, cov) == [(1, 1), (2, 2)]
+        for bad in ({0, 1}, {1, 2}):  # tops 2 and 3 tie in depth; 3 and 0
+            with pytest.raises(InputError, match="^cover is not valid"):
+                piercing_points(fam, StrongCover({1: frozenset({0}), 2: frozenset(bad)}))
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generators_are_seed_deterministic(seed):
@@ -563,8 +709,6 @@ class TestSweepBuilds:
             assert rows == oracles.family_color_adjacency(members, 1, _intervals_meet)
 
     def test_interval_random_families(self):
-        import random
-
         rng = random.Random(41)
         for _ in range(200):
             n = rng.randint(0, 14)
@@ -659,6 +803,23 @@ class TestEdgeColorsView:
             MultiColoring(3, 2, {(0, 1): frozenset({0})})
         assert col == MultiColoring(3, 2)
 
+    @pytest.mark.parametrize("key", [5, (0, 1, 2), (0,), "01", ("a", "b"), (False, True)])
+    def test_keys_that_are_not_vertex_pairs(self, key):
+        col = MultiColoring(3, 2, {(0, 1): [1]})
+        view = col.edge_colors
+        assert key not in view and view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+        pair = isinstance(key, tuple) and len(key) == 2
+        message = "^bad edge" if pair else r"^an edge \(u, v\) must be a list of 2$"
+        with pytest.raises(InputError, match=message):
+            MultiColoring(3, 2, {key: [1]})
+        with pytest.raises(InputError, match=message):
+            view[key] = [1]
+        with pytest.raises(KeyError if pair else InputError):
+            del view[key]
+        assert col == MultiColoring(3, 2, {(0, 1): [1]})
+
     def test_copy_between_colorings(self):
         star = construct_k5star()
         col = MultiColoring(5, 2, star.edge_colors)
@@ -668,8 +829,6 @@ class TestEdgeColorsView:
 
 class TestMaskPredicates:
     def test_kfold_matches_pairwise_count(self):
-        import random
-
         rng = random.Random(5)
         for _ in range(80):
             n = rng.randint(2, 9)

@@ -10,12 +10,15 @@ import json
 import pytest
 
 import golden
+import oracles
 from strongcover.core import (
     MultiColoring,
+    StrongCover,
     TIntervalFamily,
     TSubtreeFamily,
     coloring_from_intervals,
     coloring_from_subtrees,
+    piercing_points,
 )
 
 WANT = json.loads(golden.DIGESTS.read_text())
@@ -71,6 +74,31 @@ def test_family_colorings_are_the_package_colorings():
         else:
             col = coloring_from_intervals(TIntervalFamily.from_dict(doc))
         assert MultiColoring.from_dict(EDGES_DOCS[f"{name}-coloring"]) == col, name
+
+
+def test_subtree_piercing_points_match_the_oracle_on_golden_covers():
+    """Every valid cover a command prints for a well-formed subtree
+    document gets the brute-force points (the reports print points only
+    for interval documents, so no digest holds them)."""
+    checked = 0
+    for name, doc in FAMILY_DOCS.items():
+        if "host_edges" not in doc or name.startswith("malformed"):
+            continue
+        fam = TSubtreeFamily.from_dict(doc)
+        for argv in golden.FAMILY_ARGV.values():
+            if argv[0] != "cover":
+                continue
+            out = golden.run_output(argv, json.dumps(doc))[1]
+            report = json.loads(out) if out else {"checks": []}  # exit 2 on n < k
+            if not any(c["name"] == "cover-valid" and c["pass"] for c in report["checks"]):
+                continue
+            cover = StrongCover.from_dict(report["results"]["cover"])
+            want = oracles.subtree_piercing_points(
+                doc["host_edges"], doc["members"], cover.assignments
+            )
+            assert piercing_points(fam, cover) == want, (name, argv)
+            checked += 1
+    assert checked == 85
 
 
 # One test per command line over all of its cases keeps the per-test
