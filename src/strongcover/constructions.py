@@ -43,6 +43,7 @@ def hamilton_decomposition_bipartite(m: int) -> list[list[int]]:
     and each union is a single cycle of length 2m.  Cycles are returned as
     vertex lists without repeating the start.
     """
+    _require_ints(m=m)
     if m < 2 or m % 2 != 0:
         raise InputError(f"side size must be even and >= 2, got {m}")
     cycles = []
@@ -65,6 +66,7 @@ def hamilton_paths_for_construction(t: int) -> list[list[int]]:
     cycles, and removes the virtual vertex from each cycle.  Together the
     paths use every A-B pair exactly once.
     """
+    _require_ints(t=t)
     if t < 2:
         raise InputError(f"need t >= 2, got {t}")
     m = 2 * t - 2
@@ -352,7 +354,7 @@ def _draw_intervals(
     refused it), and a ``TIntervalFamily`` only for that draw, from its
     arrays and right-end orders, with no check run again.
     """
-    _require_ints(n=n, t=t)
+    _require_ints(n=n, t=t, seed=seed)
     if k is not None:
         _require_ints(k=k)
     if n < 1 or t < 1:
@@ -501,7 +503,7 @@ def _draw_subtrees(
     """
     if max_size is None:
         max_size = host_size
-    _require_ints(n=n, t=t, host_size=host_size, max_size=max_size)
+    _require_ints(n=n, t=t, seed=seed, host_size=host_size, max_size=max_size)
     if k is not None:
         _require_ints(k=k)
     if n < 1 or t < 1 or host_size < 1:

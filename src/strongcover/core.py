@@ -403,7 +403,7 @@ class TIntervalFamily(_Frozen):
 
     def __init__(self, t: int, members: Sequence) -> None:
         _require_ints(t=t)
-        self.__dict__.update(t=t, members=members)
+        self.__dict__.update(t=t, members=_list(members, "members"))
         members = self.validate()
         check_size(len(members), t)
         self.__dict__.update(members=members, _by_hi=tuple(
@@ -473,7 +473,7 @@ class TSubtreeFamily(_Frozen):
     def __init__(self, host_edges: Sequence, t: int, members: Sequence) -> None:
         _require_ints(t=t)
         checked = []
-        for e in host_edges:
+        for e in _list(host_edges, "host_edges"):
             if not isinstance(e, _SEQ) or len(e) != 2:
                 _list(e, "a host edge [u, v]", 2)
             u, v = e
@@ -485,7 +485,7 @@ class TSubtreeFamily(_Frozen):
         subtrees = []
         # as in TIntervalFamily.validate, a message is formatted only for a
         # member that fails a check
-        for idx, tracks in enumerate(members):
+        for idx, tracks in enumerate(_list(members, "members")):
             if not isinstance(tracks, _SEQ):
                 _list(tracks, f"member {idx}")
             for s in tracks:

@@ -315,9 +315,9 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
     """Minimum number of cliques in a strong cover of all vertices.
 
     Returns None when no strong cover covers every vertex.  Exhaustive over
-    per-color maximal cliques with memoized pruning; a branch stops once
-    the largest clique of every remaining color cannot cover what is left,
-    or once one more clique cannot beat the fewest found.
+    per-color maximal cliques, asking for k = 0, 1, ... whether k cliques
+    cover; a branch stops once the k largest cliques of the colors left
+    cannot cover what is left.
     """
     return _min_cover_size(col.n, _search_space(col, max_n))
 
@@ -373,42 +373,39 @@ def _max_cover(n: int, space: SearchSpace) -> StrongCover:
 
 
 def _min_cover_size(n: int, space: SearchSpace) -> int | None:
-    """The search of ``theta`` on n vertices.  A color with cliques to walk
-    replays its graph's lifts from a copy of one tee, which shares what the
-    tee has drawn: each lift is drawn once, only as far as the loops reach."""
+    """The search of ``theta`` on n vertices: whether k cliques can cover,
+    for k = 0, 1, ..., t in turn.  ``most[i][j]``, the sum of the j largest
+    clique sizes of the colors from the i-th on, is the most that j of
+    their cliques can cover, so a node that may take k more cliques returns
+    on entry when ``most[idx][k]`` is less than what is left.  A color
+    takes only the cliques with enough uncovered vertices that the later
+    colors, taking one clique fewer, can cover the rest; its lifts are
+    walked as in ``_max_cover``, pruned to those."""
     cliques, suffix_best = space
-    full = (1 << n) - 1
-    if full == 0:
-        return 0
+    t = len(cliques)
     per_color = [[] if walked else plain for plain, walked, _ in cliques]
-    drawn = {id(c): itertools.tee(_lifts(c), 1)[0] for c in cliques if c[1]}
-    best: int | None = None
-    seen: dict[tuple[int, int], int] = {}
+    sizes = [a - b for a, b in zip(suffix_best, suffix_best[1:])]
+    most = [
+        list(itertools.accumulate(sorted(sizes[i:], reverse=True), initial=0))
+        for i in range(t + 1)
+    ]
 
-    def descend(idx: int, covered: int, used: int) -> None:
-        nonlocal best
-        if best is not None and used >= best:
-            return
-        if covered == full:
-            best = used
-            return
-        if covered.bit_count() + suffix_best[idx] < n:
-            return
-        key = (idx, covered)
-        prior = seen.get(key)
-        if prior is not None and prior <= used:
-            return
-        seen[key] = used
+    def fits(idx: int, covered: int, k: int) -> bool:
+        """Whether at most k cliques of the colors from the idx-th on, one
+        color each, cover what ``covered`` leaves; k <= t - idx."""
+        left = n - covered.bit_count()
+        if most[idx][k] < left:
+            return False
+        if not left:
+            return True
         fresh = ~covered
-        for m in per_color[idx] or drawn[id(cliques[idx])].__copy__():
-            if best is not None and used + 1 >= best:
-                break  # each child would return on entry
-            if m & fresh:
-                descend(idx + 1, covered | m, used + 1)
-        descend(idx + 1, covered, used)
+        floor = max(1, left - most[idx + 1][k - 1])
+        for m in per_color[idx] or _lifts(cliques[idx], fresh, 0, (floor - 1,)):
+            if (m & fresh).bit_count() >= floor and fits(idx + 1, covered | m, k - 1):
+                return True
+        return fits(idx + 1, covered, min(k, t - idx - 1))
 
-    descend(0, 0, 0)
-    return best
+    return next((k for k in range(t + 1) if fits(0, 0, k)), None)
 
 
 def _check_pair(col: MultiColoring, pair: object) -> tuple[int, int]:

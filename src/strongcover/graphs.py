@@ -59,6 +59,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:  # as core._require_ints (core imports this module)
+            raise InputError(f"n must be int, got {n!r}")
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         self.n = n

@@ -321,11 +321,18 @@ class TestPlainIntSizes:
         ("t", construct_onefourth),
         ("n", lambda v: construct_partition_coloring(v, 1)),
         ("t", lambda v: construct_partition_coloring(4, v)),
+        ("seed", lambda v: random_interval_family(3, 2, v)),
+        ("seed", lambda v: random_subtree_family(3, 2, v)),
+        ("m", hamilton_decomposition_bipartite),
+        ("t", hamilton_paths_for_construction),
     ]
 
     @pytest.mark.parametrize("key, call", CALLS)
-    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
     def test_other_sizes_are_input_errors(self, key, call, value):
+        if key == "max_size" and value is None:  # the default: host_size
+            assert call(None) == call(8)
+            return
         with pytest.raises(InputError) as info:
             call(value)
         assert str(info.value) == f"{key} must be int, got {value!r}"

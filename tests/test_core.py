@@ -42,6 +42,7 @@ from strongcover.covers import (
     two_clique_cover_exact,
 )
 from strongcover.errors import InputError
+from strongcover.graphs import Graph
 
 
 class TestMultiColoring:
@@ -208,6 +209,7 @@ ENTRY_POINTS = {
         lambda k: counting_chain_check(_COL, _TRACE, k),
         "k must be int, got {!r}", None, 2,
     ),
+    "Graph-n": (Graph, "n must be int, got {!r}", -1, 1),
 }
 
 # the message of each int ENTRY_POINTS refuses, as before the plain-int rule
@@ -216,6 +218,7 @@ INT_MESSAGES = {
     "clique_substitute-vertex": "vertex 5 out of range for n=5",
     "clique_substitute-size": "size must be at least 1, got 0",
     "greedy_strong_cover-order": "order (2, 2, 3) is not a permutation of 1..3",
+    "Graph-n": "vertex count must be nonnegative, got -1",
 }
 
 
@@ -312,6 +315,15 @@ SHAPE_ARGS = {
     "piercing_points-assignments": (
         lambda: piercing_points(_FAM, StrongCover(5)),
         "cover assignments must be a mapping, got 5",
+    ),
+    "TIntervalFamily-members": (
+        lambda: TIntervalFamily(2, None), "members must be a list",
+    ),
+    "TSubtreeFamily-members": (
+        lambda: TSubtreeFamily([], 2, None), "members must be a list",
+    ),
+    "TSubtreeFamily-host_edges": (
+        lambda: TSubtreeFamily(None, 2, []), "host_edges must be a list",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Cover algorithms against the brute-force oracles and their stated bounds."""
 
+import collections
 import itertools
 import random
 import time
@@ -1118,6 +1119,23 @@ class TestMaskCounting:
                 assert oracles.residual_multiplicity(col, vs, k) == expected
 
 
+def theta_grid(rng, count):
+    """Seeded colorings with t <= 5 on at most 11 vertices, relabeled:
+    half random, each color on each pair with a probability of its own,
+    half complete multipartite colors with random parts, some thinned."""
+    for i in range(count):
+        n, t = rng.randint(0, 11), rng.randint(1, 5)
+        if i % 2:
+            parts = [
+                [rng.randrange(rng.randint(1, 5)) for _ in range(n)] for _ in range(t)
+            ]
+            keeps = [rng.choice((1.0, 1.0, 0.9, 0.6)) for _ in range(t)]
+        else:
+            parts = [range(n)] * t  # complete, then thinned
+            keeps = [rng.choice((0.15, 0.3, 0.5, 0.7)) for _ in range(t)]
+        yield coloring_of([multipartite_rows(n, p) for p in parts], keeps, rng)
+
+
 class TestThetaPrune:
     def test_complete_multipartite_3x7_two_colors_has_no_cover(self):
         # K_{3,...,3} with seven parts: every clique takes one vertex per
@@ -1129,6 +1147,34 @@ class TestThetaPrune:
                 if u // 3 != v // 3:
                     col.add_colors(u, v, [1, 2])
         assert theta(col) is None
+
+    def test_matches_oracle_on_a_seeded_grid(self):
+        """The fewest-cliques bound and the floor on each color's cliques
+        cut no cover: theta equals the oracle's on 800 colorings, over
+        200 of them with three or more multipartite colors."""
+        values, many_multipartite = collections.Counter(), 0
+        for i, col in enumerate(theta_grid(random.Random(31), 800)):
+            expected = oracles.theta(col)
+            assert theta(col) == expected, col.rows
+            values[expected] += 1
+            many_multipartite += i % 2 and col.t >= 3
+        assert set(values) == {None, 0, 1, 2, 3, 4}, values
+        assert values[3] + values[4] >= 100 and many_multipartite >= 200
+
+    def test_three_moon_moser_colors(self, monkeypatch):
+        """Three colors, each K_{3 x 13}: three cliques cover, and the
+        fewest-cliques bound refuses fewer at the root, so each color's
+        lifts are walked once, at the node that takes one of them."""
+        n = 39
+        row = multipartite_rows(n, [v // 3 for v in range(n)])
+        col = MultiColoring(n, 3)
+        col.rows = [list(row) for _ in range(3)]
+        walks, lifts = [], covers._lifts
+        monkeypatch.setattr(covers, "_lifts", lambda *a: walks.append(a) or lifts(*a))
+        start = time.perf_counter()
+        assert theta(col, max_n=n) == 3
+        assert time.perf_counter() - start < 1.0
+        assert len(walks) == 3
 
     def test_matches_oracle_on_corpora(self):
         items = [x for x in chordal_tk_corpus() if x.coloring.n <= 10]
