@@ -13,7 +13,7 @@ point piercing all track-i objects of the clique.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import or_
 from typing import NamedTuple
 
@@ -300,33 +300,27 @@ class MultiColoring:
     @classmethod
     def from_dict(cls, data: Mapping) -> "MultiColoring":
         """Parse ``{"n": n, "t": t, "edges": [[u, v, [colors]], ...]}``; every
-        number must be a plain int."""
+        number must be a plain int.
+
+        A dense document is read in one pass that checks each edge and ORs
+        it into its color set's accumulator (n neighbor masks), each of
+        which is ORed into its colors' rows once at the end.  No edge is
+        listed twice exactly when the accumulators' union holds two bits per
+        edge.  The g-th accumulator opens only while g <= t + 1 and
+        g * n * n <= 16 * E for E edges, so the pass's ``1 << v`` table and
+        accumulators cost O(1) words per edge.  A sparse document, one past
+        that cap or one with a fault is read edge by edge by
+        ``_write_edges``, which raises the first fault in document order:
+        for each edge its shape, its ints and color list, u < v, its range,
+        a repeat of an earlier edge, then its colors in turn.
+        """
         n, t, raw = _fields(data, "coloring", n=int, t=int, edges=list)
         col = cls(n, t)
-        rows = col.rows
-        listed = [0] * n  # listed[u]: the v > u of the edges (u, v) read so far
-        for item in raw:
-            if not isinstance(item, _SEQ) or len(item) != 3:
-                _list(item, "an edge [u, v, colors]", 3)
-            u, v, cs = item
-            if type(u) is not int or type(v) is not int or not isinstance(cs, _SEQ):
-                raise InputError(f"an edge must be [int, int, list], got {item!r}")
-            if not u < v:
-                raise InputError(f"edge ({u},{v}) must satisfy u < v")
-            if u < 0 or v >= n:
-                raise InputError(f"bad edge ({u},{v}) for n={n}")
-            # a repeated edge passed the range check on its first listing
-            bv = 1 << v
-            if listed[u] & bv:
-                raise InputError(f"edge ({u},{v}) listed twice")
-            listed[u] |= bv
-            bu = 1 << u
-            for c in cs:
-                if type(c) is not int or not 1 <= c <= t:
-                    raise InputError(f"color {c!r} out of range 1..{t}")
-                row = rows[c - 1]
-                row[u] |= bv
-                row[v] |= bu
+        groups = _edge_groups(n, t, raw)
+        if groups is None:
+            _write_edges(col, raw)
+        else:
+            _drain(col.rows, groups)
         return col
 
     def __eq__(self, other: object) -> bool:
@@ -341,6 +335,91 @@ class MultiColoring:
 
     def __repr__(self) -> str:
         return f"MultiColoring(n={self.n}, t={self.t}, edges={len(self.edge_colors)})"
+
+
+def _edge_groups(n: int, t: int, raw: Sequence) -> dict[int, list[int]] | None:
+    """The accumulators of ``from_dict``'s grouped pass, keyed by color
+    mask: ``groups[m][u]`` holds the v joined to u by the edges whose colors
+    make m.  None on a fault, on a repeated edge or past the cap."""
+    cap = min(t + 1, 16 * len(raw) // (n * n or 1))
+    if not cap:
+        return None
+    bit = [1 << i for i in range(max(n, t))]
+    groups: dict[int, list[int]] = {}
+    try:
+        for item in raw:
+            if not isinstance(item, _SEQ):
+                return None
+            u, v, cs = item  # ValueError unless three items
+            if (type(u) is not int or type(v) is not int or not isinstance(cs, _SEQ)
+                    or not 0 <= u < v < n):
+                return None
+            m = 0
+            for c in cs:
+                if type(c) is not int or not 1 <= c <= t:
+                    return None
+                m |= bit[c - 1]
+            acc = groups.get(m)
+            if acc is None:
+                if len(groups) == cap:
+                    return None
+                acc = groups[m] = [0] * n
+            acc[u] |= bit[v]
+            acc[v] |= bit[u]
+    except ValueError:
+        return None
+    # each distinct edge sets two bits of the union
+    accs = iter(groups.values())
+    union = next(accs, ())
+    for acc in accs:
+        union = map(or_, union, acc)
+    return groups if sum(map(int.bit_count, union)) == 2 * len(raw) else None
+
+
+def _drain(rows: list[list[int]], groups: dict[int, list[int]]) -> None:
+    """OR each accumulator into its colors' rows.  A row no group has
+    reached yet becomes a copy of the list (the masks are shared, not
+    copied); a row already reached takes the accumulator's nonzero masks."""
+    reached = 0
+    for m, acc in groups.items():
+        hits = list(compress(range(len(acc)), acc)) if m & reached else ()
+        for c in bits(m):
+            if reached >> c & 1:
+                row = rows[c]
+                for x in hits:
+                    row[x] |= acc[x]
+            else:
+                rows[c] = acc.copy()
+        reached |= m
+
+
+def _write_edges(col: MultiColoring, raw: Sequence) -> None:
+    """Write the edges into the rows one by one, raising the first fault
+    in document order: ``from_dict``'s path for what it cannot group."""
+    n, t, rows = col.n, col.t, col.rows
+    listed = [0] * n  # listed[u]: the v > u of the edges (u, v) read so far
+    for item in raw:
+        if not isinstance(item, _SEQ) or len(item) != 3:
+            _list(item, "an edge [u, v, colors]", 3)
+        u, v, cs = item
+        if type(u) is not int or type(v) is not int or not isinstance(cs, _SEQ):
+            raise InputError(f"an edge must be [int, int, list], got {item!r}")
+        if not u < v:
+            raise InputError(f"edge ({u},{v}) must satisfy u < v")
+        if u < 0 or v >= n:
+            raise InputError(f"bad edge ({u},{v}) for n={n}")
+        # a repeated edge passed the range check on its first listing
+        bv = 1 << v
+        if listed[u] & bv:
+            raise InputError(f"edge ({u},{v}) listed twice")
+        listed[u] |= bv
+        bu = 1 << u
+        for c in cs:
+            if type(c) is not int or not 1 <= c <= t:
+                raise InputError(f"color {c!r} out of range 1..{t}")
+            row = rows[c - 1]
+            row[u] |= bv
+            row[v] |= bu
 
 
 def _right_end_order(his: Sequence[int]) -> list[int]:
@@ -786,14 +865,20 @@ def is_tk_coloring(
     return (witness is None, witness)
 
 
-def is_kwise_intersecting(fam: TIntervalFamily, k: int) -> bool:
+def is_kwise_intersecting(fam: TIntervalFamily | TSubtreeFamily, k: int) -> bool:
     """True if every k members share a point on some track.
 
-    By the Helly property of intervals on a line, k members share a point
-    on a track exactly when they pairwise meet there, so this is the (t,k)
-    check on the derived coloring.
+    Intervals on a line and subtrees of a tree (Gavril 1974) have the Helly
+    property: k members share a point on a track exactly when they pairwise
+    meet there, so this is the (t,k) check on the derived coloring.
     """
-    return is_tk_coloring(coloring_from_intervals(fam), k)[0]
+    if isinstance(fam, TSubtreeFamily):
+        col = coloring_from_subtrees(fam)
+    elif isinstance(fam, TIntervalFamily):
+        col = coloring_from_intervals(fam)
+    else:
+        raise InputError(f"need an interval or subtree family, got {type(fam).__name__}")
+    return is_tk_coloring(col, k)[0]
 
 
 def count_layers(masks: Iterable[int], top: int) -> list[int]:

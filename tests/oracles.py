@@ -131,6 +131,54 @@ def kwise_intersecting(fam, k):
     return True
 
 
+def kwise_intersecting_subtrees(fam, k):
+    """Intersect the k subtrees' vertex sets track by track, literally."""
+    for subset in combinations(range(fam.n), k):
+        if not any(
+            set.intersection(*(set(fam.members[m][i]) for m in subset))
+            for i in range(fam.t)
+        ):
+            return False
+    return True
+
+
+def edges_rows(doc):
+    """Color rows of a well-formed edges document, written edge by edge."""
+    rows = [[0] * doc["n"] for _ in range(doc["t"])]
+    for u, v, colors in doc["edges"]:
+        for c in colors:
+            rows[c - 1][u] |= 1 << v
+            rows[c - 1][v] |= 1 << u
+    return rows
+
+
+def first_edges_fault(doc):
+    """Message of the first fault in an edges document's edge list, or None.
+
+    The per-edge checks in their order: the edge's shape, its ints and
+    color list, u < v, the range of u and v, a repeat of an earlier edge,
+    then each color in turn.  ``n`` and ``t`` are taken as valid."""
+    n, t = doc["n"], doc["t"]
+    seen = set()
+    for item in doc["edges"]:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            return "an edge [u, v, colors] must be a list of 3"
+        u, v, colors = item
+        if type(u) is not int or type(v) is not int or not isinstance(colors, (list, tuple)):
+            return f"an edge must be [int, int, list], got {item!r}"
+        if not u < v:
+            return f"edge ({u},{v}) must satisfy u < v"
+        if u < 0 or v >= n:
+            return f"bad edge ({u},{v}) for n={n}"
+        if (u, v) in seen:
+            return f"edge ({u},{v}) listed twice"
+        seen.add((u, v))
+        for c in colors:
+            if type(c) is not int or not 1 <= c <= t:
+                return f"color {c!r} out of range 1..{t}"
+    return None
+
+
 def endpoint_witness(missers, points, n, k):
     """The endpoint witness of the seeded draws, read off its definition:
     among the first n picks of one member per track's ``missers``, in

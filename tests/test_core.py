@@ -108,6 +108,149 @@ class TestMultiColoring:
             )
 
 
+class _Seq(list):
+    """A list subclass, which an edges document may use for any list."""
+
+
+def _bad_color(rng, t):
+    return rng.choice((0, -1, t + 1, None, "1", True, 1.0, 2.5))
+
+
+def _inject(rng, edges, n, t):
+    """Put one fault of a seeded kind into ``edges``; returns the kind."""
+    whole = [j for j, e in enumerate(edges) if isinstance(e, (list, tuple)) and len(e) == 3
+             and isinstance(e[2], (list, tuple))]
+    if not whole:
+        edges.append([0, 1, [1]] if n < 2 else [n - 1, n, [1]])
+        return "range"
+    kind = rng.choice(("alias", "repeat", "repeat-then-color", "color", "range",
+                       "order", "ints", "shape", "container"))
+    i = rng.choice(whole)
+    u, v, cs = edges[i]
+    if kind == "alias":  # an equal color list after a valid one: True or 1.0
+        later = [j for j in whole if j > i and tuple(edges[j][:2]) != (u, v)]
+        if not cs or not later:
+            return _inject(rng, edges, n, t)
+        j = rng.choice(later)
+        alias = [True if c == 1 else float(c) for c in cs[:1]] + list(cs[1:])
+        edges[j] = [edges[j][0], edges[j][1], alias]
+    elif kind in ("repeat", "repeat-then-color"):
+        j = rng.randint(i + 1, len(edges))
+        edges.insert(j, [u, v, rng.sample(range(1, t + 1), rng.randint(0, t))])
+        if kind == "repeat-then-color":
+            k = rng.randint(j + 1, len(edges))
+            edges.insert(k, [n, n + 1, [_bad_color(rng, t)]] if n < 2 else
+                         [0, n - 1, [_bad_color(rng, t)]])
+    elif kind == "color":
+        edges[i] = [u, v, list(cs) + [_bad_color(rng, t)]]
+    elif kind == "range":
+        edges[i] = rng.choice(([-1, v, cs], [u, n, cs], [u, n + 3, cs]))
+    elif kind == "order":
+        edges[i] = rng.choice(([v, u, cs], [u, u, cs]))
+    elif kind == "ints":
+        bad = rng.choice((True, 1.0, "0", None))
+        edges[i] = [bad, v, cs] if rng.random() < 0.5 else [u, bad, cs]
+    elif kind == "shape":
+        edges[i] = rng.choice(([u, v], [u, v, cs, 0], 5, "abc", None, (u,), {u: v}))
+    else:
+        edges[i] = [u, v, rng.choice((set(cs), 3, None, "12"))]
+    return kind
+
+
+def _edges_document(rng):
+    """A seeded edges document: shuffled edges, mostly dense enough to be
+    grouped, with tuples and list subclasses, empty color lists, colors
+    listed twice, up to 2**t distinct color sets, and often a fault."""
+    n, t = rng.randint(0, 9), rng.randint(1, 4)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = rng.sample(pairs, round(len(pairs) * rng.choice((0.2, 0.6, 1.0))))
+    sets = [rng.sample(range(1, t + 1), rng.randint(0, t)) for _ in range(rng.choice((1, 3, 9)))]
+    edges = []
+    for u, v in pairs:
+        cs = list(rng.choice(sets))
+        if cs and rng.random() < 0.05:
+            cs.append(cs[0])
+        shape = rng.random()
+        cs = tuple(cs) if shape < 0.1 else _Seq(cs) if shape < 0.15 else cs
+        shape = rng.random()
+        edges.append((u, v, cs) if shape < 0.1 else _Seq((u, v, cs)) if shape < 0.15 else [u, v, cs])
+    kinds = [_inject(rng, edges, n, t) for _ in range(rng.choice((0, 0, 1, 1, 2)))]
+    return {"n": n, "t": t, "edges": edges}, kinds
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of documents read by ``core._write_edges``, the edge by
+    edge path, so far."""
+    calls = []
+    write = core._write_edges
+
+    def spy(col, raw):
+        calls.append(len(raw))
+        return write(col, raw)
+
+    monkeypatch.setattr(core, "_write_edges", spy)
+    return calls
+
+
+class TestEdgesParse:
+    """``MultiColoring.from_dict`` reads a dense document in one grouped
+    pass and anything else edge by edge; both give the rows written edge
+    by edge, or the first fault's message."""
+
+    def test_agrees_with_the_edge_by_edge_oracles(self, fallbacks):
+        rng = random.Random(20240601)
+        grouped = faults = 0
+        kinds = set()
+        for _ in range(6000):
+            doc, injected = _edges_document(rng)
+            kinds.update(injected)
+            fault = oracles.first_edges_fault(doc)
+            before = len(fallbacks)
+            if fault is None:
+                assert MultiColoring.from_dict(doc).rows == oracles.edges_rows(doc)
+                grouped += len(fallbacks) == before
+            else:
+                with pytest.raises(InputError) as info:
+                    MultiColoring.from_dict(doc)
+                assert str(info.value) == fault
+                assert len(fallbacks) == before + 1
+                faults += 1
+        assert grouped > 1000 and faults > 1500
+        assert len(kinds) == 9
+
+    @pytest.mark.parametrize("doc", [
+        complete_coloring(96, 3).to_dict(),
+        blow_up(construct_k5star(), BlowupSpec([12] * 5)).to_dict(),
+    ], ids=["complete-n96-t3", "k5star-blowup-n60"])
+    def test_benchmark_shapes_are_grouped(self, fallbacks, doc):
+        random.Random(5).shuffle(doc["edges"])
+        assert MultiColoring.from_dict(doc).rows == oracles.edges_rows(doc)
+        assert fallbacks == []
+
+    def test_a_fault_is_read_edge_by_edge_once(self, fallbacks):
+        doc = complete_coloring(96, 3).to_dict()
+        doc["edges"][-1][2] = [True]
+        with pytest.raises(InputError, match=r"^color True out of range 1\.\.3$"):
+            MultiColoring.from_dict(doc)
+        assert fallbacks == [len(doc["edges"])]
+
+    def test_the_size_rule_on_either_side(self, fallbacks):
+        # g accumulators need g * n**2 <= 16 * len(edges) and g <= t + 1
+        path = [[u, v, [1]] for u, v in ((0, 1), (1, 2), (2, 3), (3, 4))]
+        MultiColoring.from_dict({"n": 8, "t": 1, "edges": path})  # 64 <= 64
+        assert fallbacks == []
+        MultiColoring.from_dict({"n": 8, "t": 1, "edges": path[:3]})  # 64 > 48
+        assert fallbacks == [3]
+        k4 = [[0, 1, []], [0, 2, [1]], [0, 3, [2]], [1, 2, [1]], [1, 3, [2]]]
+        MultiColoring.from_dict({"n": 4, "t": 2, "edges": k4})  # 3 sets, t + 1
+        assert fallbacks == [3]
+        k4.append([2, 3, [1, 2]])
+        col = MultiColoring.from_dict({"n": 4, "t": 2, "edges": k4})  # 4 sets
+        assert fallbacks == [3, 6]
+        assert col.rows == oracles.edges_rows({"n": 4, "t": 2, "edges": k4})
+
+
 class TestPlainIntSizes:
     """The public constructors take t (and a coloring's n) as a plain int,
     as ``from_dict`` does, so what one builds the other reads back."""
@@ -525,6 +668,23 @@ class TestPredicates:
                 direct = is_kwise_intersecting(fam, k)
                 assert direct == is_tk_coloring(col, k)[0]
                 assert direct == oracles.kwise_intersecting(fam, k)
+
+    def test_kwise_intersecting_takes_both_kinds_of_family(self):
+        seen = set()
+        for seed in range(40):
+            anchor = (seed % 4) * 0.3
+            intervals, _ = random_interval_family(6, 2, seed, anchor=anchor)
+            subtrees, _ = random_subtree_family(6, 2, seed, host_size=5, anchor=anchor)
+            for k in range(2, 7):
+                assert is_kwise_intersecting(intervals, k) == oracles.kwise_intersecting(
+                    intervals, k)
+                direct = is_kwise_intersecting(subtrees, k)
+                assert direct == oracles.kwise_intersecting_subtrees(subtrees, k)
+                seen.add(direct)
+        assert seen == {True, False}
+        for bad in (None, frozenset({1}), construct_k5star(), [[(0, 1)]]):
+            with pytest.raises(InputError, match="^need an interval or subtree family"):
+                is_kwise_intersecting(bad, 2)
 
     def test_kfold_bounds(self):
         assert kfold_min_colors(complete_coloring(4, 3)) == 3
