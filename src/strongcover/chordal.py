@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import _kernels as kernels
-from .core import _Record
+from .core import _SEQ, _Record
 from .errors import InputError
 from .graphs import Graph, bits, lex_key
 
@@ -114,7 +114,11 @@ def _check_peo(g: Graph, peo: list[int]) -> tuple[int, int, int] | None:
     (a, b) is the lexicographically least such pair for the first bad v.
     """
     n = g.n
-    if sorted(peo) != list(range(n)):
+    if (
+        not isinstance(peo, (*_SEQ, range))
+        or not set(map(type, peo)) <= {int}  # a bool or float is refused
+        or sorted(peo) != list(range(n))
+    ):
         raise InputError("ordering is not a permutation of the vertices")
     if _is_peo(g.adj, peo):
         return None

@@ -12,9 +12,11 @@ point piercing all track-i objects of the clique.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import (
+    Collection, Iterable, Iterator, Mapping, MutableMapping, Sequence,
+)
 from itertools import accumulate, chain, compress
-from operator import or_
+from operator import or_, xor
 from typing import NamedTuple
 
 from . import _kernels as kernels
@@ -67,6 +69,14 @@ def _mapping(value, what: str):
     """``value`` if it is a mapping, else an InputError naming ``what``."""
     if not isinstance(value, Mapping):
         raise InputError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
+def _instance(value, kinds: type | tuple[type, ...], what: str):
+    """``value`` if it is an instance of ``kinds``, else an InputError
+    naming ``what`` and the type given."""
+    if not isinstance(value, kinds):
+        raise InputError(f"need {what}, got {type(value).__name__}")
     return value
 
 
@@ -562,6 +572,7 @@ class TSubtreeFamily(_Frozen):
                 raise InputError(f"self-loop at {u}")
             checked.append((u, v) if u < v else (v, u))
         subtrees = []
+        shared = {}  # vertex tuple as written -> the one frozenset made of it
         # as in TIntervalFamily.validate, a message is formatted only for a
         # member that fails a check
         for idx, tracks in enumerate(_list(members, "members")):
@@ -570,13 +581,20 @@ class TSubtreeFamily(_Frozen):
             for s in tracks:
                 if not isinstance(s, _SUBTREE):
                     _list(s, f"member {idx}: a subtree")
+            mine = []
             for s in tracks:  # subtrees are small: a plain loop beats a set of types
                 for x in s:
                     if type(x) is not int:
                         raise InputError(
                             f"member {idx}: subtree vertices must be integers"
                         )
-            subtrees.append(tuple(map(frozenset, tracks)))
+                # looked up only once checked, as (0, True) == (0, 1)
+                key = tuple(s)
+                shared_s = shared.get(key)
+                if shared_s is None:
+                    shared_s = shared[key] = frozenset(key)
+                mine.append(shared_s)
+            subtrees.append(tuple(mine))
         self.__dict__.update(host_edges=tuple(checked), t=t, members=tuple(subtrees))
         depth, tops = self._rooted()
         check_size(len(subtrees), t)
@@ -678,6 +696,9 @@ class TSubtreeFamily(_Frozen):
         return cls(
             *_fields(data, "subtree family", host_edges=list, t=int, members=list)
         )
+
+
+_FAMILY = (TIntervalFamily, TSubtreeFamily)
 
 
 class StrongCover(_Record):
@@ -784,6 +805,7 @@ def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i intervals of u and v intersect,
     swept in the family's right-end order, which the coloring keeps as its
     PEOs (``family_peos``)."""
+    _instance(fam, TIntervalFamily, "an interval family")
     return _interval_coloring(
         [[tracks[i][0] for tracks in fam.members] for i in range(fam.t)],
         [[tracks[i][1] for tracks in fam.members] for i in range(fam.t)],
@@ -791,44 +813,62 @@ def coloring_from_intervals(fam: TIntervalFamily) -> MultiColoring:
     )._keep_peos(fam._by_hi)
 
 
-def _subtree_rows(
-    h: int, subtrees: Sequence[Iterable[int]], singles: list[int]
+def _subtree_meets(
+    h: int, subtrees: Collection[Iterable[int]], masks: Iterable[int]
 ) -> list[int]:
-    """One track's rows from its members' subtrees (host vertices below h).
+    """Per subtree of one track (host vertices below h), held by the
+    members in its entry of ``masks``: the mask of the members whose
+    subtree shares a vertex with it, its own members included.
 
-    Each host vertex gets the mask of members whose subtree holds it; a
-    member's row is the OR of those masks over its subtree.
+    Each host vertex gets the OR of the masks of the subtrees holding it; a
+    subtree's meet mask is the OR of those over its vertices.
     """
     holders = [0] * h
-    for bit, s in zip(singles, subtrees):
+    for bit, s in zip(masks, subtrees):
         for x in s:
             holders[x] |= bit
-    rows = []
-    for bit, s in zip(singles, subtrees):
+    out = []
+    for s in subtrees:
         meets = 0
         for x in s:
             meets |= holders[x]
-        rows.append(meets ^ bit)
-    return rows
+        out.append(meets)
+    return out
 
 
 def _subtree_coloring(h: int, subtrees: list[list[Iterable[int]]]) -> MultiColoring:
     """The coloring of a subtree family given per track as one subtree (host
-    vertices below h) per member: one ``_subtree_rows`` sweep per track."""
+    vertices below h) per member: one ``_subtree_meets`` sweep per track,
+    each member's subtree on its own.  A seeded draw's subtrees are lists,
+    mostly distinct, which grouping (``coloring_from_subtrees``) would
+    only slow down."""
     col = MultiColoring(len(subtrees[0]), len(subtrees))
     singles = [1 << v for v in range(col.n)]
     for i, track in enumerate(subtrees):
-        col.rows[i] = _subtree_rows(h, track, singles)
+        col.rows[i] = list(map(xor, _subtree_meets(h, track, singles), singles))
     return col
 
 
 def coloring_from_subtrees(fam: TSubtreeFamily) -> MultiColoring:
     """Edge (u, v) gets color i when track-i subtrees of u and v share a
-    vertex; the coloring keeps ``family_peos(fam)`` as its PEOs."""
-    return _subtree_coloring(
-        fam.host_size,
-        [[tracks[i] for tracks in fam.members] for i in range(fam.t)],
-    )._keep_peos(family_peos(fam))
+    vertex; the coloring keeps ``family_peos(fam)`` as its PEOs.
+
+    A parsed family repeats few distinct subtrees many times, so each track
+    is swept once per distinct subtree, held by the mask of its members:
+    member v's row is its subtree's meet mask less v itself.
+    """
+    _instance(fam, TSubtreeFamily, "a subtree family")
+    col = MultiColoring(fam.n, fam.t)
+    h = fam.host_size
+    singles = [1 << v for v in range(fam.n)]
+    for i in range(fam.t):
+        track = [tracks[i] for tracks in fam.members]
+        groups = dict.fromkeys(track, 0)
+        for s, bit in zip(track, singles):
+            groups[s] |= bit
+        meets = dict(zip(groups, _subtree_meets(h, groups, groups.values())))
+        col.rows[i] = list(map(xor, map(meets.__getitem__, track), singles))
+    return col._keep_peos(family_peos(fam))
 
 
 def family_peos(fam: TIntervalFamily | TSubtreeFamily) -> list[list[int]]:
@@ -872,12 +912,11 @@ def is_kwise_intersecting(fam: TIntervalFamily | TSubtreeFamily, k: int) -> bool
     property: k members share a point on a track exactly when they pairwise
     meet there, so this is the (t,k) check on the derived coloring.
     """
+    _instance(fam, _FAMILY, "an interval or subtree family")
     if isinstance(fam, TSubtreeFamily):
         col = coloring_from_subtrees(fam)
-    elif isinstance(fam, TIntervalFamily):
-        col = coloring_from_intervals(fam)
     else:
-        raise InputError(f"need an interval or subtree family, got {type(fam).__name__}")
+        col = coloring_from_intervals(fam)
     return is_tk_coloring(col, k)[0]
 
 
@@ -911,28 +950,36 @@ def kfold_min_colors(col: MultiColoring) -> int:
     return best
 
 
-def _cover_masks(cov: StrongCover, t: int, n: int) -> list[tuple[int, int]]:
-    """(color, vertex mask) of each assignment of a cover, every color a
-    plain int in 1..t and every vertex a plain int in 0..n-1."""
+def _cover_masks(
+    cov: StrongCover, t: int, n: int
+) -> list[tuple[int, int, list[int]]]:
+    """(color, vertex mask, vertices as listed) of each assignment of a
+    cover, every color a plain int in 1..t and every vertex a plain int in
+    0..n-1; the list is the one the check walked, repeats and all."""
     out = []
-    for c, s in _mapping(cov.assignments, "cover assignments").items():
+    assignments = _instance(cov, StrongCover, "a strong cover").assignments
+    for c, s in _mapping(assignments, "cover assignments").items():
         if type(c) is not int or not 1 <= c <= t:
             raise InputError(f"cover color {c!r} out of range 1..{t}")
         m = 0
+        vs = []
         for v in _collection(s, f"cover color {c}'s vertices"):
             if type(v) is not int or not 0 <= v < n:
                 raise InputError(f"cover vertex {v!r} out of range for n={n}")
             m |= 1 << v
-        out.append((c, m))
+            vs.append(v)
+        out.append((c, m, vs))
     return out
 
 
 def verify_cover(col: MultiColoring, cov: StrongCover) -> CoverReport:
     """Check that each assigned set is a clique in its color; count coverage."""
+    _instance(col, MultiColoring, "a coloring")
     seen = 0
     valid = True
-    for c, m in _cover_masks(cov, col.t, col.n):
-        valid &= col.is_clique_mask(m, c)
+    for c, m, vs in _cover_masks(cov, col.t, col.n):
+        row = col.rows[c - 1]
+        valid = valid and all(not m & ~(row[v] | 1 << v) for v in vs)
         seen |= m
     return CoverReport(valid=valid, covered=seen.bit_count())
 
@@ -957,18 +1004,19 @@ def piercing_points(
     Returns (track, point) pairs sorted by track; empty assignments are
     skipped.
     """
+    _instance(fam, _FAMILY, "an interval or subtree family")
     subtrees = isinstance(fam, TSubtreeFamily)
     out = []
-    for c, m in sorted(_cover_masks(cov, fam.t, fam.n)):
-        if not m:
+    for c, _, vs in sorted(_cover_masks(cov, fam.t, fam.n)):
+        if not vs:
             continue
         i = c - 1
         if subtrees:
-            point = max((fam._tops[v][i] for v in bits(m)), key=fam._depth.__getitem__)
-            valid = all(point in fam.members[v][i] for v in bits(m))
+            point = max((fam._tops[v][i] for v in vs), key=fam._depth.__getitem__)
+            valid = all(point in fam.members[v][i] for v in vs)
         else:
-            point = max(fam.members[v][i][0] for v in bits(m))
-            valid = point <= min(fam.members[v][i][1] for v in bits(m))
+            point = max(fam.members[v][i][0] for v in vs)
+            valid = point <= min(fam.members[v][i][1] for v in vs)
         if not valid:
             raise InputError("cover is not valid for the coloring of this family")
         out.append((c, point))

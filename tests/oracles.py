@@ -412,6 +412,21 @@ def subtree_piercing_points(host_edges, members, assignments):
     return points
 
 
+def interval_piercing_points(members, assignments):
+    """(track, point) for each nonempty assigned color, by track: the least
+    point of the intersection [max left end, min right end] of the assigned
+    members' track intervals.  None when some intersection is empty."""
+    points = []
+    for c in sorted(assignments):
+        if assignments[c]:
+            ends = [members[v][c - 1] for v in assignments[c]]
+            lo, hi = max(a for a, _ in ends), min(b for _, b in ends)
+            if lo > hi:
+                return None
+            points.append((c, lo))
+    return points
+
+
 def grown_maximal_cliques(n, adj):
     """Maximal cliques as increasing vertex tuples, sorted: every clique is
     grown one later vertex at a time, and kept when no vertex is joined to

@@ -210,6 +210,30 @@ class TestCliques:
         with pytest.raises((InputError, PreconditionError)):
             max_clique_chordal(g, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "call", [max_clique_chordal, maximal_cliques_chordal, clique_cutset]
+    )
+    @pytest.mark.parametrize("order", [
+        [True, 0, 2, 3, 4, 5],  # equal to [1, 0, 2, ...] but a bool
+        [0, 1, 2, 3, 4, 5.0],  # sorts as a permutation, then fails in ``<<``
+        [0.0, 1, 2, 3, 4, 5],
+        None,
+        3.5,
+        "012345",
+        iter(range(6)),  # one pass: a permutation test reading it leaves the PEO test none
+        {0, 1, 2, 3, 4, 5},
+        [0, 1, 2, 3, 4, "5"],
+        [0, 1, 2, 3, 4],
+    ])
+    def test_orderings_that_are_not_lists_of_plain_ints(self, call, order):
+        path = Graph(6, [(i, i + 1) for i in range(5)])
+        with pytest.raises(
+            InputError, match="^ordering is not a permutation of the vertices$"
+        ):
+            call(path, order)
+        for taken in ([5, 4, 3, 2, 1, 0], (0, 1, 2, 3, 4, 5), range(6)):
+            call(path, taken)
+
 
 class TestCliqueCutset:
     def test_path_graph_cutset(self):

@@ -478,6 +478,51 @@ def test_items_and_mappings_of_the_wrong_shape_are_input_errors(name):
         call()
 
 
+# the 12 values of the ROADMAP's bad-argument probe
+BAD_VALUES = [
+    None, "x", 3.5, True, -1, 10**6, [], [1], {1: 2}, (0, 1, 2), object(), float("nan"),
+]
+_SUBTREES = TSubtreeFamily([(0, 1)], 3, [[[0], [1], [0, 1]], [[0, 1], [1], [0]]])
+
+# an entry point given what stands in one argument's place, the kind its
+# message names, an argument it takes, and objects of the package of the
+# wrong kind
+KIND_ARGS = {
+    "coloring_from_intervals": (
+        coloring_from_intervals, "an interval family", _FAM, [_STAR, _SUBTREES],
+    ),
+    "coloring_from_subtrees": (
+        coloring_from_subtrees, "a subtree family", _SUBTREES, [_STAR, _FAM],
+    ),
+    "verify_cover-coloring": (
+        lambda x: verify_cover(x, _cover()), "a coloring", _COL, [_FAM, _cover()],
+    ),
+    "verify_cover-cover": (
+        lambda x: verify_cover(_COL, x), "a strong cover", _cover(),
+        [_STAR, _FAM, {1: frozenset({0})}],
+    ),
+    "piercing_points-family": (
+        lambda x: piercing_points(x, _cover()), "an interval or subtree family",
+        _SUBTREES, [_COL, _cover()],
+    ),
+    "piercing_points-cover": (
+        lambda x: piercing_points(_FAM, x), "a strong cover", _cover(), [_STAR, _FAM],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KIND_ARGS)
+def test_arguments_of_the_wrong_kind_are_input_errors(name):
+    """A family, coloring or cover argument of another type is an
+    InputError naming the kind, not an AttributeError from its first read."""
+    call, kind, taken, others = KIND_ARGS[name]
+    call(taken)
+    for value in BAD_VALUES + others:
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert str(info.value) == f"need {kind}, got {type(value).__name__}"
+
+
 class TestFamilies:
     def test_interval_family_validation(self):
         fam = TIntervalFamily(2, [[(0, 1), (4, 4)], [(1, 3), (0, 9)]])
@@ -824,6 +869,98 @@ class TestPiercing:
                 piercing_points(fam, StrongCover({1: frozenset({0}), 2: frozenset(bad)}))
 
 
+_FORMS = {  # an assignment's vertices written as each collection a cover takes
+    "list": list,
+    "list-repeats": lambda vs: [*vs, *vs[::-1], *vs[:1]],
+    "tuple": tuple,
+    "set": set,
+    "frozenset": frozenset,
+}
+
+
+def _drawn_case(kind, seed, rng):
+    """(family, coloring, oracle of its piercing points) of a seeded draw,
+    a subtree family as parsed from its document."""
+    anchor = rng.choice((0, 0.5, 0.9))
+    if kind == "interval":
+        fam, _ = random_interval_family(8, 3, seed, anchor=anchor)
+        return fam, coloring_from_intervals(fam), lambda sets: (
+            oracles.interval_piercing_points(fam.members, sets)
+        )
+    drawn, _ = random_subtree_family(
+        8, 3, seed, host_size=rng.randint(1, 7), anchor=anchor
+    )
+    fam = TSubtreeFamily.from_dict(drawn.to_dict())
+    return fam, coloring_from_subtrees(fam), lambda sets: (
+        oracles.subtree_piercing_points(fam.host_edges, fam.members, sets)
+    )
+
+
+class TestCoverWalk:
+    """``verify_cover`` and ``piercing_points`` walk each assignment's
+    vertices as written: every form of a vertex set, repeats and the empty
+    set included, gives the results and messages of the set it holds."""
+
+    @pytest.mark.parametrize("kind", ["interval", "subtree"])
+    def test_every_form_gives_the_results_of_its_set(self, kind):
+        rng = random.Random(17)
+        outcomes = set()
+        for seed in range(30):
+            fam, col, points_of = _drawn_case(kind, seed, rng)
+            for _ in range(8):
+                sets = {
+                    c: rng.sample(range(8), rng.randint(0, 4))
+                    for c in rng.sample(range(1, 4), rng.randint(1, 3))
+                }
+                valid = all(oracles.is_clique(col.rows[c - 1], s) for c, s in sets.items())
+                covered = len(set().union(*sets.values()))
+                points = points_of(sets)
+                assert (points is not None) == valid
+                outcomes.add((valid, any(not s for s in sets.values())))
+                for form in _FORMS.values():
+                    cov = StrongCover({c: form(s) for c, s in sets.items()})
+                    assert verify_cover(col, cov) == (valid, covered)
+                    if points is None:
+                        with pytest.raises(InputError, match="^cover is not valid"):
+                            piercing_points(fam, cov)
+                    else:
+                        assert piercing_points(fam, cov) == points
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_pinned_cases_in_every_form(self, form):
+        write = _FORMS[form]
+        intervals = TIntervalFamily(
+            2, [[(0, 4), (0, 1)], [(2, 6), (5, 6)], [(4, 4), (1, 5)]]
+        )
+        subtrees = TSubtreeFamily(
+            [(0, 1), (1, 2), (1, 3)], 2,
+            [[[0, 1, 2], [2]], [[1, 3], [3]], [[1], [0, 1, 2]]],
+        )
+        for fam, col, points in (
+            (intervals, coloring_from_intervals(intervals), [(1, 4)]),
+            (subtrees, coloring_from_subtrees(subtrees), [(1, 1)]),
+        ):
+            # a clique, repeated vertices aside, and an empty assignment
+            cov = StrongCover({1: write([0, 1, 2]), 2: write([])})
+            assert verify_cover(col, cov) == (True, 3)
+            assert piercing_points(fam, cov) == points
+            # members 0 and 1 do not meet on track 2
+            cov = StrongCover({1: write([2]), 2: write([1, 0])})
+            assert verify_cover(col, cov) == (False, 3)
+            with pytest.raises(
+                InputError, match="^cover is not valid for the coloring of this family$"
+            ):
+                piercing_points(fam, cov)
+            for bad in (3, -1):
+                cov = StrongCover({1: write([0]), 2: write([1, bad])})
+                message = f"^cover vertex {bad} out of range for n=3$"
+                with pytest.raises(InputError, match=message):
+                    verify_cover(col, cov)
+                with pytest.raises(InputError, match=message):
+                    piercing_points(fam, cov)
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generators_are_seed_deterministic(seed):
@@ -933,6 +1070,76 @@ class TestSweepBuilds:
             )
             assert col.rows == expected
             assert oracles.color_adjacency(col) == expected
+
+
+def _grown_subtree(rng, neighbors, size):
+    """A connected vertex set of up to ``size`` host vertices, grown from a
+    random one."""
+    grown = [rng.randrange(len(neighbors))]
+    while len(grown) < size:
+        frontier = [y for x in grown for y in neighbors[x] if y not in grown]
+        if not frontier:
+            break
+        grown.append(rng.choice(frontier))
+    return grown
+
+
+class TestGroupedSubtreeRows:
+    """A parsed family holds one set per distinct subtree as written, and
+    ``coloring_from_subtrees`` sweeps each distinct subtree of a track once:
+    its rows equal the pairwise test, and the per-member sweep of the
+    draws, on every way of writing a subtree."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rows_equal_the_pairwise_test(self, seed):
+        rng = random.Random(seed)
+        h, n, t = rng.randint(1, 9), rng.randint(0, 40), rng.randint(1, 3)
+        host = [[rng.randrange(v), v] for v in range(1, h)]
+        neighbors = [[] for _ in range(h)]
+        for u, v in host:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        # a few subtrees repeated many times, or about as many as members
+        pool = [
+            _grown_subtree(rng, neighbors, rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3) if seed % 2 else 3 * n + 1)
+        ]
+
+        def written(s):  # in any order, with some vertices repeated
+            s = s + rng.choices(s, k=rng.choice((0, 0, 2)))
+            rng.shuffle(s)
+            return s
+
+        members = [[written(rng.choice(pool)) for _ in range(t)] for _ in range(n)]
+        expected = oracles.family_color_adjacency(
+            members, t, lambda a, b: bool(set(a) & set(b))
+        )
+        doc = {"host_edges": host, "t": t, "members": members}
+        kinds = (list, tuple, set, frozenset)
+        mixed = [[rng.choice(kinds)(s) for s in tracks] for tracks in members]
+        for fam in (TSubtreeFamily.from_dict(doc), TSubtreeFamily(host, t, mixed)):
+            assert coloring_from_subtrees(fam).rows == expected
+        tracks = [[m[i] for m in members] for i in range(t)]
+        assert core._subtree_coloring(h, tracks).rows == expected
+
+    def test_equal_subtrees_as_written_share_one_set(self):
+        doc = {"host_edges": [[0, 1], [1, 2]], "t": 2,
+               "members": [[[0, 1], [2]], [[0, 1], [1, 2]], [[1, 0], [2]]]}
+        (a, b), (c, d), (e, f) = TSubtreeFamily.from_dict(doc).members
+        assert a is c and b is f and a == e == {0, 1} and d == {1, 2}
+        assert coloring_from_subtrees(TSubtreeFamily.from_dict(doc)).rows == [
+            [0b110, 0b101, 0b011], [0b110, 0b101, 0b011],
+        ]
+
+    @pytest.mark.parametrize("later", [[0, True], [True, 0], [0, 1.0], (0, False)])
+    def test_vertices_are_checked_before_the_lookup(self, later):
+        """(0, True) equals (0, 1), so a lookup made first would take it."""
+        for first in ([0, 1], [1, 0]):
+            doc = {"host_edges": [[0, 1]], "t": 1, "members": [[first], [later]]}
+            with pytest.raises(
+                InputError, match="^member 1: subtree vertices must be integers$"
+            ):
+                TSubtreeFamily.from_dict(doc)
 
 
 class TestEdgeColorsView:
