@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import _kernels as kernels
-from .core import _SEQ, _Record
+from .core import _SEQ, _Record, _instance
 from .errors import InputError
 from .graphs import Graph, bits, lex_key
 
@@ -79,6 +79,7 @@ def mcs_order(g: Graph) -> list[int]:
     graph, whose unvisited vertices share one bucket.  For a chordal graph
     the reverse of this order is a perfect elimination ordering.
     """
+    _instance(g, Graph, "a graph")
     n = g.n
     buckets = [(1 << n) - 1] + [0] * n
     top = 0
@@ -211,6 +212,7 @@ def is_chordal(g: Graph) -> ChordalCertificate:
     """Recognize chordality by one maximum cardinality search: the
     certificate is the reversed visit order when it is a PEO, else a hole
     built from that order when it is read."""
+    _instance(g, Graph, "a graph")
     peo = mcs_order(g)[::-1]
     if _is_peo(g.adj, peo):
         return ChordalCertificate(peo)
@@ -260,6 +262,7 @@ def max_clique_chordal(g: Graph, peo: list[int]) -> frozenset[int]:
 
     Among maximum cliques returns the lexicographically least vertex set.
     """
+    _instance(g, Graph, "a graph")
     _require_peo(g, peo)
     return frozenset(bits(_max_clique_within(g.adj, peo, g.full_mask())))
 
@@ -275,6 +278,7 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     and L(p), for p later than u, holds the candidate too.  So the latest
     such u has L(u) equal to the candidate.
     """
+    _instance(g, Graph, "a graph")
     _require_peo(g, peo)
     return [frozenset(bits(c)) for c in _maximal_clique_masks(g.adj, peo)]
 
@@ -302,6 +306,7 @@ def clique_cutset(
     is the intersection of the two cliques, A the rest of one side, B the
     rest of the other.  Returns None when the graph is complete.
     """
+    _instance(g, Graph, "a graph")
     if not g.is_connected():
         raise InputError("graph is disconnected")
     _require_peo(g, peo)
@@ -364,6 +369,7 @@ def induced_c4_free(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     Returns (True, None) or (False, witness) with the lexicographically
     first inducing subset.
     """
+    _instance(g, Graph, "a graph")
     witness = kernels.find_induced_c4(g.n, g.adj)
     return (witness is None, witness)
 
@@ -382,6 +388,7 @@ def chordal_edge_bound_check(g: Graph) -> EdgeBoundReport:
     A chordal graph on n vertices with clique number w has at most
     (w - 1) n - w(w - 1)/2 edges, and in particular at most w (n - 1).
     """
+    _instance(g, Graph, "a graph")
     cert = is_chordal(g)
     if not cert.is_chordal:
         raise InputError(f"graph is not chordal; hole {cert.hole}")

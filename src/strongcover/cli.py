@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import marshal
+import os
 import sys
+import threading
 import time
 from math import ceil
 from random import Random
@@ -27,11 +30,11 @@ from .core import (
     TIntervalFamily,
     TSubtreeFamily,
     _Record,
+    _pierced,
     coloring_from_intervals,
     coloring_from_subtrees,
     is_tk_coloring,
     kfold_min_colors,
-    piercing_points,
     verify_cover,
 )
 from .covers import (
@@ -273,11 +276,15 @@ def cmd_cover(args: argparse.Namespace) -> int:
         report.add_holds("precondition", "algorithm precondition holds", False)
         report.emit()
         return 1
-    rep = verify_cover(col, cover)
+    if fam is None:
+        valid, covered = verify_cover(col, cover)
+    else:  # by Helly, a set is a clique exactly when its members share a point
+        points, covered = _pierced(fam, cover)
+        valid = points is not None
     report.results["cover"] = cover.to_dict()
-    report.results["covered"] = rep.covered
+    report.results["covered"] = covered
     report.add_holds(
-        "cover-valid", "each assigned set is a clique in its color", rep.valid
+        "cover-valid", "each assigned set is a clique in its color", valid
     )
     algorithm, k = args.algorithm, args.k
     if algorithm in _BOUND_CHECKS and not (algorithm == "greedy" and k is None):
@@ -287,14 +294,12 @@ def cmd_cover(args: argparse.Namespace) -> int:
                 _tk_witness(col, k),
             )
         name, inequality = _BOUND_CHECKS[algorithm]
-        bound, observed, holds = _guarantee(algorithm, col, cover, rep.covered, k)
+        bound, observed, holds = _guarantee(algorithm, col, cover, covered, k)
         report.add_check(
             name, inequality.format(k=k, t=col.t, bound=bound), bound, observed, holds
         )
-    if isinstance(fam, TIntervalFamily) and rep.valid:
-        report.results["piercing_points"] = [
-            [track, point] for track, point in piercing_points(fam, cover)
-        ]
+    if isinstance(fam, TIntervalFamily) and valid:
+        report.results["piercing_points"] = [list(point) for point in points]
     report.emit()
     return 0 if report.ok else 1
 
@@ -322,8 +327,8 @@ def _run_suite(args, report, inequality, make, check) -> None:
     ``check(coloring)`` the row's findings, ``pass`` included.  A failed
     precondition, guarantee or size limit marks its row failed with the
     error and the suite goes on."""
-    rows = []
-    for i in range(args.samples):
+
+    def make_row(i):
         seed = args.seed + i
         row = {"name": f"{args.suite}-seed{seed}", "seed": seed}
         try:
@@ -333,7 +338,9 @@ def _run_suite(args, report, inequality, make, check) -> None:
         except (PreconditionError, GuaranteeError, SizeLimitError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["pass"] = False
-        rows.append(row)
+        return row
+
+    rows = _shared_rows(make_row, args.samples)
     report.results["instances"] = rows
     failures = [r["name"] for r in rows if not r["pass"]]
     report.add_check(
@@ -344,6 +351,87 @@ def _run_suite(args, report, inequality, make, check) -> None:
         not failures,
         failures=failures or None,
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# a new pipe holds at least one page, so one write of this many bytes fills
+# the row pipe without blocking
+_PIPE_FILL = 4096
+
+
+def _shared_rows(make_row, count: int) -> list:
+    """``[make_row(i) for i in range(count)]``, made by this process and by
+    forked children: one per further usable CPU, and never more than one
+    process per two rows.  Every process takes blocks of row indices from
+    one pipe, filled before the fork; each child sends its rows back with
+    ``marshal`` and leaves through ``os._exit``.  Rows that a child does not
+    return (it failed) and rows that raised are made here afterwards, in
+    index order, so the rows, and any exception, are those of the serial
+    loop.  Serial without ``os.fork`` or while another thread runs."""
+    processes = min(_usable_cpus(), count // 2)
+    if processes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [make_row(i) for i in range(count)]
+    block = -(-count // (_PIPE_FILL // 4))
+    todo, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(0, count, block)))
+    os.close(fill)
+    made, children = {}, []
+    try:
+        for _ in range(processes - 1):
+            back, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer children
+                os.close(back)
+                os.close(send)
+                break
+            if pid == 0:  # the child: it never returns into the caller
+                code = 1
+                try:
+                    os.close(back)
+                    data = memoryview(marshal.dumps(_take(make_row, todo, block, count)))
+                    while data:
+                        data = data[os.write(send, data):]
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(send)
+            children.append((pid, open(back, "rb")))
+        made = _take(make_row, todo, block, count)
+    finally:
+        os.close(todo)
+        for pid, rows in children:
+            try:
+                data = rows.read()
+            finally:
+                rows.close()
+                status = os.waitpid(pid, 0)[1]
+            if status == 0:
+                try:
+                    made.update(marshal.loads(data))
+                except (EOFError, ValueError):  # short data
+                    pass
+    return [made[i] if i in made else make_row(i) for i in range(count)]
+
+
+def _take(make_row, todo: int, block: int, count: int) -> dict:
+    """Rows by index, for each block of indices read from the pipe ``todo``
+    (the block's first index), until the pipe is empty or a row raises."""
+    made = {}
+    try:
+        while token := os.read(todo, 4):
+            start = int.from_bytes(token, "little")
+            for i in range(start, min(start + block, count)):
+                made[i] = make_row(i)
+    except Exception:  # the row is made again, and raises, in index order
+        pass
+    return made
 
 
 def _alternating(n: int, t: int, k: int):

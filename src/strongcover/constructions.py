@@ -22,6 +22,7 @@ from .core import (
     MultiColoring,
     TIntervalFamily,
     TSubtreeFamily,
+    _instance,
     _interval_coloring,
     _list,
     _right_end_order,
@@ -208,6 +209,7 @@ def blow_up(col: MultiColoring, spec: BlowupSpec) -> MultiColoring:
     colors of the original edge.  Equivalent to iterating single-vertex
     clique substitutions.
     """
+    _instance(col, MultiColoring, "a coloring")
     if not isinstance(spec, BlowupSpec):
         raise InputError(f"spec must be a BlowupSpec, got {spec!r}")
     spec.validate(col.n)
@@ -233,6 +235,7 @@ def clique_substitute(col: MultiColoring, v: int, size: int) -> MultiColoring:
     The block takes positions v..v+size-1; all other vertices keep their
     relative order.
     """
+    _instance(col, MultiColoring, "a coloring")
     _require_ints(v=v, size=size)
     if not (0 <= v < col.n):
         raise InputError(f"vertex {v} out of range for n={col.n}")

@@ -898,6 +898,7 @@ def is_tk_coloring(
     Returns (True, None) or (False, witness) with the lexicographically
     first violating k-subset.
     """
+    _instance(col, MultiColoring, "a coloring")
     _require_ints(k=k)
     if not (2 <= k <= col.n):
         raise InputError(f"need 2 <= k <= n, got k={k}, n={col.n}")
@@ -935,6 +936,7 @@ def count_layers(masks: Iterable[int], top: int) -> list[int]:
 
 def kfold_min_colors(col: MultiColoring) -> int:
     """Minimum number of colors carried by any edge."""
+    _instance(col, MultiColoring, "a coloring")
     n = col.n
     if n < 2:
         raise InputError(f"need at least two vertices, got n={n}")
@@ -1004,11 +1006,25 @@ def piercing_points(
     Returns (track, point) pairs sorted by track; empty assignments are
     skipped.
     """
+    points = _pierced(fam, cov)[0]
+    if points is None:
+        raise InputError("cover is not valid for the coloring of this family")
+    return points
+
+
+def _pierced(
+    fam: TIntervalFamily | TSubtreeFamily, cov: StrongCover
+) -> tuple[list[tuple[int, int]] | None, int]:
+    """``piercing_points(fam, cov)``, or None when the cover is not valid,
+    and the number of vertices the cover reaches, from one walk over it."""
     _instance(fam, _FAMILY, "an interval or subtree family")
     subtrees = isinstance(fam, TSubtreeFamily)
-    out = []
-    for c, _, vs in sorted(_cover_masks(cov, fam.t, fam.n)):
-        if not vs:
+    points = []
+    seen = 0
+    valid = True
+    for c, m, vs in sorted(_cover_masks(cov, fam.t, fam.n)):
+        seen |= m
+        if not (vs and valid):
             continue
         i = c - 1
         if subtrees:
@@ -1017,7 +1033,5 @@ def piercing_points(
         else:
             point = max(fam.members[v][i][0] for v in vs)
             valid = point <= min(fam.members[v][i][1] for v in vs)
-        if not valid:
-            raise InputError("cover is not valid for the coloring of this family")
-        out.append((c, point))
-    return out
+        points.append((c, point))
+    return (points if valid else None), seen.bit_count()

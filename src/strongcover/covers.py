@@ -27,6 +27,7 @@ from .core import (
     MultiColoring,
     StrongCover,
     _collection,
+    _instance,
     _require_ints,
     count_layers,
     is_tk_coloring,
@@ -104,6 +105,7 @@ def greedy_strong_cover(
     is the chordality certificate and is reused by every step; the cover
     does not depend on which PEO a color has.
     """
+    _instance(col, MultiColoring, "a coloring")
     t = col.t
     if order is None:
         order = tuple(range(1, t + 1))
@@ -156,6 +158,8 @@ class ChainCheck(NamedTuple):
 def counting_chain_check(
     col: MultiColoring, trace: GreedyTrace, k: int
 ) -> ChainCheck:
+    _instance(col, MultiColoring, "a coloring")
+    _instance(trace, GreedyTrace, "a greedy trace")
     _require_ints(k=k)
     t_size = len(trace.uncovered)
     covered = trace.covered()
@@ -308,6 +312,7 @@ def exact_max_strong_cover(
     depth first in lexicographic order with an upper-bound prune, so the
     returned cover is the lexicographically least among maximum ones.
     """
+    _instance(col, MultiColoring, "a coloring")
     return _max_cover(col.n, _search_space(col, max_n))
 
 
@@ -319,6 +324,7 @@ def theta(col: MultiColoring, max_n: int = 40) -> int | None:
     cover; a branch stops once the k largest cliques of the colors left
     cannot cover what is left.
     """
+    _instance(col, MultiColoring, "a coloring")
     return _min_cover_size(col.n, _search_space(col, max_n))
 
 
@@ -328,6 +334,7 @@ def exact_cover_and_theta(
     """``exact_max_strong_cover`` and ``theta`` from one search space: the
     quotient cliques of each distinct color graph are enumerated once, for
     every color with that graph and for both searches, which lift them."""
+    _instance(col, MultiColoring, "a coloring")
     space = _search_space(col, max_n)
     return _max_cover(col.n, space), _min_cover_size(col.n, space)
 
@@ -410,7 +417,9 @@ def _min_cover_size(n: int, space: SearchSpace) -> int | None:
 
 def _check_pair(col: MultiColoring, pair: object) -> tuple[int, int]:
     """``pair`` unpacked if it is two distinct int colors of ``col``, else
-    InputError (also when it is not a pair at all, such as a bare int)."""
+    InputError (also when it is not a pair at all, such as a bare int);
+    InputError too when ``col`` is not a coloring."""
+    _instance(col, MultiColoring, "a coloring")
     try:
         ci, cj = pair
     except (TypeError, ValueError):
@@ -513,6 +522,7 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
     coverable in the other two colors and Q rides along as the third clique.
     The PEOs come from ``color_certificates``, as in the greedy cover.
     """
+    _instance(col, MultiColoring, "a coloring")
     if col.t != 3:
         raise PreconditionError(f"need exactly 3 colors, got t={col.t}")
     if col.n < 3:
@@ -555,6 +565,7 @@ def strong_cover_tt(col: MultiColoring) -> StrongCover:
     triple's chordality certificates, which ``color_certificates`` gives
     once up front.
     """
+    _instance(col, MultiColoring, "a coloring")
     t = col.t
     if t < 2:
         raise PreconditionError(f"need t >= 2, got t={t}")
@@ -714,6 +725,7 @@ def strong_cover_c4free_22(col: MultiColoring) -> StrongCover:
     color of a double 5-cycle induces a 5-cycle, a hole, so with a chordal
     color there is none and the search for one is skipped.
     """
+    _instance(col, MultiColoring, "a coloring")
     if col.t != 2:
         raise PreconditionError(f"need exactly 2 colors, got t={col.t}")
     if col.n >= 2:

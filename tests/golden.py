@@ -35,8 +35,9 @@ well-formed family documents, derived here from the members (no package
 code builds them).  Many of them are not chordal, so these runs pin the
 holes that ``check --chordal`` reports.  It also pins command lines that
 read no document: ``gen intervals`` and ``gen subtrees`` over a grid of
-sizes, anchors, k and seeds, the named constructions, and every
-``verify`` suite on a small corpus.
+sizes, anchors, k and seeds, the named constructions, every ``verify``
+suite on a small corpus, and each row-based suite on a corpus large
+enough that its rows are shared between processes.
 
 ``golden_kernels.json`` pins, for every edges document, the order in
 which the pivoted Bron-Kerbosch kernel (``_kernels.maximal_cliques``)
@@ -400,6 +401,12 @@ def argv_cases() -> dict[str, list[str]]:
         ["verify", suite, "--samples", "4", "--seed", str(seed)]
         for suite in ("lower", "t33", "tt", "c4free22", "constructions")
         for seed in (0, 1)
+    ]
+    # enough rows that a row-based suite shares them between processes
+    cases += [
+        ["verify", suite, "--samples", "12", "--seed", str(seed)]
+        for suite in ("lower", "t33", "tt", "c4free22")
+        for seed in (2, 3)
     ]
     return {" ".join(argv): argv for argv in cases}
 

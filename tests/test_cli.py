@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import marshal
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +21,13 @@ from strongcover import cli, constructions
 from strongcover._kernels import first_tk_violation
 from strongcover.cli import main
 from strongcover.constructions import construct_k5star
-from strongcover.core import MAX_COLORS, MultiColoring, StrongCover
+from strongcover.core import (
+    MAX_COLORS,
+    MultiColoring,
+    StrongCover,
+    TIntervalFamily,
+    TSubtreeFamily,
+)
 from strongcover.covers import GreedyTrace, exact_max_strong_cover, theta
 
 
@@ -563,6 +573,29 @@ class TestCover:
             "pass": False,
         }
 
+    @pytest.mark.parametrize("family", [
+        # members 0 and 1 do not meet on track 1
+        TIntervalFamily(2, [[(0, 1), (0, 5)], [(3, 4), (0, 5)], [(0, 4), (0, 5)]]),
+        TSubtreeFamily([(0, 1), (1, 2)], 2, [[[0], [0, 1, 2]], [[2], [0, 1]], [[0, 1, 2], [1]]]),
+    ], ids=["intervals", "subtrees"])
+    def test_invalid_cover_of_a_family_fails_without_points(
+        self, capsys, monkeypatch, family
+    ):
+        """A family's cover is checked by piercing it on the tracks: a cover
+        that is not valid reports cover-valid false, its coverage, and no
+        points, and exits 1."""
+        cover = StrongCover({1: frozenset({0, 1}), 2: frozenset({2})})
+        monkeypatch.setattr(
+            cli, "greedy_strong_cover", lambda col: (cover, GreedyTrace([], frozenset()))
+        )
+        code, doc = run_json(
+            capsys, ["cover", "greedy", "-"], json.dumps(family.to_dict()), monkeypatch
+        )
+        assert code == 1 and doc["pass"] is False
+        assert doc["checks"] == [{**_VALID, "observed": False, "pass": False}]
+        assert doc["results"]["covered"] == 3
+        assert "piercing_points" not in doc["results"]
+
     def test_subtree_instance_has_no_piercing_points(self, capsys, tmp_path):
         main(["gen", "subtrees", "--n", "5", "--t", "2", "--seed", "1",
               "--host-size", "5", "--anchor", "1.0", "--k", "2"])
@@ -859,6 +892,230 @@ class TestVerifyFailures:
         rows = json.loads(out)["results"]["instances"]
         assert [r["name"] for r in rows] == ["lower-seed0", "lower-seed1"]
         assert all(r["error"] == "GuaranteeError: no family" for r in rows)
+
+
+class TestSharedRows:
+    """A suite's rows are made in this process and in forked children, one
+    per further usable CPU and at most one process per two rows.  Every
+    report equals the serial loop's, which one usable CPU forces, and no
+    child outlives the call.  A counter patched in here does not see the
+    rows that a child makes, so call-counting tests stay below four rows."""
+
+    SUITES = {
+        "lower": ["--n", "8"],
+        "t33": ["--n", "7"],
+        "tt": ["--n", "7", "--t", "2"],
+        "c4free22": ["--n", "8"],
+    }
+    COVERS = {
+        "lower": "greedy_strong_cover",
+        "t33": "strong_cover_33",
+        "tt": "strong_cover_tt",
+        "c4free22": "strong_cover_c4free_22",
+    }
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the usable CPU count that the suites read."""
+        return lambda count: monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def spy():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        return calls
+
+    def argv(self, suite, samples, seed=0):
+        return ["verify", suite, *self.SUITES[suite],
+                "--samples", str(samples), "--seed", str(seed)]
+
+    def run(self, argv):
+        """(exit code, report less times, standard error); no child is left."""
+        code, out, err = invoke(argv, "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, without_times(out), err
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("samples", [3, 4, 9])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_rows_equal_the_serial_loop(self, cpus, forks, suite, samples, seed):
+        argv = self.argv(suite, samples, seed)
+        cpus(3)
+        shared = self.run(argv)
+        assert len(forks) == max(0, min(3, samples // 2) - 1)
+        cpus(1)
+        assert self.run(argv) == shared
+        assert len(forks) == max(0, min(3, samples // 2) - 1)
+        assert shared[0] == 0 and len(shared[1]["results"]["instances"]) == samples
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "short"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_a_failing_child_gives_the_serial_report(
+        self, monkeypatch, tmp_path, cpus, suite, fault
+    ):
+        argv = self.argv(suite, 9, 3)
+        cpus(1)
+        serial = self.run(argv)
+        parent = os.getpid()
+        taken = tmp_path / "taken"
+        real = getattr(cli, self.COVERS[suite])
+
+        def cover(col):
+            if os.getpid() == parent:  # a child takes a row first
+                deadline = time.monotonic() + 10
+                while not taken.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                return real(col)
+            taken.touch()
+            if fault == "exit":
+                os._exit(3)
+            if fault == "raise":
+                raise RuntimeError("fault in a child")
+            return real(col)
+
+        monkeypatch.setattr(cli, self.COVERS[suite], cover)
+        if fault == "short":  # each child's rows arrive cut short
+            monkeypatch.setattr(cli, "marshal", SimpleNamespace(
+                dumps=lambda rows: marshal.dumps(rows)[:-1], loads=marshal.loads,
+            ))
+        cpus(3)
+        assert self.run(argv) == serial
+        assert taken.exists()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_an_error_in_a_row_is_the_serial_loop_s(self, monkeypatch, cpus, count):
+        """The first row to raise, by index, raises its own exception."""
+        real = cli.corpus.seeded_tk_instance
+
+        def draw(kind, n, t, k, seed):
+            if seed == 3:
+                raise KeyError("the first failing row")
+            if seed == 6:
+                raise ZeroDivisionError("a later failing row")
+            return real(kind, n, t, k, seed)
+
+        monkeypatch.setattr(cli.corpus, "seeded_tk_instance", draw)
+        cpus(count)
+        with pytest.raises(KeyError, match="the first failing row"):
+            invoke(self.argv("lower", 9), "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_or_another_thread_forks_nothing(self, cpus, forks):
+        argv = self.argv("lower", 9)
+        cpus(1)
+        serial = self.run(argv)
+        cpus(3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert self.run(argv) == serial
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+
+    def test_without_fork_the_loop_is_serial(self, monkeypatch, cpus):
+        argv = self.argv("tt", 9)
+        cpus(1)
+        serial = self.run(argv)
+        cpus(3)
+        monkeypatch.delattr(os, "fork")
+        assert self.run(argv) == serial
+
+    def no_child_is_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def wait_for(path):
+        deadline = time.monotonic() + 10
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    @pytest.mark.parametrize("count", [4, 5, 1024, 1025, 3001])
+    def test_rows_come_back_in_index_order(self, monkeypatch, tmp_path, cpus, count):
+        """The pipe is filled by one write that a one-page pipe holds: past
+        1,024 rows it carries blocks of indices.  Rows a child leaves
+        without are made here, and a child never returns to its caller."""
+        parent = os.getpid()
+        writes = []
+        write = os.write
+
+        def spy(fd, data):
+            writes.append(len(data))
+            return write(fd, data)
+
+        def make_row(i):
+            if i % 7 == 3 and os.getpid() != parent:
+                os._exit(3)
+            return {"i": i, "odd": i % 2 == 1, "none": None, "list": [i, str(i)]}
+
+        monkeypatch.setattr(os, "write", spy)
+        cpus(3)
+        try:
+            rows = cli._shared_rows(make_row, count)
+        finally:
+            if os.getpid() != parent:  # a child came back: stop it here
+                (tmp_path / "returned").touch()
+                os._exit(0)
+        assert rows == [make_row(i) for i in range(count)]
+        assert len(writes) == 1 and writes[0] <= 4096
+        assert not (tmp_path / "returned").exists()
+        self.no_child_is_left()
+
+    def test_the_first_row_to_raise_raises_here(self, tmp_path, cpus):
+        """A row that raises here does not end the call while children may
+        hold earlier rows: the first row to raise, by index, raises."""
+        parent = os.getpid()
+        taken = tmp_path / "taken"
+
+        def make_row(i):
+            if os.getpid() != parent:
+                taken.touch()
+            elif i == 0:  # the children take the next rows
+                self.wait_for(taken)
+            if i:
+                raise ValueError(i)
+            return {}
+
+        cpus(3)
+        with pytest.raises(ValueError) as info:
+            cli._shared_rows(make_row, 9)
+        assert info.value.args == (1,)
+        self.no_child_is_left()
+
+    def test_rows_of_a_child_that_exits_nonzero_are_made_here(
+        self, monkeypatch, tmp_path, cpus
+    ):
+        """A child that sends every row and then exits with a non-zero
+        status is a faulty child: this process makes all of the rows."""
+        parent = os.getpid()
+        taken = tmp_path / "taken"
+        made_here = []
+        leave = os._exit
+
+        def make_row(i):
+            if os.getpid() != parent:
+                taken.touch()
+            else:
+                self.wait_for(taken)
+                made_here.append(i)
+            return {"i": i}
+
+        monkeypatch.setattr(os, "_exit", lambda code: leave(code or 3))
+        cpus(2)
+        assert cli._shared_rows(make_row, 8) == [{"i": i} for i in range(8)]
+        assert sorted(made_here) == list(range(8))
+        self.no_child_is_left()
 
 
 @pytest.mark.parametrize(

@@ -33,11 +33,25 @@ from strongcover.core import (
     piercing_points,
     verify_cover,
 )
+from strongcover.chordal import (
+    chordal_edge_bound_check,
+    clique_cutset,
+    induced_c4_free,
+    is_chordal,
+    max_clique_chordal,
+    maximal_cliques_chordal,
+    mcs_order,
+)
 from strongcover.covers import (
     counting_chain_check,
+    exact_cover_and_theta,
     exact_max_strong_cover,
+    find_k5star,
     greedy_strong_cover,
     grow_blowup,
+    strong_cover_33,
+    strong_cover_c4free_22,
+    strong_cover_tt,
     theta,
     two_clique_cover_exact,
 )
@@ -508,13 +522,55 @@ KIND_ARGS = {
     "piercing_points-cover": (
         lambda x: piercing_points(_FAM, x), "a strong cover", _cover(), [_STAR, _FAM],
     ),
+    "counting_chain_check-trace": (
+        lambda x: counting_chain_check(_COL, x, 2), "a greedy trace", _TRACE,
+        [_STAR, _cover()],
+    ),
 }
+# each entry point taking a coloring: its call on the coloring given, and a
+# coloring it takes
+_COLORING_ARGS = {
+    "greedy_strong_cover": (greedy_strong_cover, _COL),
+    "counting_chain_check-coloring": (lambda x: counting_chain_check(x, _TRACE, 2), _COL),
+    "exact_max_strong_cover": (exact_max_strong_cover, _STAR),
+    "theta": (theta, _STAR),
+    "exact_cover_and_theta": (exact_cover_and_theta, _STAR),
+    "strong_cover_33": (strong_cover_33, complete_coloring(4, 3)),
+    "strong_cover_tt": (strong_cover_tt, complete_coloring(4, 2)),
+    "strong_cover_c4free_22": (strong_cover_c4free_22, _STAR),
+    "two_clique_cover_exact": (two_clique_cover_exact, _STAR),
+    "find_k5star": (lambda x: find_k5star(x, 1, 2), _STAR),
+    "grow_blowup": (lambda x: grow_blowup(x, (0, 1, 2, 3, 4)), _STAR),
+    "is_tk_coloring": (lambda x: is_tk_coloring(x, 2), _COL),
+    "kfold_min_colors": (kfold_min_colors, _COL),
+    "clique_substitute": (lambda x: clique_substitute(x, 0, 2), _STAR),
+    "blow_up": (lambda x: blow_up(x, BlowupSpec([1] * 5)), _STAR),
+}
+KIND_ARGS.update(
+    (name, (call, "a coloring", taken, [_FAM, _cover(), _STAR.color_graph(1)]))
+    for name, (call, taken) in _COLORING_ARGS.items()
+)
+_GRAPH = _COL.color_graph(2)  # connected and chordal
+_PEO = mcs_order(_GRAPH)[::-1]
+KIND_ARGS.update(
+    (name, (call, "a graph", _GRAPH, [_COL, _FAM]))
+    for name, call in {
+        "is_chordal": is_chordal,
+        "mcs_order": mcs_order,
+        "induced_c4_free": induced_c4_free,
+        "chordal_edge_bound_check": chordal_edge_bound_check,
+        "max_clique_chordal": lambda x: max_clique_chordal(x, _PEO),
+        "maximal_cliques_chordal": lambda x: maximal_cliques_chordal(x, _PEO),
+        "clique_cutset": lambda x: clique_cutset(x, _PEO),
+    }.items()
+)
 
 
 @pytest.mark.parametrize("name", KIND_ARGS)
 def test_arguments_of_the_wrong_kind_are_input_errors(name):
-    """A family, coloring or cover argument of another type is an
-    InputError naming the kind, not an AttributeError from its first read."""
+    """A family, coloring, graph, trace or cover argument of another type
+    is an InputError naming the kind, not an AttributeError from its first
+    read."""
     call, kind, taken, others = KIND_ARGS[name]
     call(taken)
     for value in BAD_VALUES + others:
@@ -897,9 +953,10 @@ def _drawn_case(kind, seed, rng):
 
 
 class TestCoverWalk:
-    """``verify_cover`` and ``piercing_points`` walk each assignment's
-    vertices as written: every form of a vertex set, repeats and the empty
-    set included, gives the results and messages of the set it holds."""
+    """``verify_cover``, ``piercing_points`` and the family check of
+    ``cover`` (``core._pierced``) walk each assignment's vertices as
+    written: every form of a vertex set, repeats and the empty set
+    included, gives the results and messages of the set it holds."""
 
     @pytest.mark.parametrize("kind", ["interval", "subtree"])
     def test_every_form_gives_the_results_of_its_set(self, kind):
@@ -920,6 +977,7 @@ class TestCoverWalk:
                 for form in _FORMS.values():
                     cov = StrongCover({c: form(s) for c, s in sets.items()})
                     assert verify_cover(col, cov) == (valid, covered)
+                    assert core._pierced(fam, cov) == (points, covered)
                     if points is None:
                         with pytest.raises(InputError, match="^cover is not valid"):
                             piercing_points(fam, cov)
@@ -945,9 +1003,11 @@ class TestCoverWalk:
             cov = StrongCover({1: write([0, 1, 2]), 2: write([])})
             assert verify_cover(col, cov) == (True, 3)
             assert piercing_points(fam, cov) == points
+            assert core._pierced(fam, cov) == (points, 3)
             # members 0 and 1 do not meet on track 2
             cov = StrongCover({1: write([2]), 2: write([1, 0])})
             assert verify_cover(col, cov) == (False, 3)
+            assert core._pierced(fam, cov) == (None, 3)
             with pytest.raises(
                 InputError, match="^cover is not valid for the coloring of this family$"
             ):
