@@ -276,11 +276,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         report.add_holds("precondition", "algorithm precondition holds", False)
         report.emit()
         return 1
-    if fam is None:
-        valid, covered = verify_cover(col, cover)
-    else:  # by Helly, a set is a clique exactly when its members share a point
-        points, covered = _pierced(fam, cover)
-        valid = points is not None
+    points, valid, covered = _checked(col, fam, cover)
     report.results["cover"] = cover.to_dict()
     report.results["covered"] = covered
     report.add_holds(
@@ -289,9 +285,10 @@ def cmd_cover(args: argparse.Namespace) -> int:
     algorithm, k = args.algorithm, args.k
     if algorithm in _BOUND_CHECKS and not (algorithm == "greedy" and k is None):
         if algorithm == "greedy":  # its bound holds on (t,k)-colorings
+            with _Timed(report, "tk"):
+                witness = _tk_witness(col, k)
             report.add_witness(
-                "tk-precondition", f"instance is a (t,{k})-coloring",
-                _tk_witness(col, k),
+                "tk-precondition", f"instance is a (t,{k})-coloring", witness
             )
         name, inequality = _BOUND_CHECKS[algorithm]
         bound, observed, holds = _guarantee(algorithm, col, cover, covered, k)
@@ -302,6 +299,19 @@ def cmd_cover(args: argparse.Namespace) -> int:
         report.results["piercing_points"] = [list(point) for point in points]
     report.emit()
     return 0 if report.ok else 1
+
+
+def _checked(
+    col: MultiColoring, fam: Family | None, cover: StrongCover
+) -> tuple[list[tuple[int, int]] | None, bool, int]:
+    """(piercing points or None, valid, covered) of a cover of ``col``: on
+    ``fam``'s tracks when there is a family (by Helly, a set is a clique
+    exactly when its members share a point there), else on ``col``'s rows."""
+    if fam is None:
+        valid, covered = verify_cover(col, cover)
+        return None, valid, covered
+    points, covered = _pierced(fam, cover)
+    return points, points is not None, covered
 
 
 def _run_cover(
@@ -323,18 +333,18 @@ def _run_cover(
 
 
 def _run_suite(args, report, inequality, make, check) -> None:
-    """One row per sample: ``make(i, seed)`` gives (name, coloring) and
-    ``check(coloring)`` the row's findings, ``pass`` included.  A failed
-    precondition, guarantee or size limit marks its row failed with the
-    error and the suite goes on."""
+    """One row per sample: ``make(i, seed)`` gives the row's
+    ``corpus.ColoringInstance`` and ``check(instance)`` the row's findings,
+    ``pass`` included.  A failed precondition, guarantee or size limit marks
+    its row failed with the error and the suite goes on."""
 
     def make_row(i):
         seed = args.seed + i
         row = {"name": f"{args.suite}-seed{seed}", "seed": seed}
         try:
-            row["name"], col = make(i, seed)
-            row["n"] = col.n
-            row.update(check(col))
+            inst = make(i, seed)
+            row["name"], row["n"] = inst.name, inst.coloring.n
+            row.update(check(inst))
         except (PreconditionError, GuaranteeError, SizeLimitError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             row["pass"] = False
@@ -436,25 +446,22 @@ def _take(make_row, todo: int, block: int, count: int) -> dict:
 
 def _alternating(n: int, t: int, k: int):
     """``make`` for suites alternating interval and subtree instances."""
-
-    def make(i, seed):
-        kind = "interval" if i % 2 == 0 else "subtree"
-        inst = corpus.seeded_tk_instance(kind, n, t, k, seed)
-        return inst.name, inst.coloring
-
-    return make
+    return lambda i, seed: corpus.seeded_tk_instance(
+        "subtree" if i % 2 else "interval", n, t, k, seed
+    )
 
 
 def _verify_lower(args: argparse.Namespace, report: RunReport) -> None:
-    def check(col):
+    def check(inst):
+        col = inst.coloring
         cover, trace = greedy_strong_cover(col)
-        rep = verify_cover(col, cover)
+        _, valid, covered = _checked(col, inst.family, cover)
         chain = counting_chain_check(col, trace, args.k)
-        holds = _guarantee("greedy", col, cover, rep.covered, args.k)[2]
+        holds = _guarantee("greedy", col, cover, covered, args.k)[2]
         return {
-            "covered": rep.covered,
+            "covered": covered,
             "chain": [chain.lower, chain.m, chain.upper],
-            "pass": rep.valid and holds and chain.ok,
+            "pass": valid and holds and chain.ok,
         }
 
     _run_suite(
@@ -469,11 +476,12 @@ def _verify_few_cliques(args: argparse.Namespace, report: RunReport) -> None:
     t33 = args.suite == "t33"
     t = 3 if t33 else args.t
 
-    def check(col):
+    def check(inst):
+        col = inst.coloring
         cover = (strong_cover_33 if t33 else strong_cover_tt)(col)
-        rep = verify_cover(col, cover)
-        _, size, holds = _guarantee(args.suite, col, cover, rep.covered, None)
-        return {"cliques": size, "pass": rep.valid and holds}
+        _, valid, covered = _checked(col, inst.family, cover)
+        _, size, holds = _guarantee(args.suite, col, cover, covered, None)
+        return {"cliques": size, "pass": valid and holds}
 
     inequality = (
         "three monochromatic cliques cover everything" if t33
@@ -490,15 +498,16 @@ def _verify_c4free22(args: argparse.Namespace, report: RunReport) -> None:
             rng = Random(seed)
             sizes = [1 + rng.randrange(3) for _ in range(5)]
             col = constructions.blow_up(star, constructions.BlowupSpec(sizes))
-            return "k5star-blowup-" + "".join(map(str, sizes)), col
-        inst = corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
-        return inst.name, inst.coloring
+            name = "k5star-blowup-" + "".join(map(str, sizes))
+            return corpus.ColoringInstance(name, col, 2, 2)
+        return corpus.seeded_tk_instance("interval", args.n, 2, 2, seed)
 
-    def check(col):
+    def check(inst):
+        col = inst.coloring
         cover = strong_cover_c4free_22(col)
-        rep = verify_cover(col, cover)
-        bound, covered, holds = _guarantee("c4free22", col, cover, rep.covered, None)
-        return {"covered": covered, "bound": bound, "pass": rep.valid and holds}
+        _, valid, covered = _checked(col, inst.family, cover)
+        bound, covered, holds = _guarantee("c4free22", col, cover, covered, None)
+        return {"covered": covered, "bound": bound, "pass": valid and holds}
 
     _run_suite(
         args, report, "cover reaches at least ceil(4n/5) vertices", make, check

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import _kernels as kernels
 from .errors import InputError
-from .graphs import Graph, bits, is_clique_mask
+from .graphs import Graph, _require_ints, bits, is_clique_mask
 
 Edge = tuple[int, int]
 
@@ -78,13 +78,6 @@ def _instance(value, kinds: type | tuple[type, ...], what: str):
     if not isinstance(value, kinds):
         raise InputError(f"need {what}, got {type(value).__name__}")
     return value
-
-
-def _require_ints(**values: object) -> None:
-    """InputError unless every value is a plain int, as ``_fields`` asks."""
-    for key, value in values.items():
-        if type(value) is not int:
-            raise InputError(f"{key} must be int, got {value!r}")
 
 
 def _fields(data: Mapping, doc: str, **kinds: type) -> list:

@@ -42,29 +42,25 @@ class ColoringInstance(NamedTuple):
     family: TIntervalFamily | TSubtreeFamily | None = None
 
 
-def _interval_instance(
-    name: str, n: int, t: int, k: int, seed: int, anchor: float
+def _instance(
+    kind: str, name: str, n: int, t: int, k: int, seed: int, anchor: float,
+    host_size: int = 6,
 ) -> ColoringInstance:
-    fam, ok, col = _draw_intervals(n, t, seed, anchor, k)
+    """The seeded ``kind`` ("interval" or "subtree") family drawn with
+    ``anchor``, or fully anchored when that draw misses the k-wise
+    requirement, so the result is always a genuine (t,k)-coloring."""
+    if kind == "interval":
+        draw, args = _draw_intervals, (n, t, seed)
+    elif kind == "subtree":
+        draw, args = _draw_subtrees, (n, t, seed, host_size, min(4, host_size))
+    else:
+        raise InputError(f"unknown instance kind {kind!r}")
+    fam, ok, col = draw(*args, anchor, k)
     if not ok:
-        fam, ok, col = _draw_intervals(n, t, seed, 1.0, k)
+        fam, ok, col = draw(*args, 1.0, k)
     if not ok:
         raise GuaranteeError(
-            "fully anchored interval family failed k-wise intersection", name
-        )
-    return ColoringInstance(name, col, t, k, fam)
-
-
-def _subtree_instance(
-    name: str, n: int, t: int, k: int, seed: int, anchor: float, host_size: int
-) -> ColoringInstance:
-    max_size = min(4, host_size)
-    fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, anchor, k)
-    if not ok:
-        fam, ok, col = _draw_subtrees(n, t, seed, host_size, max_size, 1.0, k)
-    if not ok:
-        raise GuaranteeError(
-            "fully anchored subtree family failed k-wise intersection", name
+            f"fully anchored {kind} family failed k-wise intersection", name
         )
     return ColoringInstance(name, col, t, k, fam)
 
@@ -73,17 +69,8 @@ def seeded_tk_instance(
     kind: str, n: int, t: int, k: int, seed: int
 ) -> ColoringInstance:
     """One seeded (t,k)-coloring of the requested derivation kind, 85% of
-    each track anchored.
-
-    Falls back to full anchoring when the first draw misses the k-wise
-    requirement, so the result is always a genuine (t,k)-coloring.
-    """
-    name = f"{kind}-n{n}-t{t}-k{k}-seed{seed}"
-    if kind == "interval":
-        return _interval_instance(name, n, t, k, seed, 0.85)
-    if kind == "subtree":
-        return _subtree_instance(name, n, t, k, seed, 0.85, host_size=6)
-    raise InputError(f"unknown instance kind {kind!r}")
+    each track anchored (see ``_instance``)."""
+    return _instance(kind, f"{kind}-n{n}-t{t}-k{k}-seed{seed}", n, t, k, seed, 0.85)
 
 
 def random_chordal_graphs(count: int = 500, *, seed: int = 7000) -> list[Graph]:

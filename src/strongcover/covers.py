@@ -516,9 +516,9 @@ def strong_cover_33(col: MultiColoring) -> StrongCover:
 
     Either some color has no edge carrying it alone, in which case the other
     two colors already form a (2,2)-coloring and two cliques suffice, or
-    color 1's graph is connected and spans everything: if it is complete one
-    clique does it, otherwise a clique cutset Q splits the rest into A and B
-    with no single-color-1 edge inside either, so A u B is two-clique
+    color 1's graph is connected, spans everything and is not complete (an
+    edge carries color 2 alone): a clique cutset Q splits the rest into A and
+    B with no single-color-1 edge inside either, so A u B is two-clique
     coverable in the other two colors and Q rides along as the third clique.
     The PEOs come from ``color_certificates``, as in the greedy cover.
     """
@@ -539,8 +539,6 @@ def _cover_33(col: MultiColoring, certs: list[tuple[Graph, list[int]]]) -> Stron
         pair = tuple(c for c in (1, 2, 3) if c != min(shared))
         return _two_cliques(col, pair, "two-clique cover of a (2,2)-coloring failed")
 
-    if col.is_clique_mask((1 << col.n) - 1, 1):
-        return StrongCover({1: frozenset(range(col.n))})
     # a color-1-only edge xy makes every triangle xyz color 1, so color 1
     # is connected and has a clique cutset; its PEO is certified already
     dec = _clique_cutset(*certs[0])

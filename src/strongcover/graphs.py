@@ -45,6 +45,14 @@ def lex_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
+def _require_ints(**values: object) -> None:
+    """InputError unless every value is a plain int: a bool or a float is
+    refused, not coerced."""
+    for key, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{key} must be int, got {value!r}")
+
+
 def is_clique_mask(adj: list[int], mask: int) -> bool:
     """True if the vertices of ``mask`` are pairwise adjacent in ``adj``."""
     for v in bits(mask):
@@ -59,8 +67,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if type(n) is not int:  # as core._require_ints (core imports this module)
-            raise InputError(f"n must be int, got {n!r}")
+        _require_ints(n=n)
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         self.n = n

@@ -9,7 +9,7 @@ from strongcover.constructions import (
     BlowupSpec, blow_up, construct_k4_two_paths, construct_k5star, random_interval_family
 )
 from strongcover.core import MultiColoring, TIntervalFamily
-from strongcover.corpus import ColoringInstance, _interval_instance, _subtree_instance
+from strongcover.corpus import ColoringInstance, _instance
 
 
 class SubstitutionCase(NamedTuple):
@@ -45,7 +45,8 @@ def chordal_tk_corpus() -> list[ColoringInstance]:
             for i in range(12):
                 n = 5 + (seed + 7 * i) % 11
                 items.append(
-                    _interval_instance(
+                    _instance(
+                        "interval",
                         f"tk-int-t{t}k{k}-{i}", n, t, k, seed + i, _ANCHORS[i % 3]
                     )
                 )
@@ -53,7 +54,8 @@ def chordal_tk_corpus() -> list[ColoringInstance]:
             for i in range(12):
                 n = 5 + (seed + 7 * i) % 11
                 items.append(
-                    _subtree_instance(
+                    _instance(
+                        "subtree",
                         f"tk-sub-t{t}k{k}-{i}",
                         n,
                         t,
@@ -73,12 +75,13 @@ def chordal_33_corpus() -> list[ColoringInstance]:
     for i in range(52):
         n = 5 + (3 * i) % 8
         items.append(
-            _interval_instance(f"33-int-{i}", n, 3, 3, 3000 + i, _ANCHORS[i % 3])
+            _instance("interval", f"33-int-{i}", n, 3, 3, 3000 + i, _ANCHORS[i % 3])
         )
     for i in range(52):
         n = 5 + (3 * i + 1) % 8
         items.append(
-            _subtree_instance(
+            _instance(
+                "subtree",
                 f"33-sub-{i}", n, 3, 3, 3100 + i, _ANCHORS[i % 3], host_size=5 + i % 4
             )
         )
@@ -93,13 +96,16 @@ def chordal_tt_corpus() -> list[ColoringInstance]:
         for i in range(6):
             n = max(t + 1, 6 + (seed + 5 * i) % 7)
             items.append(
-                _interval_instance(f"tt-int-t{t}-{i}", n, t, t, seed + i, _ANCHORS[i % 3])
+                _instance(
+                    "interval", f"tt-int-t{t}-{i}", n, t, t, seed + i, _ANCHORS[i % 3]
+                )
             )
         seed += 20
         for i in range(6):
             n = max(t + 1, 6 + (seed + 5 * i) % 7)
             items.append(
-                _subtree_instance(
+                _instance(
+                    "subtree",
                     f"tt-sub-t{t}-{i}", n, t, t, seed + i, _ANCHORS[i % 3], host_size=6
                 )
             )
@@ -132,7 +138,7 @@ def c4free_22_corpus() -> list[ColoringInstance]:
     for i in range(26):
         n = 5 + (5 * i) % 10
         items.append(
-            _interval_instance(f"c4free-int-{i}", n, 2, 2, 5000 + i, _ANCHORS[i % 3])
+            _instance("interval", f"c4free-int-{i}", n, 2, 2, 5000 + i, _ANCHORS[i % 3])
         )
     return items
 
@@ -152,7 +158,7 @@ def substitution_corpus() -> list[SubstitutionCase]:
     for i in range(34):
         n = 4 + i % 4
         t = 2 + i % 2
-        inst = _interval_instance(f"sub-base-{i}", n, t, 2, 6000 + i, _ANCHORS[i % 3])
+        inst = _instance("interval", f"sub-base-{i}", n, t, 2, 6000 + i, _ANCHORS[i % 3])
         vertex = i % n
         size = 2 + i % 2
         cases.append(

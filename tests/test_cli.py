@@ -28,7 +28,9 @@ from strongcover.core import (
     TIntervalFamily,
     TSubtreeFamily,
 )
-from strongcover.covers import GreedyTrace, exact_max_strong_cover, theta
+from strongcover.covers import (
+    GreedyTrace, exact_max_strong_cover, greedy_strong_cover, theta,
+)
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -211,6 +213,13 @@ class TestCheck:
         code, _out, err = run(capsys, ["check", path, "--tk", "2"])
         assert code == 2 and "unrecognized" in err
 
+    @pytest.mark.parametrize("doc", [[], [1, 2], "edges", 3, None])
+    def test_document_that_is_not_an_object_is_exit_2(self, capsys, tmp_path, doc):
+        path = self.write(tmp_path, doc)
+        code, out, err = run(capsys, ["check", path, "--tk", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: instance document must be a JSON object\n"
+
     def test_negative_subtree_vertex_is_exit_2(self, capsys, tmp_path):
         doc = {"host_edges": [[0, 1]], "t": 1, "members": [[[0, -1]]]}
         path = self.write(tmp_path, doc)
@@ -316,6 +325,15 @@ class TestCover:
         assert names["tk-precondition"]["pass"] is True
         points = doc["results"]["piercing_points"]
         assert points and all(len(p) == 2 for p in points)
+
+    def test_greedy_times_its_tk_scan(self, capsys, tmp_path):
+        """The (t,k) precondition scan of ``cover greedy --k`` has its own
+        time; without ``--k`` there is no scan and no time."""
+        path = self.onefourth_path(capsys, tmp_path)
+        _code, doc = run_json(capsys, ["cover", "greedy", path, "--k", "2"])
+        assert type(doc["times"]["tk"]) is float and doc["times"]["tk"] >= 0
+        _code, doc = run_json(capsys, ["cover", "greedy", path])
+        assert "tk" not in doc["times"]
 
     def test_greedy_reports_tk_violation(self, capsys, tmp_path):
         main(["gen", "partition", "--n", "6", "--t", "2"])
@@ -892,6 +910,35 @@ class TestVerifyFailures:
         rows = json.loads(out)["results"]["instances"]
         assert [r["name"] for r in rows] == ["lower-seed0", "lower-seed1"]
         assert all(r["error"] == "GuaranteeError: no family" for r in rows)
+
+
+    def test_lower_rows_are_checked_on_their_tracks(self, capsys, monkeypatch):
+        """A row's cover is checked on its family's tracks, not on its
+        coloring's rows: with one member's interval moved off greedy's first
+        clique of two or more on that track, and the coloring left as drawn,
+        the row fails and reads as before otherwise."""
+        argv = ["verify", "lower", "--n", "8", "--samples", "1"]
+        code, out, _err = run(capsys, argv)
+        (drawn,) = json.loads(out)["results"]["instances"]
+        assert code == 0 and drawn["pass"] is True
+        real = cli.corpus.seeded_tk_instance
+
+        def moved(kind, n, t, k, seed):
+            inst = real(kind, n, t, k, seed)
+            cover, _trace = greedy_strong_cover(inst.coloring)
+            c, clique = next(
+                (c, s) for c, s in sorted(cover.assignments.items()) if len(s) > 1
+            )
+            members = [list(tracks) for tracks in inst.family.members]
+            far = 1 + max(hi for tracks in members for _lo, hi in tracks)
+            members[min(clique)][c - 1] = (far, far)
+            return inst._replace(family=TIntervalFamily(t, members))
+
+        monkeypatch.setattr(cli.corpus, "seeded_tk_instance", moved)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and err == ""
+        (row,) = json.loads(out)["results"]["instances"]
+        assert row == {**drawn, "pass": False}
 
 
 class TestSharedRows:

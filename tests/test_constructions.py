@@ -42,7 +42,7 @@ from strongcover.core import (
     kfold_min_colors,
 )
 from strongcover.covers import exact_max_strong_cover
-from strongcover.errors import InputError
+from strongcover.errors import GuaranteeError, InputError
 from strongcover.graphs import bits
 
 
@@ -721,6 +721,32 @@ class TestEndpointWitness:
         scanned = self.spy(monkeypatch, "is_tk_coloring")
         corpus.seeded_tk_instance(*args)
         assert (len(witnessed), sum(witnessed), len(scanned)) == counts
+
+
+@pytest.mark.parametrize("kind, draw", [
+    ("interval", "_draw_intervals"), ("subtree", "_draw_subtrees"),
+])
+def test_a_fully_anchored_miss_is_a_guarantee_error(monkeypatch, kind, draw):
+    """A seeded instance whose draw misses k-wise intersection is drawn again
+    fully anchored; a miss there is a GuaranteeError naming the instance."""
+    anchors = []
+
+    def miss(*args):
+        anchors.append(args[-2])
+        return None, False, None
+
+    monkeypatch.setattr(corpus, draw, miss)
+    with pytest.raises(GuaranteeError) as info:
+        corpus.seeded_tk_instance(kind, 8, 2, 2, 5)
+    assert str(info.value) == f"fully anchored {kind} family failed k-wise intersection"
+    assert info.value.instance == f"{kind}-n8-t2-k2-seed5"
+    assert anchors == [0.85, 1.0]
+
+
+def test_an_unknown_instance_kind_is_an_input_error():
+    with pytest.raises(InputError) as info:
+        corpus.seeded_tk_instance("path", 8, 2, 2, 5)
+    assert str(info.value) == "unknown instance kind 'path'"
 
 
 def test_all_cross_pairs_once_matches_pair_count():

@@ -1,12 +1,14 @@
 """Colorings, interval and subtree families, covers, and the predicates
 connecting them."""
 
+import inspect
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import strongcover
 import strongcover.core as core
 from corpora import complete_coloring
 from strongcover.constructions import (
@@ -55,7 +57,9 @@ from strongcover.covers import (
     theta,
     two_clique_cover_exact,
 )
-from strongcover.errors import InputError
+from strongcover.errors import (
+    GuaranteeError, InputError, PreconditionError, SizeLimitError,
+)
 from strongcover.graphs import Graph
 
 
@@ -78,6 +82,39 @@ class TestMultiColoring:
             MultiColoring(3, 0).validate()
         with pytest.raises(InputError):
             MultiColoring(3, 2).add_colors(1, 1, [1])
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda col: setattr(col, "n", -1), "n must be nonnegative, got -1"),
+            (lambda col: col.rows.pop(), "t must be positive and match the rows, got 2"),
+            (lambda col: col.rows[0].pop(), "color row has 2 entries for n=3"),
+            (
+                lambda col: col.rows[1].__setitem__(2, 1 << 3),
+                "vertex 2 has a bad adjacency row",
+            ),
+            (
+                lambda col: col.rows[0].__setitem__(1, 1 << 1),
+                "vertex 1 has a bad adjacency row",
+            ),
+        ],
+        ids=["negative-n", "missing-row", "short-row", "bit-past-n", "self-loop"],
+    )
+    def test_validate_rejects_rows_assigned_by_hand(self, fault, message):
+        col = MultiColoring.from_edges(3, 2, [(0, 1, [1]), (1, 2, [2])])
+        col.validate()
+        fault(col)
+        with pytest.raises(InputError) as info:
+            col.validate()
+        assert str(info.value) == message
+
+    def test_sizes_out_of_range_are_named(self):
+        with pytest.raises(InputError) as info:
+            MultiColoring(-1, 2)
+        assert str(info.value) == "n must be nonnegative, got -1"
+        with pytest.raises(InputError) as info:
+            TSubtreeFamily([], 0, [])
+        assert str(info.value) == "t must be positive, got 0"
 
     def test_complete(self):
         col = complete_coloring(4, 2)
@@ -577,6 +614,58 @@ def test_arguments_of_the_wrong_kind_are_input_errors(name):
         with pytest.raises(InputError) as info:
             call(value)
         assert str(info.value) == f"need {kind}, got {type(value).__name__}"
+
+
+# a value of each required positional argument of the public callables, by
+# name, that the callable takes; by callable where the name alone is not
+# enough
+_TAKEN = {
+    "col": _STAR, "g": _GRAPH, "peo": _PEO, "fam": _FAM, "cov": _cover(),
+    "trace": _TRACE, "spec": BlowupSpec([1] * 5), "host_edges": [(0, 1)],
+    "members": [], "seed": 0, "red": 1, "blue": 2, "v": 0,
+}
+_TAKEN_BY = {
+    **{name: {"col": col} for name, (_call, col) in _COLORING_ARGS.items()},
+    "counting_chain_check": {"col": _COL},
+    "coloring_from_subtrees": {"fam": _SUBTREES},
+    "grow_blowup": {"seed": (0, 1, 2, 3, 4)},
+}
+PUBLIC_CALLABLES = {
+    name: obj for name in strongcover.__all__
+    if callable(obj := getattr(strongcover, name))
+    # records take anything by design; an exception class is no entry point
+    and not (isinstance(obj, type) and issubclass(obj, (tuple, Exception)))
+}
+_PACKAGE_ERRORS = (InputError, PreconditionError, GuaranteeError, SizeLimitError)
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLABLES)
+def test_public_callables_meet_the_argument_contract(name):
+    """Each required positional argument of each public callable, replaced
+    in turn by each bad value, gives a return or a package error, never a
+    bare TypeError or AttributeError; a draw's seed that is not a plain int
+    is an InputError.  ``hamilton_*`` at 10**6 is skipped: a valid size, whose
+    output is polynomial but enormous."""
+    call = PUBLIC_CALLABLES[name]
+    required = [
+        p.name for p in inspect.signature(call).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+    ]
+    taken = [_TAKEN_BY.get(name, {}).get(p, _TAKEN.get(p, 2)) for p in required]
+    call(*taken)
+    for i, param in enumerate(required):
+        for value in BAD_VALUES:
+            if name.startswith("hamilton_") and value == 10**6:
+                continue
+            args = [*taken[:i], value, *taken[i + 1:]]
+            if name.startswith("random_") and param == "seed" and type(value) is not int:
+                with pytest.raises(InputError):
+                    call(*args)
+                continue
+            try:
+                call(*args)
+            except _PACKAGE_ERRORS:
+                pass
 
 
 class TestFamilies:

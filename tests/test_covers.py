@@ -870,6 +870,16 @@ class TestC4Free22:
         assert 5 in cover.assignments[1]
         assert rep.covered >= -(-4 * 6 // 5)
 
+    def test_blue_apex_lands_in_blue_part(self):
+        col = MultiColoring(6, 2)
+        for edge, cs in construct_k5star().edge_colors.items():
+            col.edge_colors[edge] = cs
+        for v in range(5):
+            col.add_colors(v, 5, [2])
+        cover = strong_cover_c4free_22(col)
+        assert verify_cover(col, cover) == (True, 5)
+        assert 5 in cover.assignments[2]
+
     def test_rejects_c4(self):
         col = MultiColoring(4, 2)
         for u, v in ((0, 1), (1, 2), (2, 3), (0, 3)):
